@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError, InvalidInputError, SingularOperatorError
+from .errors import DimensionError, InfeasibleError, InvalidInputError
 from .sampling_design import MeasurementBank, MeasurementDesign
 from .si_core import CoefficientBank
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -62,19 +62,23 @@ class RecoveryResult:
 
 def demodulate(y: MeasurementBank, design: MeasurementDesign,
                tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBank:
-    """Undo the shaping bank: y_tilde(w_q) = W^{-1}(w_q) y(w_q)."""
+    """Undo the shaping bank: y_tilde(w_q) = W^{-1}(w_q) y(w_q).
+
+    Every call checks cond(W(w_q)) <= cond_tol, so a design built without
+    ``make_design`` is still rejected at its singular grid point. The
+    condition numbers are computed once per W object and cached on it (W's
+    values are read-only, so the cache cannot go stale); after
+    ``make_design`` the check is one comparison per bin.
+    """
     if y.p != design.p or y.length != design.grid.n:
         raise DimensionError(
             f"measurements ({y.p} x {y.length}) incompatible with design "
             f"(p={design.p}, N={design.grid.n})")
-    conds = np.linalg.cond(design.W.values)
-    bad = np.flatnonzero(~(conds <= tol.cond_tol))
-    if bad.size:
-        q = int(bad[0])
-        raise SingularOperatorError(
-            f"W singular at grid point {q}: cond={conds[q]:.3e} exceeds {tol.cond_tol:.1e}",
-            grid_index=q)
+    design.W.require_conditioned(tol.cond_tol, "W")
     spectra = np.fft.fft(y.sequences, axis=1)
+    # A general solve even for diagonal W: dividing by the diagonal rounds
+    # differently (up to ~1e-15 on the multiband W), which would change the
+    # recovered coefficients in their last digits and so the written outputs.
     solved = np.linalg.solve(design.W.values, spectra.T[:, :, None])[:, :, 0]
     return MeasurementBank(np.fft.ifft(solved.T, axis=1))
 
@@ -233,6 +237,12 @@ def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
     the support are exactly zero. Exact whenever the support covers the truth
     and A_S has full column rank.
     """
+    return _coefficients(demodulate(y, design, tol), design, support, tol)
+
+
+def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
+                  support, tol: Tolerances) -> CoefficientBank:
+    """``recover_coefficients`` on measurements already demodulated."""
     support = sorted(int(i) for i in set(support))
     if any(i < 0 or i >= design.m for i in support):
         raise InvalidInputError(f"support {support} out of range for m={design.m}")
@@ -244,7 +254,6 @@ def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
     if sv[-1] <= tol.rank_rel_tol * sv[0]:
         raise InvalidInputError(
             f"columns {support} of A are rank deficient (sv ratio {sv[-1] / sv[0]:.3e})")
-    y_tilde = demodulate(y, design, tol)
     spectra = np.fft.fft(y_tilde.sequences, axis=1)
     x = np.linalg.pinv(a_s) @ spectra  # (|S|, N)
     if design.Z is not None:
@@ -265,7 +274,7 @@ def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
         support: frozenset[int] = frozenset()
     else:
         support = _solve(MMVProblem(design.A, v, k_max), solver, tol)
-    coefficients = recover_coefficients(y, design, support, tol)
+    coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {
         "rank_q": int(v.shape[1]),
         "residual": _support_residual(design.A, v, support),

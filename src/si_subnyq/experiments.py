@@ -288,7 +288,9 @@ _TRIAL_RUNNERS = {
 }
 
 
-def _thread_count() -> int:
+def _thread_count(trials: int) -> int:
+    """Worker threads for a run: SI_SUBNYQ_THREADS (0 = one per CPU), never
+    more than the run has trials."""
     raw = os.environ.get("SI_SUBNYQ_THREADS")
     if raw is None:
         return 1
@@ -299,8 +301,8 @@ def _thread_count() -> int:
     if value < 0:
         raise ConfigError(f"SI_SUBNYQ_THREADS must be >= 0, got {value}")
     if value == 0:
-        return os.cpu_count() or 1
-    return value
+        value = os.cpu_count() or 1
+    return min(value, trials)
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -311,7 +313,7 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
             f"mode {cfg.mode!r} does not run trials; use the verify command")
     runner = _TRIAL_RUNNERS[cfg.mode]
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    workers = _thread_count()
+    workers = _thread_count(cfg.trials)
     if workers == 1:
         return [runner(cfg, t, s) for t, s in enumerate(seeds)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

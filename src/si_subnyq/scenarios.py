@@ -15,6 +15,7 @@ true piecewise-constant waveform directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,38 @@ class PeriodicSparsityBuild:
     report: dict = field(repr=False)
 
 
+@functools.lru_cache(maxsize=1)
+def _periodic_frame(m: int, base_period: float, grid: FrequencyGrid,
+                    tol: Tolerances) -> tuple[GeneratorSet, GeneratorSet, float, float]:
+    """The A-independent part of a periodic-sparsity build: box generators,
+    their biorthogonal set, and the deviations of the two construction
+    identities (M_VA = I, prefilter product spectrum = 1).
+
+    Cached on its arguments, so the checks run once per key and not once per
+    A redraw. The cache holds one entry; its generator sets are immutable
+    (read-only arrays), so sharing them between builds is safe. A failed
+    check raises and caches nothing.
+    """
+    generators = shifted_box_generators(m, base_period, grid)
+    v = biorthogonalize(generators, generators, tol)
+    m_va = cross_spectrum_matrix(v, generators)
+    m_va_dev = float(np.max(np.abs(
+        m_va.values - np.eye(m)[None, :, :])))
+    if m_va_dev > tol.biorth_tol:
+        raise InvalidInputError(
+            f"biorthogonality identity failed: max deviation {m_va_dev:.3e}")
+
+    # prefilter identity on the base-rate grid: the product spectrum of the
+    # normalized box against the box generator is identically one
+    base_grid = FrequencyGrid(m * grid.n)
+    q_gen = box_prefilter_generator(base_period, base_grid)
+    a_base = GeneratorSet(base_grid, base_period, (0,),
+                          base_period * np.ones((1, base_grid.n, 1)))
+    g_values = cross_spectrum(q_gen, a_base)
+    g_dev = float(np.max(np.abs(g_values - 1.0)))
+    return generators, v, m_va_dev, g_dev
+
+
 def build_periodic_sparsity(sc: PeriodicSparsityScenario,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> PeriodicSparsityBuild:
     """Assemble the m-generator reformulation, its biorthogonal set, the
@@ -127,32 +160,17 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
 
     The build verifies the two construction identities numerically: the
     prefilter/generator product spectrum is identically 1 on the base-rate
-    grid, and the biorthogonal cross-spectrum matrix is the identity.
+    grid, and the biorthogonal cross-spectrum matrix is the identity. That
+    part does not depend on A or the seed and is cached on (m, base_period,
+    grid, tol), so repeated builds, such as A redraws in a Monte Carlo run,
+    share one generator set and one biorthogonal set and run the checks once.
     """
     grid = FrequencyGrid(sc.n_blocks)
-    generators = shifted_box_generators(sc.m, sc.base_period, grid)
+    generators, v, m_va_dev, g_dev = _periodic_frame(sc.m, sc.base_period, grid, tol)
 
     rng = np.random.default_rng(sc.seed)
     a_matrix = make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)
     design = make_design(a_matrix, grid, tol=tol)  # W = I
-
-    v = biorthogonalize(generators, generators, tol)
-    m_va = cross_spectrum_matrix(v, generators)
-    m_va_dev = float(np.max(np.abs(
-        m_va.values - np.eye(sc.m)[None, :, :])))
-    if m_va_dev > tol.biorth_tol:
-        raise InvalidInputError(
-            f"biorthogonality identity failed: max deviation {m_va_dev:.3e}")
-
-    # prefilter identity on the base-rate grid: the product spectrum of the
-    # normalized box against the box generator is identically one
-    base_grid = FrequencyGrid(sc.m * sc.n_blocks)
-    q_gen = box_prefilter_generator(sc.base_period, base_grid)
-    a_base = GeneratorSet(base_grid, sc.base_period, (0,),
-                          sc.base_period * np.ones((1, base_grid.n, 1)))
-    g_values = cross_spectrum(q_gen, a_base)
-    g_dev = float(np.max(np.abs(g_values - 1.0)))
-
     filters = build_sampling_filters(design, v)
 
     profile = SparsityProfile(sc.m, sc.k, sc.s_pattern)
@@ -283,11 +301,16 @@ class MultibandScenario:
         return len(self.cosets)
 
 
+@functools.lru_cache(maxsize=1)
 def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> GeneratorSet:
     """m orthonormal brick-wall slice generators covering [0, 2*pi/T).
 
     Slice i has constant value sqrt(m*T) on [i*2*pi/(m*T), (i+1)*2*pi/(m*T))
-    and is exactly zero elsewhere, so the Gram matrix is the identity."""
+    and is exactly zero elsewhere, so the Gram matrix is the identity.
+
+    The last result is cached: it depends only on (m, T, grid), which a
+    Monte Carlo run keeps fixed, and a GeneratorSet is immutable (read-only
+    spectra), so every caller can share the one (m, N, m) array."""
     period = m * T
     alias_support = tuple(range(-(m - 1), 1))
     spectra = np.zeros((m, grid.n, m), dtype=np.complex128)
@@ -319,7 +342,12 @@ class MultibandBuild:
 def build_multiband(sc: MultibandScenario,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> MultibandBuild:
     """Construct slice generators, the coset-row mixing matrix, the diagonal
-    shaping bank and a sparse multiband signal occupying <= 2*n_bands slices."""
+    shaping bank and a sparse multiband signal occupying <= 2*n_bands slices.
+
+    The slice generators come from the one-entry cache of
+    ``multiband_slice_generators``: they depend only on (m, T, N), so builds
+    that share those values share one immutable generator set.
+    """
     grid = FrequencyGrid(sc.n_samples)
     generators = multiband_slice_generators(sc.m, sc.T, grid)
 

@@ -148,6 +148,40 @@ class PeriodicMatrixFunction:
         """(N, n) array of diagonal entries."""
         return np.einsum("qii->qi", self.values)
 
+    def condition_numbers(self) -> np.ndarray:
+        """(N,) read-only array of per-bin 2-norm condition numbers.
+
+        Computed on first use and kept on the object: ``values`` is read-only,
+        so the cache cannot go stale. An exactly diagonal function takes
+        max|d| / min|d| per bin instead of an SVD; a bin with a zero diagonal
+        entry gets inf, as ``np.linalg.cond`` reports for a singular matrix.
+        """
+        conds = self.__dict__.get("_condition_numbers")
+        if conds is None:
+            # exactly diagonal: every nonzero entry lies on the diagonal
+            if self.rows == self.cols and \
+                    np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()):
+                mag = np.abs(self.diagonal())
+                lo = np.min(mag, axis=1)
+                conds = np.full(lo.shape, np.inf)
+                np.divide(np.max(mag, axis=1), lo, out=conds, where=lo > 0)
+            else:
+                conds = np.linalg.cond(self.values)
+            conds.setflags(write=False)
+            object.__setattr__(self, "_condition_numbers", conds)
+        return conds
+
+    def require_conditioned(self, cond_tol: float, label: str) -> None:
+        """Raise SingularOperatorError naming the first grid point whose
+        condition number exceeds ``cond_tol`` (inf and nan always do)."""
+        conds = self.condition_numbers()
+        bad = np.flatnonzero(~(conds <= cond_tol))
+        if bad.size:
+            q = int(bad[0])
+            raise SingularOperatorError(
+                f"{label} singular at grid point {q}: "
+                f"cond={conds[q]:.3e} exceeds {cond_tol:.1e}", grid_index=q)
+
 
 @dataclass(frozen=True)
 class CoefficientBank:
@@ -290,13 +324,7 @@ def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
         raise DimensionError(
             f"sample bank shape {c.shape} incompatible with operator "
             f"({m_sa.rows} channels, N={m_sa.grid.n})")
-    conds = np.linalg.cond(m_sa.values)
-    bad = np.flatnonzero(~(conds <= cond_tol))
-    if bad.size:
-        q = int(bad[0])
-        raise SingularOperatorError(
-            f"sampling operator singular at grid point {q}: "
-            f"cond={conds[q]:.3e} exceeds {cond_tol:.1e}", grid_index=q)
+    m_sa.require_conditioned(cond_tol, "sampling operator")
     spectra = np.fft.fft(c, axis=1)
     solved = np.linalg.solve(m_sa.values, spectra.T[:, :, None])[:, :, 0]
     return CoefficientBank.from_sequences(np.fft.ifft(solved.T, axis=1))

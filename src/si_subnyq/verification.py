@@ -272,8 +272,7 @@ def check_w_invertible(tol: Tolerances,
         sampling_design.validate_design(design, tol)
     except SiSubnyqError as exc:
         return CheckResult("sampling_design.W_invertible", False, str(exc))
-    conds = np.linalg.cond(design.W.values)
-    worst = float(np.max(conds))
+    worst = float(np.max(design.W.condition_numbers()))
     return CheckResult("sampling_design.W_invertible", True,
                        f"max cond(W) = {worst:.2e}", worst)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from si_subnyq import cli
+from si_subnyq import cli, experiments
 from si_subnyq.errors import ConfigError
 from si_subnyq.experiments import (
     CSV_HEADER,
@@ -158,6 +158,23 @@ def test_threads_env_invalid_value(monkeypatch, tmp_path):
     cfg = ExperimentConfig(mode="generic", m=4, k=1, p=2, N=8, seed=1, trials=1)
     with pytest.raises(ConfigError, match="SI_SUBNYQ_THREADS"):
         run_experiment(cfg, tmp_path)
+
+
+def test_threads_capped_at_trial_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SI_SUBNYQ_THREADS", "4")
+    cfg = ExperimentConfig(mode="generic", m=4, k=1, p=2, N=8, seed=1, trials=2)
+    assert len(experiments.run_trials(cfg)) == 2
+    assert pools == [2]
+    monkeypatch.setenv("SI_SUBNYQ_THREADS", "3")
+    assert experiments._thread_count(5) == 3
 
 
 # ---------------------------------------------------------------------------

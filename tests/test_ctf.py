@@ -24,6 +24,7 @@ from si_subnyq.sampling_design import (
     random_diagonal_z,
     random_invertible_w,
 )
+from si_subnyq.scenarios import MultibandScenario, build_multiband
 from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction
 from si_subnyq.sparse_model import SparsityProfile, synthesize
 
@@ -302,6 +303,32 @@ def test_recover_coefficients_rejects_dependent_columns():
     y = MeasurementBank(np.ones((2, 4)))
     with pytest.raises(InvalidInputError):
         recover_coefficients(y, design, {0, 1})
+
+
+def _multiband_instance():
+    sc = MultibandScenario(n_bands=1, band_width=2 * np.pi / 8, m=8, T=1.0,
+                           cosets=(0, 1, 3, 6), seed=71, n_samples=32)
+    build = build_multiband(sc)
+    y = compressive_sample(build.signal.coefficients, build.design)
+    return build.design, y, build.report["k_max"]
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+def test_recover_coefficients_match_standalone_call(kind):
+    # recover() demodulates once and reuses y_tilde for the coefficients; the
+    # result must be bit-identical to demodulating again in the public call
+    if kind == "diagonal":
+        design, y, k_max = _multiband_instance()
+        assert design.W.is_diagonal() and not np.allclose(design.W.values[1], np.eye(4))
+    else:
+        design, support, _, y = planted_instance(72, with_w=kind == "dense",
+                                                 require_sigma=4)
+        k_max = len(support)
+        assert design.W.is_diagonal() == (kind == "identity")
+    result = recover(y, design, k_max=k_max, solver="somp")
+    standalone = recover_coefficients(y, design, result.support)
+    assert np.array_equal(result.coefficients.sequences, standalone.sequences)
+    assert result.coefficients.support == standalone.support
 
 
 def test_frame_independence_of_support():

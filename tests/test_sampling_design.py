@@ -341,3 +341,27 @@ def test_design_json_without_z():
 def test_design_json_missing_field_rejected():
     with pytest.raises(InvalidInputError, match="'A'"):
         design_from_json('{"p": 1, "m": 2, "N": 2, "W": []}')
+
+
+def test_design_json_rejects_singular_w_like_make_design():
+    grid = FrequencyGrid(5)
+    values = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    values[3] = [[1.0, 2.0], [2.0, 4.0]]  # rank one at grid point 3
+    tampered = MeasurementDesign(A=np.eye(2, 3), W=PeriodicMatrixFunction(grid, values),
+                                 grid=grid)
+    with pytest.raises(SingularOperatorError) as made:
+        make_design(tampered.A, grid, W=tampered.W)
+    with pytest.raises(SingularOperatorError) as loaded:
+        design_from_json(design_to_json(tampered))
+    assert loaded.value.grid_index == made.value.grid_index == 3
+
+
+def test_design_json_rejects_near_zero_z():
+    grid = FrequencyGrid(4)
+    z = np.array(random_diagonal_z(3, grid, np.random.default_rng(48)).values, copy=True)
+    z[1, 2, 2] = 1e-12
+    tampered = MeasurementDesign(A=np.eye(2, 3), W=PeriodicMatrixFunction.identity(grid, 2),
+                                 grid=grid, Z=PeriodicMatrixFunction(grid, z))
+    with pytest.raises(SingularOperatorError) as err:
+        design_from_json(design_to_json(tampered))
+    assert err.value.grid_index == 1

@@ -18,11 +18,13 @@ from si_subnyq.scenarios import (
     fractional_delay_demodulate,
     fractional_delay_direct,
     multiband_scenario_from_json,
+    multiband_slice_generators,
     periodic_scenario_from_json,
     piecewise_constant_waveform_check,
 )
-from si_subnyq.si_core import CoefficientBank, cross_spectrum_matrix
+from si_subnyq.si_core import CoefficientBank, FrequencyGrid, cross_spectrum_matrix
 from si_subnyq.sparse_model import SparseSISignal, SparsityProfile
+from si_subnyq.tolerances import DEFAULT_TOLERANCES
 
 
 def periodic_scenario(**overrides):
@@ -47,6 +49,23 @@ def test_build_verifies_identities():
     build = build_periodic_sparsity(periodic_scenario())
     assert build.report["m_va_deviation"] <= 1e-10
     assert build.report["prefilter_identity_deviation"] <= 1e-12
+
+
+def test_repeated_periodic_builds_share_the_generator_frame():
+    first = build_periodic_sparsity(periodic_scenario(seed=5))
+    second = build_periodic_sparsity(periodic_scenario(seed=6))
+    assert second.generators is first.generators
+    assert second.biorthogonal is first.biorthogonal
+    assert not first.biorthogonal.spectra.flags.writeable
+    assert not np.array_equal(first.design.A, second.design.A)
+
+
+def test_tightened_biorth_tol_still_reaches_identity_check():
+    sc = periodic_scenario()
+    build_periodic_sparsity(sc)  # fills the cache at the default tolerances
+    tight = DEFAULT_TOLERANCES.with_overrides(biorth_tol=1e-30)
+    with pytest.raises(InvalidInputError, match="biorthogonality identity"):
+        build_periodic_sparsity(sc, tight)
 
 
 def test_box_case_biorthogonal_equals_generators_up_to_gain():
@@ -166,6 +185,17 @@ def test_slice_generators_are_orthonormal():
     build = build_multiband(multiband_scenario())
     gram = cross_spectrum_matrix(build.generators, build.generators)
     assert np.max(np.abs(gram.values - np.eye(7))) <= 1e-12
+
+
+def test_slice_generators_are_cached_and_read_only():
+    grid = FrequencyGrid(16)
+    gens = multiband_slice_generators(5, 1.0, grid)
+    assert multiband_slice_generators(5, 1.0, FrequencyGrid(16)) is gens
+    assert not gens.spectra.flags.writeable
+    assert build_multiband(multiband_scenario(m=5, n_samples=16,
+                                              band_width=2 * np.pi / 5,
+                                              cosets=(0, 1, 3))).generators is gens
+    assert multiband_slice_generators(5, 2.0, grid) is not gens
 
 
 def test_mixing_matrix_entry_arithmetic():

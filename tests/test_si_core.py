@@ -229,6 +229,38 @@ def test_singular_grid_point_is_named():
     assert "grid point 5" in str(err.value)
 
 
+@pytest.mark.parametrize("small", [0.0, 1e-9])
+def test_diagonal_condition_shortcut_matches_svd(small):
+    # exactly diagonal W takes max|d|/min|d| per bin; it must flag the same
+    # bins, first bad grid_index included, as the SVD-based np.linalg.cond
+    grid = FrequencyGrid(8)
+    values = np.broadcast_to(np.diag([1.0, 2.0j, -3.0]), (8, 3, 3)).copy()
+    values[3, 1, 1] = small
+    values[6, 0, 0] = small
+    func = PeriodicMatrixFunction(grid, values)
+    assert func.is_diagonal()
+    tol = 1e8
+    svd_bad = np.flatnonzero(~(np.linalg.cond(func.values) <= tol))
+    fast_bad = np.flatnonzero(~(func.condition_numbers() <= tol))
+    assert list(fast_bad) == list(svd_bad) == [3, 6]
+    with pytest.raises(SingularOperatorError) as err:
+        func.require_conditioned(tol, "W")
+    assert err.value.grid_index == 3
+    good = np.delete(np.arange(8), [3, 6])
+    assert np.allclose(func.condition_numbers()[good],
+                       np.linalg.cond(func.values)[good], rtol=1e-12)
+
+
+def test_condition_numbers_are_cached_and_read_only():
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    func = PeriodicMatrixFunction(FrequencyGrid(4), values)
+    conds = func.condition_numbers()
+    assert func.condition_numbers() is conds
+    assert not conds.flags.writeable
+    assert np.array_equal(conds, np.linalg.cond(func.values))
+
+
 def test_single_channel_inverse_filter_chain():
     # one generator: recovery is filtering the samples by 1/phi
     gens = shifted_box_generators(1, 1.0, FrequencyGrid(16))
