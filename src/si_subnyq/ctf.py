@@ -217,16 +217,25 @@ def _solve(prob: MMVProblem, solver: str, tol: Tolerances) -> frozenset[int]:
     raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
 
 
+def _identify(y: MeasurementBank, design: MeasurementDesign, k_max: int,
+              solver: str, q_domain: str, tol: Tolerances):
+    """Demodulate, accumulate Q, factor the frame V and solve for the support.
+
+    Returns (y_tilde, V, eigenvalues of Q, support)."""
+    y_tilde = demodulate(y, design, tol)
+    v, eigvals = frame_from_q(compute_q(y_tilde, q_domain), tol=tol)
+    if v.shape[1] == 0:
+        support: frozenset[int] = frozenset()
+    else:
+        support = _solve(MMVProblem(design.A, v, k_max), solver, tol)
+    return y_tilde, v, eigvals, support
+
+
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,
                     solver: str = "exhaustive", q_domain: str = "time",
                     tol: Tolerances = DEFAULT_TOLERANCES) -> frozenset[int]:
     """Identify the active channel set from compressed measurements."""
-    y_tilde = demodulate(y, design, tol)
-    q = compute_q(y_tilde, q_domain)
-    v, _ = frame_from_q(q, tol=tol)
-    if v.shape[1] == 0:
-        return frozenset()
-    return _solve(MMVProblem(design.A, v, k_max), solver, tol)
+    return _identify(y, design, k_max, solver, q_domain, tol)[3]
 
 
 def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
@@ -267,13 +276,7 @@ def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
             solver: str = "exhaustive", q_domain: str = "time",
             tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
     """Full pipeline with diagnostics: support, coefficients, Q spectrum."""
-    y_tilde = demodulate(y, design, tol)
-    q = compute_q(y_tilde, q_domain)
-    v, eigvals = frame_from_q(q, tol=tol)
-    if v.shape[1] == 0:
-        support: frozenset[int] = frozenset()
-    else:
-        support = _solve(MMVProblem(design.A, v, k_max), solver, tol)
+    y_tilde, v, eigvals, support = _identify(y, design, k_max, solver, q_domain, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {
         "rank_q": int(v.shape[1]),

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ctf, scenarios
-from .errors import ConfigError, SiSubnyqError
+from .errors import ConfigError, InvalidInputError
 from .sampling_design import (
     MATRIX_KINDS,
     compressive_sample,
@@ -42,6 +42,7 @@ CSV_HEADER = "trial,seed,support_true,support_found,exact,nmse,rank_q,sigma_a,wa
 SWEEP_HEADER = "value,success_rate,median_nmse,trials"
 SWEEP_VARS = ("p", "k", "N")
 _SIGMA_AUTO_MAX_M = 16
+_MAX_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,12 @@ class ExperimentConfig:
             if len(cosets) != self.p:
                 raise ConfigError(f"cosets has {len(cosets)} entries but p={self.p}")
             object.__setattr__(self, "cosets", cosets)
+        if self.mode in ("periodic_sparsity", "multiband"):
+            # The scenario dataclass holds the rules; build it once to apply them.
+            try:
+                _scenario(self, np.random.default_rng(self.seed), self.seed)
+            except InvalidInputError as exc:
+                raise ConfigError(f"{self.mode} scenario: {exc}") from exc
 
 
 _CONFIG_FIELDS = {
@@ -177,115 +184,108 @@ def _nmse(d_true: np.ndarray, d_hat: np.ndarray, tol: Tolerances) -> float:
     return float(np.linalg.norm(d_hat - d_true) ** 2) / energy
 
 
-def _sigma_feasible(cfg: ExperimentConfig) -> bool:
-    if cfg.compute_sigma is not None:
-        return cfg.compute_sigma
-    return cfg.m <= _SIGMA_AUTO_MAX_M
+def _sigma(cfg: ExperimentConfig, a_matrix: np.ndarray) -> int | None:
+    """The Kruskal rank of A, or None where it is not computed: as
+    ``compute_sigma`` says when it is set, otherwise only for
+    m <= _SIGMA_AUTO_MAX_M (the exhaustive rank scan grows as C(m, q))."""
+    compute = cfg.compute_sigma
+    if compute is None:
+        compute = cfg.m <= _SIGMA_AUTO_MAX_M
+    return kruskal_rank(a_matrix, tol=cfg.tolerances) if compute else None
 
 
-def _filtered_matrix(cfg: ExperimentConfig, rng: np.random.Generator,
-                     feasible: bool) -> tuple[np.ndarray, int | None]:
-    """Draw A, redrawing until the Kruskal rank reaches min(2k, p, m) when
-    the exhaustive rank computation is feasible."""
+def _draw_a(cfg: ExperimentConfig, rng_for) -> tuple[np.ndarray, int | None, int]:
+    """Draw A until its Kruskal rank reaches min(2k, p, m); attempt i draws
+    from ``rng_for(i)``.
+
+    Returns (A, sigma, accepted attempt). When sigma is not computed the first
+    draw is taken; when all _MAX_DRAWS draws fall short the last one is kept
+    and its sigma reported, so the trial still runs.
+    """
     target = min(2 * cfg.k, cfg.p, cfg.m)
-    for _ in range(64):
-        a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
-        if not feasible:
-            return a_matrix, None
-        sigma = kruskal_rank(a_matrix, tol=cfg.tolerances)
-        if sigma >= target:
-            return a_matrix, sigma
-    raise SiSubnyqError(
-        f"failed to draw A with Kruskal rank >= {target} in 64 attempts")
+    for attempt in range(_MAX_DRAWS):
+        a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng_for(attempt))
+        sigma = _sigma(cfg, a_matrix)
+        if sigma is None or sigma >= target:
+            break
+    return a_matrix, sigma, attempt
 
 
-def _finish(cfg: ExperimentConfig, trial_index: int, seed: int, started: float,
-            support_true: frozenset[int], d_true: np.ndarray,
-            result: ctf.RecoveryResult, sigma: int | None) -> TrialRecord:
+def _choose(rng: np.random.Generator, n: int, size: int) -> tuple[int, ...]:
+    return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+
+
+def _scenario(cfg: ExperimentConfig, rng: np.random.Generator, seed: int):
+    """The mode's scenario dataclass with scenario seed ``seed``; an
+    ``s_pattern`` or ``cosets`` the config leaves open is drawn from ``rng``."""
+    if cfg.mode == "periodic_sparsity":
+        pattern = cfg.s_pattern if cfg.s_pattern is not None else _choose(rng, cfg.m, cfg.k)
+        return scenarios.PeriodicSparsityScenario(
+            m=cfg.m, k=cfg.k, s_pattern=frozenset(pattern), base_period=cfg.base_period,
+            n_blocks=cfg.N, seed=seed, p=cfg.p, matrix_kind=cfg.matrix_kind)
+    band_width = cfg.band_width
+    if band_width is None and cfg.T > 0:  # the scenario rejects T <= 0
+        band_width = 2 * np.pi / (cfg.m * cfg.T)
+    cosets = cfg.cosets if cfg.cosets is not None else _choose(rng, cfg.m, cfg.p)
+    return scenarios.MultibandScenario(
+        n_bands=cfg.n_bands, band_width=band_width, m=cfg.m, T=cfg.T,
+        cosets=cosets, seed=seed, n_samples=cfg.N)
+
+
+# One instance per mode: (design, planted coefficient bank, k_max, sigma).
+
+def _generic_instance(cfg: ExperimentConfig, seed: int):
+    rng = np.random.default_rng(seed)
+    a_matrix, sigma, _ = _draw_a(cfg, lambda attempt: rng)
+    design = make_design(a_matrix, FrequencyGrid(cfg.N), tol=cfg.tolerances)
+    profile = SparsityProfile(cfg.m, cfg.k, frozenset(_choose(rng, cfg.m, cfg.k)))
+    return design, synthesize(profile, cfg.N, rng), cfg.k, sigma
+
+
+def _periodic_instance(cfg: ExperimentConfig, seed: int):
+    # Attempt i draws A as the scenario with seed trial_seed(seed, i) would
+    # (build_periodic_sparsity draws A first from default_rng(sc.seed)), so
+    # only A is redrawn and the scenario is built once, for the accepted seed.
+    _, sigma, attempt = _draw_a(
+        cfg, lambda attempt: np.random.default_rng(trial_seed(seed, attempt)))
+    sc = _scenario(cfg, np.random.default_rng(seed), trial_seed(seed, attempt))
+    build = scenarios.build_periodic_sparsity(sc, cfg.tolerances)
+    return build.design, build.signal.coefficients, cfg.k, sigma
+
+
+def _multiband_instance(cfg: ExperimentConfig, seed: int):
+    sc = _scenario(cfg, np.random.default_rng(seed), seed)
+    build = scenarios.build_multiband(sc, cfg.tolerances)
+    return (build.design, build.signal.coefficients, build.report["k_max"],
+            _sigma(cfg, build.design.A))
+
+
+_INSTANCES = {
+    "generic": _generic_instance,
+    "periodic_sparsity": _periodic_instance,
+    "multiband": _multiband_instance,
+}
+
+
+def _trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
+    """Draw the mode's instance, sample it, recover once and score."""
+    started = time.perf_counter()
     tol = cfg.tolerances
-    nmse = _nmse(d_true, result.coefficients.sequences, tol)
-    exact = support_true == result.support and nmse <= tol.recovery_rel_tol
-    collision = (support_true != result.support
-                 and result.diagnostics["residual"] <= tol.mmv_residual_rel)
+    design, bank, k_max, sigma = _INSTANCES[cfg.mode](cfg, seed)
+    y = compressive_sample(bank, design, tol)
+    result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
+    nmse = _nmse(bank.sequences, result.coefficients.sequences, tol)
     return TrialRecord(
         trial=trial_index, seed=seed,
-        support_true=tuple(sorted(support_true)),
+        support_true=tuple(sorted(bank.support)),
         support_found=tuple(sorted(result.support)),
-        exact=exact, nmse=nmse,
+        exact=bank.support == result.support and nmse <= tol.recovery_rel_tol,
+        nmse=nmse,
         rank_q=result.diagnostics["rank_q"],
         sigma_a=sigma,
         wall_time_s=time.perf_counter() - started,
-        collision=collision)
-
-
-def _generic_trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
-    started = time.perf_counter()
-    tol = cfg.tolerances
-    rng = np.random.default_rng(seed)
-    a_matrix, sigma = _filtered_matrix(cfg, rng, _sigma_feasible(cfg))
-    grid = FrequencyGrid(cfg.N)
-    design = make_design(a_matrix, grid, tol=tol)
-    support = frozenset(int(i) for i in rng.choice(cfg.m, size=cfg.k, replace=False))
-    d = synthesize(SparsityProfile(cfg.m, cfg.k, support), cfg.N, rng)
-    y = compressive_sample(d, design, tol)
-    result = ctf.recover(y, design, k_max=cfg.k, solver=cfg.solver, tol=tol)
-    return _finish(cfg, trial_index, seed, started, support, d.sequences, result, sigma)
-
-
-def _periodic_trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
-    started = time.perf_counter()
-    tol = cfg.tolerances
-    rng = np.random.default_rng(seed)
-    if cfg.s_pattern is not None:
-        pattern = frozenset(cfg.s_pattern)
-    else:
-        pattern = frozenset(int(i) for i in rng.choice(cfg.m, size=cfg.k, replace=False))
-    feasible = _sigma_feasible(cfg)
-    target = min(2 * cfg.k, cfg.p, cfg.m)
-    sigma = None
-    for attempt in range(64):
-        sc = scenarios.PeriodicSparsityScenario(
-            m=cfg.m, k=cfg.k, s_pattern=pattern, base_period=cfg.base_period,
-            n_blocks=cfg.N, seed=trial_seed(seed, attempt), p=cfg.p,
-            matrix_kind=cfg.matrix_kind)
-        build = scenarios.build_periodic_sparsity(sc, tol)
-        if not feasible:
-            break
-        sigma = kruskal_rank(build.design.A, tol=tol)
-        if sigma >= target:
-            break
-    y = compressive_sample(build.signal.coefficients, build.design, tol)
-    result = ctf.recover(y, build.design, k_max=cfg.k, solver=cfg.solver, tol=tol)
-    return _finish(cfg, trial_index, seed, started, pattern,
-                   build.signal.coefficients.sequences, result, sigma)
-
-
-def _multiband_trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
-    started = time.perf_counter()
-    tol = cfg.tolerances
-    rng = np.random.default_rng(seed)
-    band_width = cfg.band_width if cfg.band_width is not None else 2 * np.pi / (cfg.m * cfg.T)
-    if cfg.cosets is not None:
-        cosets = cfg.cosets
-    else:
-        cosets = tuple(int(c) for c in rng.choice(cfg.m, size=cfg.p, replace=False))
-    sc = scenarios.MultibandScenario(
-        n_bands=cfg.n_bands, band_width=band_width, m=cfg.m, T=cfg.T,
-        cosets=cosets, seed=seed, n_samples=cfg.N)
-    build = scenarios.build_multiband(sc, tol)
-    sigma = build.report["sigma"]
-    y = compressive_sample(build.signal.coefficients, build.design, tol)
-    result = ctf.recover(y, build.design, k_max=build.report["k_max"],
-                         solver=cfg.solver, tol=tol)
-    return _finish(cfg, trial_index, seed, started, build.signal.profile.support,
-                   build.signal.coefficients.sequences, result, sigma)
-
-
-_TRIAL_RUNNERS = {
-    "generic": _generic_trial,
-    "periodic_sparsity": _periodic_trial,
-    "multiband": _multiband_trial,
-}
+        collision=(bank.support != result.support
+                   and result.diagnostics["residual"] <= tol.mmv_residual_rel))
 
 
 def _thread_count(trials: int) -> int:
@@ -308,16 +308,15 @@ def _thread_count(trials: int) -> int:
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Execute all trials; rows come back ordered by trial index regardless
     of completion order."""
-    if cfg.mode not in _TRIAL_RUNNERS:
+    if cfg.mode not in _INSTANCES:
         raise ConfigError(
             f"mode {cfg.mode!r} does not run trials; use the verify command")
-    runner = _TRIAL_RUNNERS[cfg.mode]
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     workers = _thread_count(cfg.trials)
     if workers == 1:
-        return [runner(cfg, t, s) for t, s in enumerate(seeds)]
+        return [_trial(cfg, t, s) for t, s in enumerate(seeds)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(runner, cfg, t, s) for t, s in enumerate(seeds)]
+        futures = [pool.submit(_trial, cfg, t, s) for t, s in enumerate(seeds)]
         return [f.result() for f in futures]
 
 

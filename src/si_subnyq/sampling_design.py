@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,31 +307,6 @@ def random_diagonal_z(m: int, grid: FrequencyGrid,
 # JSON serialization (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidInputError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
-
-
-def _emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items()) + "}"
-    raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
-
-
 def _pairs(values: np.ndarray) -> list:
     flat = np.asarray(values, dtype=np.complex128).reshape(-1)
     return [[float(v.real), float(v.imag)] for v in flat]
@@ -340,8 +314,9 @@ def _pairs(values: np.ndarray) -> list:
 
 def design_to_json(design: MeasurementDesign, matrix_kind: str | None = None,
                    seed: int | None = None) -> str:
-    """Serialize a design. Doubles are emitted with 17 significant digits so
-    the round trip through the decimal text is bit-exact."""
+    """Serialize a design. Doubles are written as Python's shortest repr,
+    which parses back to the same double, so the round trip is bit-exact.
+    A non-finite or unserializable value raises InvalidInputError."""
     doc = {
         "p": design.p,
         "m": design.m,
@@ -353,7 +328,10 @@ def design_to_json(design: MeasurementDesign, matrix_kind: str | None = None,
         "matrix_kind": matrix_kind,
         "seed": seed,
     }
-    return _emit(doc)
+    try:
+        return json.dumps(doc, allow_nan=False, default=int)  # int: NumPy integers
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot serialize design: {exc}") from exc
 
 
 def _from_pairs(pairs, shape) -> np.ndarray:

@@ -27,7 +27,6 @@ from .sampling_design import (
     biorthogonalize,
     build_sampling_filters,
     compressive_sample,
-    kruskal_rank,
     make_cs_matrix,
     make_design,
 )
@@ -162,8 +161,13 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
     prefilter/generator product spectrum is identically 1 on the base-rate
     grid, and the biorthogonal cross-spectrum matrix is the identity. That
     part does not depend on A or the seed and is cached on (m, base_period,
-    grid, tol), so repeated builds, such as A redraws in a Monte Carlo run,
+    grid, tol), so repeated builds, such as the trials of a Monte Carlo run,
     share one generator set and one biorthogonal set and run the checks once.
+
+    The build's first use of ``default_rng(sc.seed)`` is the draw of A, by
+    ``make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)``; the coefficients are
+    drawn after it. A caller can therefore redraw only A to find an acceptable
+    seed, then build the scenario once with that seed and get the same A.
     """
     grid = FrequencyGrid(sc.n_blocks)
     generators, v, m_va_dev, g_dev = _periodic_frame(sc.m, sc.base_period, grid, tol)
@@ -283,8 +287,9 @@ class MultibandScenario:
             raise InvalidInputError("T and band_width must be positive")
         if self.m * self.band_width * self.T > TWO_PI * (1 + 1e-12):
             raise InvalidInputError(
-                f"slice count m={self.m} too large: need m <= 2*pi/(B*T) = "
-                f"{TWO_PI / (self.band_width * self.T):.3f} so each band spans <= 2 slices")
+                f"band_width={self.band_width:.6g} too wide for m={self.m} slices: need "
+                f"m <= 2*pi/(band_width*T) = {TWO_PI / (self.band_width * self.T):.3f} "
+                f"so each band spans <= 2 slices")
         cosets = tuple(int(c) for c in self.cosets)
         if any(c < 0 or c > self.m for c in cosets):
             raise InvalidInputError(f"cosets {cosets} must lie in 0..m={self.m}")
@@ -375,7 +380,6 @@ def build_multiband(sc: MultibandScenario,
         "active_slices": sorted(active),
         "band_edges": band_edges,
         "k_max": 2 * sc.n_bands,
-        "sigma": kruskal_rank(a_matrix, tol=tol) if sc.m <= 16 else None,
     }
     return MultibandBuild(sc, generators, design, signal, report)
 
@@ -442,40 +446,3 @@ def demodulate_by_delays(bank: MeasurementBank, sc: MultibandScenario) -> Measur
     rows = [fractional_delay_demodulate(bank.sequences[i], c, sc.m, sc.T)
             for i, c in enumerate(sc.cosets)]
     return MeasurementBank(np.stack(rows))
-
-
-# ---------------------------------------------------------------------------
-# JSON loaders
-# ---------------------------------------------------------------------------
-
-def periodic_scenario_from_json(doc: dict) -> PeriodicSparsityScenario:
-    """Build a periodic-sparsity scenario from a parsed JSON document."""
-    try:
-        return PeriodicSparsityScenario(
-            m=int(doc["m"]),
-            k=int(doc["k"]),
-            s_pattern=frozenset(int(i) for i in doc["s_pattern"]),
-            base_period=float(doc.get("base_period", 1.0)),
-            n_blocks=int(doc["n_blocks"]),
-            seed=int(doc["seed"]),
-            p=int(doc["p"]),
-            matrix_kind=str(doc.get("matrix_kind", "gaussian")),
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"periodic scenario config missing field {exc}") from exc
-
-
-def multiband_scenario_from_json(doc: dict) -> MultibandScenario:
-    """Build a multiband scenario from a parsed JSON document."""
-    try:
-        return MultibandScenario(
-            n_bands=int(doc["n_bands"]),
-            band_width=float(doc["band_width"]),
-            m=int(doc["m"]),
-            T=float(doc.get("T", 1.0)),
-            cosets=tuple(int(c) for c in doc["cosets"]),
-            seed=int(doc["seed"]),
-            n_samples=int(doc.get("n_samples", 32)),
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"multiband scenario config missing field {exc}") from exc

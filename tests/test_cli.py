@@ -136,6 +136,30 @@ def test_multiband_mode_run(tmp_path):
     assert summary["success_rate"] == 1.0
 
 
+def read_sigma_column(out_dir):
+    lines = (out_dir / "trials.csv").read_text().strip().splitlines()
+    column = lines[0].split(",").index("sigma_a")
+    return [line.split(",")[column] for line in lines[1:]]
+
+
+def test_multiband_mode_honours_compute_sigma(tmp_path):
+    for compute, expected in ((False, ""), (True, "4")):
+        cfg = ExperimentConfig(mode="multiband", m=7, k=2, p=4, N=32, seed=7,
+                               trials=2, cosets=(0, 2, 3, 5), compute_sigma=compute)
+        run_experiment(cfg, tmp_path / str(compute))
+        assert read_sigma_column(tmp_path / str(compute)) == [expected, expected]
+
+
+def test_generic_run_keeps_last_draw_when_sigma_stays_short(tmp_path):
+    # Sixteen +-1 columns of length 4 must repeat up to sign, so sigma(A) = 1
+    # on every draw, below the target min(2k, p) = 4.
+    cfg = ExperimentConfig(mode="generic", m=16, k=2, p=4, N=16, seed=3,
+                           trials=2, matrix_kind="bernoulli")
+    summary = run_experiment(cfg, tmp_path)
+    assert summary["trials"] == 2
+    assert read_sigma_column(tmp_path) == ["1", "1"]
+
+
 def test_somp_solver_run(tmp_path):
     cfg = ExperimentConfig(mode="generic", m=12, k=2, p=8, N=8, seed=8,
                            trials=10, solver="somp")
@@ -285,6 +309,24 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", mode="generic", m=4, p=6)
     assert cli.main(["run", "--config", config]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mode="periodic_sparsity", s_pattern=[1, 9]),
+    dict(mode="periodic_sparsity", s_pattern=[1, 1]),
+    dict(mode="multiband", cosets=[0, 2, 3, 9]),
+    dict(mode="multiband", cosets=[0, 2, 3, 3]),
+    dict(mode="multiband", band_width=3.0),
+    dict(mode="multiband", T=0.0),
+])
+def test_cli_bad_scenario_fields_exit_2(tmp_path, capsys, fields):
+    config = write_config(tmp_path / "cfg.json", m=7, k=2, p=4, N=8, seed=1,
+                          trials=1, **fields)
+    assert cli.main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    field = next(key for key in fields if key != "mode")
+    assert field in err
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -338,6 +338,24 @@ def test_design_json_without_z():
     assert meta == {"matrix_kind": None, "seed": None}
 
 
+def test_design_json_rejects_non_finite_values():
+    grid = FrequencyGrid(3)
+    a_matrix = np.eye(2, 3)
+    a_matrix[1, 2] = np.nan
+    design = MeasurementDesign(A=a_matrix, W=PeriodicMatrixFunction.identity(grid, 2),
+                               grid=grid)
+    with pytest.raises(InvalidInputError, match="cannot serialize"):
+        design_to_json(design)
+
+
+def test_design_json_writes_numpy_integers_as_integers():
+    grid = FrequencyGrid(np.int64(3))
+    text = design_to_json(make_design(np.eye(2, 3), grid), seed=np.uint64(2 ** 63))
+    loaded, meta = design_from_json(text)
+    assert loaded.grid.n == 3
+    assert meta["seed"] == 2 ** 63
+
+
 def test_design_json_missing_field_rejected():
     with pytest.raises(InvalidInputError, match="'A'"):
         design_from_json('{"p": 1, "m": 2, "N": 2, "W": []}')
