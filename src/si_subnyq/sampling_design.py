@@ -12,8 +12,10 @@ cross-spectrum matrix with the generators equals W(w_q) A exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,16 +96,23 @@ class MeasurementBank:
         return self.sequences.shape[1]
 
 
+def _require_finite(A: np.ndarray) -> None:
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("A has a NaN or infinite entry")
+
+
 def validate_design(design: MeasurementDesign,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Enforce the invertibility invariants: cond(W(w_q)) <= cond_tol at every
-    grid point, and every Z diagonal entry bounded away from zero.
+    """Enforce the design invariants: every entry of A finite,
+    cond(W(w_q)) <= cond_tol at every grid point, and every Z diagonal entry
+    bounded away from zero.
 
     The per-bin condition numbers come from ``W.condition_numbers()``, which
     is computed once per W object and cached on it (W's values are read-only,
     so the cache cannot go stale); ``demodulate`` reads the same array, so a
     validated design pays for its conditioning check once.
     """
+    _require_finite(design.A)
     design.W.require_conditioned(tol.cond_tol, "W")
     if design.Z is not None:
         diag = design.Z.diagonal()
@@ -157,8 +166,10 @@ def build_sampling_filters(design: MeasurementDesign, v: GeneratorSet) -> Genera
     if design.m != v.m:
         raise DimensionError(
             f"design mixes {design.m} channels but biorthogonal set has {v.m}")
-    spectra = np.einsum("qir,rl,lqj->iqj",
-                        np.conj(design.W.values), np.conj(design.A), v.spectra)
+    # A first, then W: two contractions cost far less than one three-operand
+    # einsum, which does not pick this order by itself.
+    mixed = np.einsum("rl,lqj->rqj", np.conj(design.A), v.spectra)
+    spectra = np.einsum("qir,rqj->iqj", np.conj(design.W.values), mixed)
     return GeneratorSet(v.grid, v.period, v.alias_support, spectra)
 
 
@@ -189,13 +200,50 @@ def combined_operator(design: MeasurementDesign) -> PeriodicMatrixFunction:
     return PeriodicMatrixFunction(design.grid, values)
 
 
+@functools.lru_cache(maxsize=32)
+def _combination_array(m: int, q: int) -> np.ndarray:
+    """All q-subsets of range(m) in lexicographic order, (C(m, q), q),
+    read-only because the cache hands the same array to every caller."""
+    combos = np.array(list(itertools.combinations(range(m), q)), dtype=np.intp)
+    combos.setflags(write=False)
+    return combos
+
+
+def _combination_chunks(m: int, q: int):
+    """The q-subsets of range(m) as index arrays of at most _KRUSKAL_CHUNK rows."""
+    if math.comb(m, q) <= _KRUSKAL_CHUNK:
+        yield _combination_array(m, q)
+        return
+    combos = itertools.combinations(range(m), q)
+    while chunk := list(itertools.islice(combos, _KRUSKAL_CHUNK)):
+        yield np.asarray(chunk, dtype=np.intp)
+
+
 def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Largest q such that every set of q columns of A is linearly independent.
 
-    Exhaustive over column subsets; a subset counts as full rank when its
-    smallest singular value exceeds rel_tol times its largest. Refuses
-    matrices wider than 24 columns (combinatorial guard).
+    Exhaustive over column subsets, bottom-up in q; a subset counts as full
+    rank when its smallest singular value exceeds rel_tol times its largest
+    (the SVD test). Refuses matrices wider than 24 columns (combinatorial
+    guard) and A with a NaN or infinite entry.
+
+    Each q-subset S is first screened on the Gram matrix G = A^H A. Let
+    H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1. H is
+    positive semidefinite, so by AM-GM on the other q - 1 eigenvalues
+    det(H) <= l_1 * (1 / (q - 1))^(q - 1), and l_q <= 1; hence
+    l_1 / l_q >= b = det(H) * (q - 1)^(q - 1). S is cleared as full rank when
+    b > clear = max(rel_tol, 1e4 * eps). Then sigma_min / sigma_max of A_S
+    is at least sqrt(clear), above rel_tol by a wide margin when rel_tol < 1
+    (and b <= 1 never exceeds a clear of 1). The 1e4 * eps floor keeps a
+    singular G_S, whose computed b is rounding noise of order (p + q) *
+    eps, from being cleared, and caps cond(G_S) of a cleared subset near
+    1 / clear, where the rounding in G and in the computed det stays far
+    inside that margin. Subsets the screen does not clear, including every
+    one where b is NaN or tr(G_S) is below the smallest normal double (G
+    then carries underflow error), go through the SVD test on the complex
+    column slices, so every decision the screen does not make is exactly
+    the SVD test's.
     """
     if rel_tol is None:
         rel_tol = tol.rank_rel_tol
@@ -207,21 +255,24 @@ def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
         raise InvalidInputError(
             f"kruskal_rank refuses m={m} columns: exhaustive subset search is "
             f"limited to {KRUSKAL_MAX_COLUMNS} columns")
+    _require_finite(A)
+    gram = A.real.T @ A.real if not np.any(A.imag) else A.conj().T @ A
+    clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
+    tiny = np.finfo(np.float64).tiny
     sigma = 0
     for q in range(1, min(p, m) + 1):
-        combos = itertools.combinations(range(m), q)
-        all_full_rank = True
-        while True:
-            chunk = list(itertools.islice(combos, _KRUSKAL_CHUNK))
-            if not chunk:
-                break
-            subs = np.moveaxis(A[:, np.asarray(chunk)], 1, 0)  # (batch, p, q)
-            sv = np.linalg.svd(subs, compute_uv=False)
-            if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
-                all_full_rank = False
-                break
-        if not all_full_rank:
-            break
+        for combos in _combination_chunks(m, q):
+            sub_gram = gram[combos[:, :, None], combos[:, None, :]]  # (batch, q, q)
+            trace = np.trace(sub_gram, axis1=1, axis2=2).real
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                bound = np.linalg.det(sub_gram / trace[:, None, None]).real
+            bound *= float((q - 1) ** (q - 1))
+            left = combos[~((bound > clear) & (trace >= tiny))]
+            if left.size:
+                subs = np.moveaxis(A[:, left], 1, 0)  # (batch, p, q)
+                sv = np.linalg.svd(subs, compute_uv=False)
+                if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
+                    return sigma
         sigma = q
     return sigma
 

@@ -1,0 +1,158 @@
+"""kruskal_rank: the determinant screen against the plain SVD scan it replaced,
+the Chebotarev cross-check on prime-order DFT rows, and input rejection."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from si_subnyq import sampling_design
+from si_subnyq.errors import InvalidInputError
+from si_subnyq.experiments import trial_seed
+from si_subnyq.sampling_design import (
+    MATRIX_KINDS,
+    design_from_json,
+    design_to_json,
+    kruskal_rank,
+    make_cs_matrix,
+    make_design,
+)
+from si_subnyq.si_core import FrequencyGrid
+
+REL_TOLS = (0.0, 1e-10, 1e-3, 0.5, 1.0)
+_ORACLE_CHUNK = 20000
+
+
+def svd_scan_kruskal_rank(A, rel_tol=1e-10):
+    """Reference: the exhaustive SVD scan, as kruskal_rank computed it before
+    the determinant screen (input guards dropped)."""
+    A = np.asarray(A, dtype=np.complex128)
+    p, m = A.shape
+    sigma = 0
+    for q in range(1, min(p, m) + 1):
+        combos = itertools.combinations(range(m), q)
+        all_full_rank = True
+        while True:
+            chunk = list(itertools.islice(combos, _ORACLE_CHUNK))
+            if not chunk:
+                break
+            subs = np.moveaxis(A[:, np.asarray(chunk)], 1, 0)  # (batch, p, q)
+            sv = np.linalg.svd(subs, compute_uv=False)
+            if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
+                all_full_rank = False
+                break
+        if not all_full_rank:
+            break
+        sigma = q
+    return sigma
+
+
+def _random_case(rng, index):
+    """A seeded matrix of one of the four kinds, m in 2..13 and p in 1..m,
+    with a planted exact dependency, a near-duplicate column scaled by
+    1 + 1e-12, a zero column, or nothing planted."""
+    kind = MATRIX_KINDS[index % len(MATRIX_KINDS)]
+    m = int(rng.integers(2, 14))
+    p = int(rng.integers(1, m + 1))
+    a = make_cs_matrix(kind, p, m, rng).copy()
+    plant = index // len(MATRIX_KINDS) % 4
+    if plant == 0 and m >= 3:
+        size = int(rng.integers(2, min(p + 1, m) + 1))
+        cols = rng.choice(m, size=size, replace=False)
+        a[:, cols[-1]] = a[:, cols[:-1]] @ rng.standard_normal(size - 1)
+    elif plant == 1:
+        i, j = rng.choice(m, size=2, replace=False)
+        a[:, j] = a[:, i] * (1 + 1e-12)
+    elif plant == 2:
+        a[:, rng.integers(m)] = 0.0
+    return a
+
+
+def test_screen_matches_svd_scan_on_seeded_matrices():
+    rng = np.random.default_rng(2024)
+    seen_sigma = set()
+    for index in range(1000):
+        a = _random_case(rng, index)
+        rel_tol = REL_TOLS[index % len(REL_TOLS)]
+        expected = svd_scan_kruskal_rank(a, rel_tol)
+        assert kruskal_rank(a, rel_tol) == expected, (index, a.shape, rel_tol)
+        seen_sigma.add(expected)
+    assert seen_sigma >= set(range(0, 11))
+
+
+def test_screen_matches_svd_scan_on_periodic_redraw_draws():
+    # p=10, m=16 Bernoulli draws: columns collide, so sigma spreads over 1..6
+    sigmas = []
+    for attempt in range(48):
+        a = make_cs_matrix("bernoulli", 10, 16, np.random.default_rng(trial_seed(7, attempt)))
+        sigma = kruskal_rank(a)
+        assert sigma == svd_scan_kruskal_rank(a), attempt
+        sigmas.append(sigma)
+    assert min(sigmas) == 1 and max(sigmas) >= 5
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_screen_matches_svd_scan_on_planted_cases(rel_tol):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    exact = a.copy()
+    exact[:, 8] = exact[:, 0] - 2.0 * exact[:, 3] + 0.5j * exact[:, 5]
+    near = a.copy()
+    near[:, 4] = near[:, 1] * (1 + 1e-12)
+    zero = a.copy()
+    zero[:, 2] = 0.0
+    # real duplicate columns scaled so that G = A^T A is subnormal: rounding
+    # in G then reads the pair as independent, so the SVD test must decide
+    dup = a.real.copy()
+    dup[:, 4] = 3.0 * dup[:, 1]
+    for case in (a, exact, near, zero, a.real, 1e-160 * a, 1e150 * a, 1e-158 * dup):
+        assert kruskal_rank(case, rel_tol) == svd_scan_kruskal_rank(case, rel_tol)
+
+
+def test_chunked_levels_match_svd_scan(monkeypatch):
+    monkeypatch.setattr(sampling_design, "_KRUSKAL_CHUNK", 7)
+    rng = np.random.default_rng(99)
+    for index in range(120):
+        a = _random_case(rng, index)
+        rel_tol = REL_TOLS[index % len(REL_TOLS)]
+        assert kruskal_rank(a, rel_tol) == svd_scan_kruskal_rank(a, rel_tol), index
+
+
+def test_cached_combination_arrays_are_read_only():
+    combos = sampling_design._combination_array(6, 3)
+    assert combos is sampling_design._combination_array(6, 3)
+    assert not combos.flags.writeable
+    assert [tuple(c) for c in combos] == list(itertools.combinations(range(6), 3))
+
+
+@pytest.mark.parametrize("m", [5, 7, 11, 13])
+def test_chebotarev_prime_dft_rows_have_full_spark(m):
+    # every minor of a prime-order DFT matrix is nonzero (Chebotarev)
+    rng = np.random.default_rng(m)
+    for p in range(1, m + 1):
+        assert kruskal_rank(make_cs_matrix("fourier_rows", p, m, rng)) == p
+
+
+def test_even_cosets_of_dft8_repeat_columns():
+    # rows 0, 2, 4, 6 of the 8-point DFT: column l + 4 equals column l
+    a = make_cs_matrix("fourier_rows", 4, 8, np.random.default_rng(0), cosets=(0, 2, 4, 6))
+    assert kruskal_rank(a) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_a_is_rejected(bad):
+    a = np.eye(3, 4, dtype=np.complex128)
+    a[1, 2] = bad
+    with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
+        kruskal_rank(a)
+    with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
+        make_design(a, FrequencyGrid(2))
+
+
+def test_non_finite_a_is_rejected_on_load():
+    design = make_design(np.eye(2, 3), FrequencyGrid(2))
+    text = design_to_json(design)
+    tampered = text.replace('"A": [[1.0, 0.0]', '"A": [[NaN, 0.0]', 1)
+    assert tampered != text
+    with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
+        design_from_json(tampered)
