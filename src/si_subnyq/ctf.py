@@ -74,13 +74,7 @@ def demodulate(y: MeasurementBank, design: MeasurementDesign,
         raise DimensionError(
             f"measurements ({y.p} x {y.length}) incompatible with design "
             f"(p={design.p}, N={design.grid.n})")
-    design.W.require_conditioned(tol.cond_tol, "W")
-    spectra = np.fft.fft(y.sequences, axis=1)
-    # A general solve even for diagonal W: dividing by the diagonal rounds
-    # differently (up to ~1e-15 on the multiband W), which would change the
-    # recovered coefficients in their last digits and so the written outputs.
-    solved = np.linalg.solve(design.W.values, spectra.T[:, :, None])[:, :, 0]
-    return MeasurementBank(np.fft.ifft(solved.T, axis=1))
+    return MeasurementBank(design.W.solve(y.sequences, tol.cond_tol, "W"))
 
 
 def compute_q(y: MeasurementBank, domain: str = "time") -> np.ndarray:

@@ -60,6 +60,9 @@ class MeasurementDesign:
                 raise DimensionError("Z lives on a different grid than the design")
             if self.Z.rows != m or self.Z.cols != m:
                 raise DimensionError(f"Z must be {m} x {m}, got {self.Z.rows} x {self.Z.cols}")
+            bad_z = np.flatnonzero(~np.all(np.isfinite(self.Z.diagonal()), axis=1))
+            if bad_z.size:
+                raise InvalidInputError(f"Z has a NaN or infinite entry at grid point {bad_z[0]}")
             if not self.Z.is_diagonal():
                 raise InvalidInputError("Z must be exactly diagonal")
         a.setflags(write=False)

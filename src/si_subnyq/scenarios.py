@@ -22,10 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .sampling_design import (
-    MeasurementBank,
     MeasurementDesign,
     biorthogonalize,
-    build_sampling_filters,
     compressive_sample,
     make_cs_matrix,
     make_design,
@@ -109,12 +107,21 @@ def box_prefilter_generator(base_period: float, grid: FrequencyGrid) -> Generato
     return GeneratorSet(grid, base_period, (0,), spectra)
 
 
+def _base_rate_box_pair(m: int, base_period: float,
+                        n_blocks: int) -> tuple[GeneratorSet, GeneratorSet]:
+    """The normalized box prefilter and the box generator, both at period T'
+    on the base-rate grid of m * n_blocks points."""
+    base_grid = FrequencyGrid(m * n_blocks)
+    a_base = GeneratorSet(base_grid, base_period, (0,),
+                          base_period * np.ones((1, base_grid.n, 1)))
+    return box_prefilter_generator(base_period, base_grid), a_base
+
+
 @dataclass(frozen=True)
 class PeriodicSparsityBuild:
     scenario: PeriodicSparsityScenario
     generators: GeneratorSet
     biorthogonal: GeneratorSet
-    filters: GeneratorSet
     design: MeasurementDesign
     signal: SparseSISignal
     report: dict = field(repr=False)
@@ -143,11 +150,7 @@ def _periodic_frame(m: int, base_period: float, grid: FrequencyGrid,
 
     # prefilter identity on the base-rate grid: the product spectrum of the
     # normalized box against the box generator is identically one
-    base_grid = FrequencyGrid(m * grid.n)
-    q_gen = box_prefilter_generator(base_period, base_grid)
-    a_base = GeneratorSet(base_grid, base_period, (0,),
-                          base_period * np.ones((1, base_grid.n, 1)))
-    g_values = cross_spectrum(q_gen, a_base)
+    g_values = cross_spectrum(*_base_rate_box_pair(m, base_period, grid.n))
     g_dev = float(np.max(np.abs(g_values - 1.0)))
     return generators, v, m_va_dev, g_dev
 
@@ -155,7 +158,7 @@ def _periodic_frame(m: int, base_period: float, grid: FrequencyGrid,
 def build_periodic_sparsity(sc: PeriodicSparsityScenario,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> PeriodicSparsityBuild:
     """Assemble the m-generator reformulation, its biorthogonal set, the
-    sampling filters and a block-sparse signal.
+    design (A drawn from the seed, W = I) and a block-sparse signal.
 
     The build verifies the two construction identities numerically: the
     prefilter/generator product spectrum is identically 1 on the base-rate
@@ -175,7 +178,6 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
     rng = np.random.default_rng(sc.seed)
     a_matrix = make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)
     design = make_design(a_matrix, grid, tol=tol)  # W = I
-    filters = build_sampling_filters(design, v)
 
     profile = SparsityProfile(sc.m, sc.k, sc.s_pattern)
     coefficients = synthesize(profile, sc.n_blocks, rng)
@@ -188,7 +190,7 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
         "compressed_rate": sc.p / (sc.m * sc.base_period),
         "compression_factor": sc.p / sc.m,
     }
-    return PeriodicSparsityBuild(sc, generators, v, filters, design, signal, report)
+    return PeriodicSparsityBuild(sc, generators, v, design, signal, report)
 
 
 def flatten_block_coefficients(bank: CoefficientBank) -> np.ndarray:
@@ -201,29 +203,10 @@ def baseline_reference_samples(build: PeriodicSparsityBuild) -> np.ndarray:
     """The uncompressed reference path: one sequence at the base rate whose
     samples equal the flat coefficients (prefilter-then-sample, m = 1)."""
     sc = build.scenario
-    base_grid = FrequencyGrid(sc.m * sc.n_blocks)
-    q_gen = box_prefilter_generator(sc.base_period, base_grid)
-    a_base = GeneratorSet(base_grid, sc.base_period, (0,),
-                          sc.base_period * np.ones((1, base_grid.n, 1)))
-    m_qa = cross_spectrum_matrix(q_gen, a_base)
+    m_qa = cross_spectrum_matrix(*_base_rate_box_pair(sc.m, sc.base_period, sc.n_blocks))
     flat = flatten_block_coefficients(build.signal.coefficients)
     d_flat = CoefficientBank.from_sequences(flat[None, :])
     return filterbank_sample(d_flat, m_qa)[0]
-
-
-def render_piecewise_constant(build: PeriodicSparsityBuild,
-                              resolution: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the true box-generator waveform on a fine cell grid.
-
-    Returns (cell_centers, cell_values); the waveform is constant on each
-    cell of width T'/resolution, so these values represent it exactly.
-    """
-    sc = build.scenario
-    flat = flatten_block_coefficients(build.signal.coefficients)
-    values = np.repeat(flat, resolution)
-    h = sc.base_period / resolution
-    centers = (np.arange(values.shape[0]) + 0.5) * h
-    return centers, values
 
 
 def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
@@ -240,9 +223,9 @@ def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
     """
     sc = build.scenario
     h = sc.base_period / resolution
-    _, x_vals = render_piecewise_constant(build, resolution)
-    # (blocks, m, resolution): fine cells grouped by block and base cell
-    cells = x_vals.reshape(sc.n_blocks, sc.m, resolution)
+    # the true waveform on the fine cells, as (blocks, base cell, fine cell)
+    flat = flatten_block_coefficients(build.signal.coefficients)
+    cells = np.repeat(flat, resolution).reshape(sc.n_blocks, sc.m, resolution)
     base_cell_integrals = cells.sum(axis=2) * h  # (blocks, m)
     modulator = build.design.A / sc.base_period  # conj(s_i) values per base cell
     y_quad = np.einsum("il,nl->in", modulator, base_cell_integrals)
@@ -439,10 +422,3 @@ def fractional_delay_direct(y: np.ndarray, coset: int, m: int,
     n = y.shape[0]
     w = TWO_PI * np.arange(n) / n
     return np.fft.ifft(np.fft.fft(y) * np.exp(-1j * coset * w / m)) / np.sqrt(T)
-
-
-def demodulate_by_delays(bank: MeasurementBank, sc: MultibandScenario) -> MeasurementBank:
-    """Apply the fractional-delay chain to every measurement channel."""
-    rows = [fractional_delay_demodulate(bank.sequences[i], c, sc.m, sc.T)
-            for i, c in enumerate(sc.cosets)]
-    return MeasurementBank(np.stack(rows))

@@ -96,10 +96,6 @@ class GeneratorSet:
         j = np.asarray(self.alias_support, dtype=float)
         return (w[:, None] - TWO_PI * j[None, :]) / self.period
 
-    def channel(self, index: int) -> np.ndarray:
-        """Spectrum samples of one generator, shape (N, n_alias)."""
-        return self.spectra[index]
-
 
 @dataclass(frozen=True)
 class PeriodicMatrixFunction:
@@ -155,6 +151,7 @@ class PeriodicMatrixFunction:
         so the cache cannot go stale. An exactly diagonal function takes
         max|d| / min|d| per bin instead of an SVD; a bin with a zero diagonal
         entry gets inf, as ``np.linalg.cond`` reports for a singular matrix.
+        A bin with a NaN or infinite entry gets nan and no SVD.
         """
         conds = self.__dict__.get("_condition_numbers")
         if conds is None:
@@ -162,25 +159,42 @@ class PeriodicMatrixFunction:
             if self.rows == self.cols and \
                     np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()):
                 mag = np.abs(self.diagonal())
+                finite = np.all(np.isfinite(mag), axis=1)
                 lo = np.min(mag, axis=1)
-                conds = np.full(lo.shape, np.inf)
-                np.divide(np.max(mag, axis=1), lo, out=conds, where=lo > 0)
+                conds = np.where(finite, np.inf, np.nan)
+                np.divide(np.max(mag, axis=1), lo, out=conds, where=finite & (lo > 0))
             else:
-                conds = np.linalg.cond(self.values)
+                finite = np.all(np.isfinite(self.values), axis=(1, 2))
+                conds = np.full(self.grid.n, np.nan)
+                conds[finite] = np.linalg.cond(self.values[finite])
             conds.setflags(write=False)
             object.__setattr__(self, "_condition_numbers", conds)
         return conds
 
     def require_conditioned(self, cond_tol: float, label: str) -> None:
-        """Raise SingularOperatorError naming the first grid point whose
-        condition number exceeds ``cond_tol`` (inf and nan always do)."""
+        """Raise an error naming the first grid point whose condition number
+        exceeds ``cond_tol`` (inf always does): InvalidInputError when that
+        bin has a NaN or infinite entry, else SingularOperatorError."""
         conds = self.condition_numbers()
         bad = np.flatnonzero(~(conds <= cond_tol))
         if bad.size:
             q = int(bad[0])
+            if np.isnan(conds[q]):
+                raise InvalidInputError(f"{label} has a NaN or infinite entry at grid point {q}")
             raise SingularOperatorError(
                 f"{label} singular at grid point {q}: "
                 f"cond={conds[q]:.3e} exceeds {cond_tol:.1e}", grid_index=q)
+
+    def solve(self, sequences: np.ndarray, cond_tol: float, label: str) -> np.ndarray:
+        """After ``require_conditioned(cond_tol, label)``, solve values[q] x = s
+        per bin for s the DFT of the (rows, N) ``sequences``; return ifft(x)."""
+        self.require_conditioned(cond_tol, label)
+        spectra = np.fft.fft(sequences, axis=1)
+        # A general solve even for diagonal W: dividing by the diagonal rounds
+        # differently (up to ~1e-15 on the multiband W), which would change the
+        # recovered coefficients in their last digits and so the written outputs.
+        solved = np.linalg.solve(self.values, spectra.T[:, :, None])[:, :, 0]
+        return np.fft.ifft(solved.T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,9 +241,6 @@ class CoefficientBank:
     @property
     def length(self) -> int:
         return self.sequences.shape[1]
-
-    def channel_energy(self) -> np.ndarray:
-        return np.sum(np.abs(self.sequences) ** 2, axis=1)
 
 
 class RieszReport(NamedTuple):
@@ -312,8 +323,8 @@ def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> CoefficientBank:
     """Invert the sampling operator per grid point: solve M(w_q) d(w_q) = c(w_q).
 
-    Raises SingularOperatorError naming the first grid point whose condition
-    number exceeds ``cond_tol``.
+    Raises as ``PeriodicMatrixFunction.require_conditioned`` does, naming the
+    first grid point whose condition number exceeds ``cond_tol``.
     """
     if cond_tol is None:
         cond_tol = tol.cond_tol
@@ -324,10 +335,7 @@ def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
         raise DimensionError(
             f"sample bank shape {c.shape} incompatible with operator "
             f"({m_sa.rows} channels, N={m_sa.grid.n})")
-    m_sa.require_conditioned(cond_tol, "sampling operator")
-    spectra = np.fft.fft(c, axis=1)
-    solved = np.linalg.solve(m_sa.values, spectra.T[:, :, None])[:, :, 0]
-    return CoefficientBank.from_sequences(np.fft.ifft(solved.T, axis=1))
+    return CoefficientBank.from_sequences(m_sa.solve(c, cond_tol, "sampling operator"))
 
 
 def random_generator_set(m: int, grid: FrequencyGrid, period: float,

@@ -5,7 +5,12 @@ import pytest
 
 from si_subnyq.ctf import recover
 from si_subnyq.errors import InvalidInputError
-from si_subnyq.sampling_design import compressive_sample, kruskal_rank, make_cs_matrix
+from si_subnyq.sampling_design import (
+    MeasurementBank,
+    compressive_sample,
+    kruskal_rank,
+    make_cs_matrix,
+)
 from si_subnyq.scenarios import (
     MultibandScenario,
     PeriodicSparsityScenario,
@@ -13,7 +18,6 @@ from si_subnyq.scenarios import (
     build_multiband,
     build_periodic_sparsity,
     delay_filter_equivalence_check,
-    demodulate_by_delays,
     flatten_block_coefficients,
     fractional_delay_demodulate,
     fractional_delay_direct,
@@ -315,6 +319,13 @@ def test_chain_matches_direct_multiplication():
         chain = fractional_delay_demodulate(y, coset, m)
         direct = fractional_delay_direct(y, coset, m)
         assert np.max(np.abs(chain - direct)) / np.max(np.abs(direct)) <= 1e-8
+
+
+def demodulate_by_delays(bank, sc):
+    """Apply the fractional-delay chain to every measurement channel."""
+    rows = [fractional_delay_demodulate(bank.sequences[i], c, sc.m, sc.T)
+            for i, c in enumerate(sc.cosets)]
+    return MeasurementBank(np.stack(rows))
 
 
 def test_bank_level_delay_demodulation_matches_w_inverse_up_to_scale():
