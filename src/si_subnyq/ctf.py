@@ -47,6 +47,9 @@ class MMVProblem:
             raise DimensionError(f"V has {v.shape[0]} rows but A has {a.shape[0]}")
         if v.shape[1] < 1:
             raise InvalidInputError("V must have at least one column")
+        for name, arr in (("A", a), ("V", v)):
+            if not np.isfinite(arr).all():
+                raise InvalidInputError(f"{name} has a NaN or infinite entry")
         if not 0 <= self.k_max <= a.shape[1]:
             raise InvalidInputError(f"k_max={self.k_max} out of range 0..{a.shape[1]}")
         object.__setattr__(self, "A", a)
@@ -108,6 +111,8 @@ def frame_from_q(q: np.ndarray, rank_tol: float | None = None,
     q = np.asarray(q, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionError(f"Q must be square, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise InvalidInputError("Q has a NaN or infinite entry")
     herm_dev = float(np.max(np.abs(q - q.conj().T))) if q.size else 0.0
     scale = max(float(np.max(np.abs(q))), 1.0) if q.size else 1.0
     if herm_dev > 1e-10 * scale:
@@ -140,11 +145,15 @@ def _support_residual(A: np.ndarray, v: np.ndarray, support) -> float:
 
 def solve_mmv_exhaustive(prob: MMVProblem,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> frozenset[int]:
-    """Exact minimum-support search.
+    """Exact minimum-support search: the reference oracle.
 
     Scans supports by increasing size (lexicographic within a size) and
     returns the first one whose projection residual is within
     ``tol.mmv_residual_rel``. Guarded to C(m, k_max) <= 1e6 subsets per size.
+
+    Recovery (``solver="exhaustive"``) runs the rank-aware search
+    ``_solve_exhaustive``, which returns this function's answer and calls it
+    as the fallback for every case its screen cannot settle.
     """
     m = prob.A.shape[1]
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
@@ -167,6 +176,78 @@ def solve_mmv_exhaustive(prob: MMVProblem,
         f"no support of size <= {prob.k_max} fits the measurements "
         f"(best relative residual {best_res:.3e})",
         best_residual=best_res, best_support=best_support)
+
+
+def _solve_exhaustive(prob: MMVProblem, tol: Tolerances) -> frozenset[int]:
+    """Rank-aware minimum-support search with the answer of
+    ``solve_mmv_exhaustive``.
+
+    Let t = ``tol.mmv_residual_rel``, tau = t ||V||_F, delta = tau +
+    max(t, 2^20 eps) ||V||_F, and sigma_1 >= sigma_2 >= ... the singular
+    values of V, with left singular vectors u_j. Let r be the number of
+    sigma_j above 2 delta (sigma_{r+1} = 0 past the last one).
+
+    A support S "fits" when the oracle's computed residual
+    ``_support_residual(A, V, S)`` is at most t. The second term of delta
+    allows for the rounding of that computed value (see below), so a fit
+    leaves E = V - A_S C, for the computed coefficients C, with
+    ||E||_2 <= ||E||_F <= delta. Then:
+
+    1. No support with fewer than r columns fits: A_S C has rank < r, so
+       by Eckart-Young ||E||_2 >= sigma_r > 2 delta.
+    2. Every column of a fitting r-subset T lies near span(u_1..u_r). B =
+       V - E = A_T C has sigma_r(B) >= sigma_r - delta > delta > 0, so B
+       has rank r and range(B) = range(A_T). Each a_i, i in T, is B g with
+       ||g|| <= ||a_i|| / sigma_r(B), and with P the projector onto
+       span(u_1..u_r),
+           ||(I - P) a_i|| <= ||(I - P) V g|| + ||E g||
+                            <= (sigma_{r+1} + delta) ||g||
+                            <= 3 delta ||a_i|| / (sigma_r - delta).
+       So the screen keeps the columns M whose computed distance to
+       span(u_1..u_r) is within twice that bound, and every fitting
+       r-subset lies in M.
+
+    So when r <= k_max and some r-subset fits, the oracle's answer is the
+    first fitting r-subset in lexicographic order, which is the first
+    fitting r-subset of M: the scan below tests those with the oracle's own
+    ``_support_residual`` call, so every fit decision is bit-identical. It calls ``solve_mmv_exhaustive``
+    for every case it cannot settle: the C(m, k_max) guard, V = 0 or
+    ||V||_F not finite, r = 0 or r > k_max, and no fitting r-subset of M.
+    The guard error, the empty support of V = 0 and the ``InfeasibleError``
+    with its ``best_residual`` and ``best_support`` are then the oracle's by
+    construction.
+
+    Rounding. The computed relative residual of an A_S with condition
+    number kappa is off by about eps kappa (backward stability of the SVD
+    least-squares solve), so the allowance max(t, 2^20 eps) covers kappa up
+    to ~1e7 at the default t = 1e-8; fit decisions of subsets worse than
+    that are rounding noise in the oracle too. The SVD and the distances
+    carry errors of a small multiple of eps ||V|| and eps ||a_i||. Since
+    sigma_r - delta > delta >= 2^20 eps ||V||_F, these shift sigma_r, the
+    bound and the distance by a relative ~2^-10 at most, which the factor
+    two on the bound absorbs.
+    """
+    A, v = prob.A, prob.V
+    m = A.shape[1]
+    norm_v = float(np.linalg.norm(v))
+    if math.comb(m, prob.k_max) <= EXHAUSTIVE_GUARD and 0.0 < norm_v < math.inf:
+        t = tol.mmv_residual_rel
+        delta = (t + max(t, 2.0 ** 20 * np.finfo(np.float64).eps)) * norm_v
+        u, sv, _ = np.linalg.svd(v, full_matrices=False)
+        r = int(np.count_nonzero(sv > 2.0 * delta))
+        if 0 < r <= prob.k_max:
+            # dist and bound scale with a_i, so each column is divided by its
+            # largest entry first: column norms cannot overflow or underflow.
+            peak = np.max(np.abs(A), axis=0)
+            cols = A / np.where(peak > 0.0, peak, 1.0)
+            basis = u[:, :r]
+            dist = np.linalg.norm(cols - basis @ (basis.conj().T @ cols), axis=0)
+            bound = 6.0 * delta / (sv[r - 1] - delta) * np.linalg.norm(cols, axis=0)
+            near = np.flatnonzero(dist <= bound).tolist()
+            for combo in itertools.combinations(near, r):
+                if _support_residual(A, v, combo) <= t:
+                    return frozenset(combo)
+    return solve_mmv_exhaustive(prob, tol)
 
 
 def solve_mmv_somp(prob: MMVProblem,
@@ -205,7 +286,7 @@ def solve_mmv_somp(prob: MMVProblem,
 
 def _solve(prob: MMVProblem, solver: str, tol: Tolerances) -> frozenset[int]:
     if solver == "exhaustive":
-        return solve_mmv_exhaustive(prob, tol)
+        return _solve_exhaustive(prob, tol)
     if solver == "somp":
         return solve_mmv_somp(prob, tol)
     raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")

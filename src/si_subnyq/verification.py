@@ -354,11 +354,11 @@ def check_frame_independence(tol: Tolerances) -> CheckResult:
         v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde))
         g = rng.standard_normal((v.shape[1], v.shape[1])) \
             + 1j * rng.standard_normal((v.shape[1], v.shape[1]))
-        s1 = ctf.solve_mmv_exhaustive(ctf.MMVProblem(design.A, v, len(support)))
-        s2 = ctf.solve_mmv_exhaustive(ctf.MMVProblem(design.A, v @ g, len(support)))
+        s1 = ctf._solve(ctf.MMVProblem(design.A, v, len(support)), "exhaustive", tol)
+        s2 = ctf._solve(ctf.MMVProblem(design.A, v @ g, len(support)), "exhaustive", tol)
         agree = agree and s1 == s2 == support
     return CheckResult("ctf.frame_independence", agree,
-                       "support invariant under frame change V -> V G")
+                       "recovery's support invariant under frame change V -> V G")
 
 
 def check_design_invariance(tol: Tolerances) -> CheckResult:
@@ -412,9 +412,11 @@ def check_uniqueness_brute_force(tol: Tolerances) -> CheckResult:
                 res = ctf._support_residual(design.A, v, combo)
                 if res <= tol.mmv_residual_rel:
                     fitting.append(frozenset(combo))
-        ok = ok and fitting == [support]
+        ok = (ok and fitting == [support]
+              and ctf.recover_support(y, design, k, tol=tol) == support)
     return CheckResult("ctf.uniqueness_brute_force", ok,
-                       "planted support is the unique fit among all of size <= k")
+                       "planted support is the unique fit among all of size <= k "
+                       "and recovery returns it")
 
 
 # ---------------------------------------------------------------------------

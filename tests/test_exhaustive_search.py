@@ -1,0 +1,192 @@
+"""The rank-aware exhaustive search behind recovery against the full
+lexicographic scan ``solve_mmv_exhaustive``, the reference oracle: seeded
+equivalence, which path runs, and the fallback cases."""
+
+import numpy as np
+import pytest
+
+from si_subnyq import ctf
+from si_subnyq.ctf import MMVProblem, recover, recover_support, solve_mmv_exhaustive
+from si_subnyq.errors import InfeasibleError, InvalidInputError
+from si_subnyq.sampling_design import (
+    MATRIX_KINDS,
+    MeasurementBank,
+    compressive_sample,
+    make_cs_matrix,
+    make_design,
+)
+from si_subnyq.si_core import FrequencyGrid
+from si_subnyq.sparse_model import SparsityProfile, synthesize
+from si_subnyq.tolerances import DEFAULT_TOLERANCES
+
+TOLS = (DEFAULT_TOLERANCES,
+        DEFAULT_TOLERANCES.with_overrides(mmv_residual_rel=1e-4),
+        DEFAULT_TOLERANCES.with_overrides(mmv_residual_rel=1e-13))
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Arguments of every call the code under test makes to the oracle."""
+    calls = []
+
+    def counting(prob, tol=DEFAULT_TOLERANCES):
+        calls.append(prob)
+        return solve_mmv_exhaustive(prob, tol)
+    monkeypatch.setattr(ctf, "solve_mmv_exhaustive", counting)
+    return calls
+
+
+def _screened(prob, tol):
+    return ctf._solve(prob, "exhaustive", tol)
+
+
+def _outcome(solve, prob, tol):
+    try:
+        return solve(prob, tol)
+    except InfeasibleError as exc:
+        return ("infeasible", exc.best_residual, exc.best_support)
+
+
+def _random_problem(rng, index):
+    """A seeded MMV problem V = A U over one of the four matrix kinds, with
+    p up to 2k + 2 (collisions below 2k), a planted support of size 1..k,
+    N from 1 to 7 (rank(V) below k), and at random: a duplicate, near-duplicate
+    or zero column, column scales 1e-8..1e8,
+    whole-matrix scales 1e+-150 on A and on V, a V off every small span,
+    noise near the fit tolerance, and a budget k_max below rank(V).
+    Returns the problem and the planted support."""
+    kind = MATRIX_KINDS[index % len(MATRIX_KINDS)]
+    m = int(rng.integers(4, 11))
+    k = int(rng.integers(1, min(4, m - 1) + 1))
+    p = int(rng.integers(1, min(2 * k + 2, m) + 1))
+    a = make_cs_matrix(kind, p, m, rng).copy()
+    plant = rng.integers(8)
+    if plant == 0:
+        i, j = rng.choice(m, size=2, replace=False)
+        a[:, j] = a[:, i] * rng.choice([1.0, -2.5, 1 + 1e-12])
+    elif plant == 1:
+        a[:, rng.integers(m)] = 0.0
+    elif plant == 2:
+        a = a * 10.0 ** rng.uniform(-8, 8, size=m)
+    elif plant == 3:
+        # a near-duplicate: swapping it into the support may fit just within
+        # the tolerance, so it tests the screen's distance bound
+        i, j = rng.choice(m, size=2, replace=False)
+        step = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        a[:, j] = a[:, i] + step * (10.0 ** rng.uniform(-10, -7)
+                                    * np.linalg.norm(a[:, i]) / np.linalg.norm(step))
+    n = int(rng.integers(1, 8))
+    size = int(rng.integers(1, k + 1))
+    support = rng.choice(m, size=size, replace=False)
+    u = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
+    v = a[:, support] @ u
+    shape = rng.integers(10)
+    if shape == 0:
+        v = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    elif shape == 1:
+        noise = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        v = v + noise * (10.0 ** rng.uniform(-12, -6) * np.linalg.norm(v)
+                         / np.linalg.norm(noise))
+    k_max = int(rng.integers(0, k)) if shape == 2 else k
+    if plant != 2 and rng.integers(5) == 0:
+        a = a * rng.choice([1e150, 1e-150])
+        v = v * rng.choice([1.0, 1e150, 1e-150])
+    return MMVProblem(a, v, k_max), frozenset(int(i) for i in support)
+
+
+def test_rank_aware_search_matches_oracle_on_seeded_problems(oracle_calls):
+    rng = np.random.default_rng(808)
+    seen = {"screened": 0, "fallback": 0, "infeasible": 0, "collision": 0,
+            "rank_below_k": 0, "rank_above_budget": 0}
+    for index in range(1200):
+        prob, planted = _random_problem(rng, index)
+        tol = TOLS[index % len(TOLS)]
+        expected = _outcome(solve_mmv_exhaustive, prob, tol)
+        oracle_calls.clear()
+        found = _outcome(_screened, prob, tol)
+        assert found == expected, (index, prob.A.shape, prob.V.shape, prob.k_max)
+        seen["fallback" if oracle_calls else "screened"] += 1
+        rank = np.linalg.matrix_rank(prob.V)
+        if isinstance(expected, tuple):
+            seen["infeasible"] += 1
+        elif expected != planted and len(expected) <= len(planted):
+            seen["collision"] += 1  # another support, no larger, fits first
+        seen["rank_below_k"] += int(rank < prob.k_max)
+        seen["rank_above_budget"] += int(rank > prob.k_max)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("m, k, p", [(12, 5, 10), (6, 2, 4)])
+def test_recovery_never_calls_the_oracle_on_benchmark_shapes(oracle_calls, m, k, p):
+    grid = FrequencyGrid(32)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        design = make_design(make_cs_matrix("gaussian", p, m, rng), grid)
+        truth = frozenset(int(i) for i in rng.choice(m, size=k, replace=False))
+        d = synthesize(SparsityProfile(m, k, truth), grid.n, rng)
+        assert recover(compressive_sample(d, design), design, k).support == truth
+    assert oracle_calls == []
+
+
+def test_unsettled_cases_fall_back_to_the_oracle(oracle_calls):
+    rng = np.random.default_rng(5)
+    a = make_cs_matrix("gaussian", 4, 7, rng)
+    u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    planted = a[:, [1, 3, 6]] @ u
+    loose = DEFAULT_TOLERANCES.with_overrides(mmv_residual_rel=0.6)
+
+    def solve(v, k_max, tol=DEFAULT_TOLERANCES):
+        return _outcome(_screened, MMVProblem(a, v, k_max), tol)
+    assert solve(planted, 3) == frozenset({1, 3, 6})
+    assert oracle_calls == []
+    assert solve(np.zeros((4, 2)), 2) == frozenset()          # V = 0
+    assert solve(planted, 2)[0] == "infeasible"               # r = 3 > k_max
+    assert solve(planted[:, :2], 3) == frozenset({1, 3, 6})   # no 2-subset fits
+    assert len(solve(planted, 3, loose)) == 1                 # sigma_1 <= 2 delta
+    assert len(oracle_calls) == 4
+
+
+def test_guard_error_reaches_recover_with_the_oracle_message(oracle_calls):
+    grid = FrequencyGrid(4)
+    design = make_design(np.ones((2, 24)), grid)
+    y = compressive_sample(synthesize(SparsityProfile(24, 1, frozenset({0})), 4,
+                                      np.random.default_rng(0)), design)
+    with pytest.raises(InvalidInputError) as direct:
+        solve_mmv_exhaustive(MMVProblem(design.A, np.ones((2, 1)), 12))
+    with pytest.raises(InvalidInputError) as via_recover:
+        recover(y, design, 12)
+    assert str(via_recover.value) == str(direct.value)
+    assert "exceeds" in str(direct.value)
+    assert len(oracle_calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("name", ["A", "V"])
+def test_non_finite_problem_is_rejected(name, bad):
+    a = np.eye(3, 5, dtype=np.complex128)
+    v = np.ones((3, 2), dtype=np.complex128)
+    (a if name == "A" else v)[1, 1] = bad
+    with pytest.raises(InvalidInputError, match=f"{name} has a NaN or infinite entry"):
+        MMVProblem(a, v, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_q_is_rejected(bad):
+    q = np.eye(3, dtype=np.complex128)
+    q[1, 1] = bad
+    with pytest.raises(InvalidInputError, match="Q has a NaN or infinite entry"):
+        ctf.frame_from_q(q)
+
+
+def test_non_finite_measurements_are_rejected_by_recovery():
+    rng = np.random.default_rng(3)
+    design = make_design(make_cs_matrix("gaussian", 4, 6, rng), FrequencyGrid(8))
+    y = compressive_sample(synthesize(SparsityProfile(6, 2, frozenset({0, 3})), 8, rng),
+                           design)
+    sequences = y.sequences.copy()
+    sequences[2, 5] = np.nan
+    y = MeasurementBank(sequences)
+    with pytest.raises(InvalidInputError, match="Q has a NaN or infinite entry"):
+        recover_support(y, design, 2)
+    with pytest.raises(InvalidInputError, match="Q has a NaN or infinite entry"):
+        recover(y, design, 2)
