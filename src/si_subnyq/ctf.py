@@ -131,16 +131,34 @@ def frame_from_q(q: np.ndarray, rank_tol: float | None = None,
     return v, eigvals
 
 
+def _pow2_scale(x: np.ndarray) -> float:
+    """1 when max |x| lies in [2^-400, 2^400], where norms taken on x neither
+    overflow nor lose its largest entries to underflow; else the power of two
+    s with max |s x| in [1/2, 1). Multiplying by a power of two is exact, so
+    ||s y|| = s ||y|| bit for bit wherever ||y|| is computed without over- or
+    underflow."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if 2.0 ** -400 <= peak <= 2.0 ** 400:
+        return 1.0
+    return math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
+
+
+def _norm(x: np.ndarray, scale: float) -> float:
+    """||scale x||_F."""
+    return float(np.linalg.norm(x if scale == 1.0 else scale * x))
+
+
 def _support_residual(A: np.ndarray, v: np.ndarray, support) -> float:
     """Relative Frobenius residual of projecting V onto the span of A_S."""
-    norm_v = float(np.linalg.norm(v))
+    scale = _pow2_scale(v)
+    norm_v = _norm(v, scale)
     if norm_v == 0.0:
         return 0.0
     if len(support) == 0:
         return 1.0
     a_s = A[:, sorted(support)]
     coef, *_ = np.linalg.lstsq(a_s, v, rcond=None)
-    return float(np.linalg.norm(v - a_s @ coef)) / norm_v
+    return _norm(v - a_s @ coef, scale) / norm_v
 
 
 def solve_mmv_exhaustive(prob: MMVProblem,
@@ -159,8 +177,7 @@ def solve_mmv_exhaustive(prob: MMVProblem,
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
         raise InvalidInputError(
             f"exhaustive search refused: C({m}, {prob.k_max}) exceeds {EXHAUSTIVE_GUARD}")
-    norm_v = float(np.linalg.norm(prob.V))
-    if norm_v == 0.0:
+    if not np.any(prob.V):
         return frozenset()
     best_res = math.inf
     best_support: frozenset[int] = frozenset()
@@ -229,7 +246,8 @@ def _solve_exhaustive(prob: MMVProblem, tol: Tolerances) -> frozenset[int]:
     """
     A, v = prob.A, prob.V
     m = A.shape[1]
-    norm_v = float(np.linalg.norm(v))
+    scale = _pow2_scale(v)
+    norm_v = _norm(v, scale) / scale
     if math.comb(m, prob.k_max) <= EXHAUSTIVE_GUARD and 0.0 < norm_v < math.inf:
         t = tol.mmv_residual_rel
         delta = (t + max(t, 2.0 ** 20 * np.finfo(np.float64).eps)) * norm_v

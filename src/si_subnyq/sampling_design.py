@@ -12,11 +12,10 @@ cross-spectrum matrix with the generators equals W(w_q) A exactly.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,10 @@ from .si_core import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 KRUSKAL_MAX_COLUMNS = 24
-_KRUSKAL_CHUNK = 20000
+# Most children one block of the Kruskal level pass makes, and the largest
+# level it keeps whole for the next level to grow from.
+_KRUSKAL_BLOCK = 1 << 14
+_KRUSKAL_KEEP = 1 << 18
 MATRIX_KINDS = ("gaussian", "gaussian_real", "bernoulli", "fourier_rows")
 
 
@@ -203,50 +205,149 @@ def combined_operator(design: MeasurementDesign) -> PeriodicMatrixFunction:
     return PeriodicMatrixFunction(design.grid, values)
 
 
-@functools.lru_cache(maxsize=32)
-def _combination_array(m: int, q: int) -> np.ndarray:
-    """All q-subsets of range(m) in lexicographic order, (C(m, q), q),
-    read-only because the cache hands the same array to every caller."""
-    combos = np.array(list(itertools.combinations(range(m), q)), dtype=np.intp)
-    combos.setflags(write=False)
-    return combos
+class _Block(NamedTuple):
+    """Whole sibling groups of one level q of the lexicographic subset tree
+    (a sibling group: the subsets P + {j}, j > max(P), of one parent P).
+
+    Subset i is S = P + {j}, j = last[i], whose columns are the set bits of
+    mask[i]. row[c - q, i] = K_P[j, c] for the columns c >= q, where K_P is
+    the Schur complement of G_P in the Gram matrix G;
+    piv[i] = K_P[j, j] = det(G_S) / det(G_P); tr[i] = tr(G_S);
+    nd[i] = det(G_S) / tr(G_S)^q; ok[i] says the screen cleared S and every
+    prefix of S."""
+
+    last: np.ndarray
+    mask: np.ndarray
+    row: np.ndarray
+    piv: np.ndarray
+    tr: np.ndarray
+    nd: np.ndarray
+    ok: np.ndarray
 
 
-def _combination_chunks(m: int, q: int):
-    """The q-subsets of range(m) as index arrays of at most _KRUSKAL_CHUNK rows."""
-    if math.comb(m, q) <= _KRUSKAL_CHUNK:
-        yield _combination_array(m, q)
+def _children(b: _Block, q: int, m: int, gdiag: np.ndarray, clear: float,
+              rows: bool) -> _Block:
+    """The (q+1)-subsets S + {j'}, j' > j, of the q-subsets S = P + {j} of b,
+    in lexicographic order. The sibling P + {j'} sits j' - j places after S
+    and holds row j' of K_P, so one elimination step gives row j' of K_S;
+    ``rows`` says whether the next level needs those rows. A zero pivot in b
+    divides by zero here, under the caller's errstate."""
+    after = b.last[:, None] + np.arange(1, m - q + 1)  # j' = j + 1, j + 2, ...
+    par, step = np.nonzero(after < m)
+    last = after[par, step]
+    sib = par + step + 1  # P + {j'}
+    x = b.row[last - q, par]  # K_P[j, j']
+    mult = x.conj() / b.piv[par]
+    piv = b.piv[sib] - (mult * x).real
+    trp = b.tr[par]
+    tr = trp + gdiag[last]
+    nd = b.nd[par] * (trp / tr) ** q * (piv / tr)
+    ok = b.ok[par] & (nd > clear / float(q ** q))
+    row = b.row[1:, :0]
+    if rows:  # row j' of K_S at the columns > q
+        row = np.take(b.row[1:], sib, axis=1)
+        row -= mult * np.take(b.row[1:], par, axis=1)
+    return _Block(last, b.mask[par] | (1 << last), row, piv, tr, nd, ok)
+
+
+def _pieces(b: _Block, m: int):
+    """b cut between sibling groups into runs of at most _KRUSKAL_BLOCK
+    children each, or of one group where a group alone has more."""
+    counts = m - 1 - b.last
+    if counts.sum() <= _KRUSKAL_BLOCK:
+        yield b
         return
-    combos = itertools.combinations(range(m), q)
-    while chunk := list(itertools.islice(combos, _KRUSKAL_CHUNK)):
-        yield np.asarray(chunk, dtype=np.intp)
+    parent = b.mask ^ (1 << b.last)
+    cuts = np.flatnonzero(np.diff(parent, prepend=-1, append=-1))  # group starts, end
+    before = np.concatenate(([0], np.cumsum(counts)))[cuts]  # children before each cut
+    i = 0
+    while i < cuts.size - 1:
+        k = int(np.searchsorted(before, before[i] + _KRUSKAL_BLOCK, side="right")) - 1
+        k = max(k, i + 1)
+        yield _Block(*(field[..., cuts[i]:cuts[k]] for field in b))
+        i = k
+
+
+def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float,
+          top: int):
+    """The blocks of level ``target`` that descend from ``blocks`` of level q;
+    no rows are built for level ``top``, the last one scanned."""
+    for b in blocks:
+        for piece in _pieces(b, m):
+            child = _children(piece, q, m, gdiag, clear, q + 1 < top)
+            if not child.ok.size:
+                continue
+            if q + 1 == target:
+                yield child
+            else:
+                yield from _grow((child,), q + 1, target, m, gdiag, clear, top)
 
 
 def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Largest q such that every set of q columns of A is linearly independent.
 
-    Exhaustive over column subsets, bottom-up in q; a subset counts as full
+    Exhaustive over column subsets, bottom-up in q, returning at the first
+    block of a level that holds a failing subset; a subset counts as full
     rank when its smallest singular value exceeds rel_tol times its largest
     (the SVD test). Refuses matrices wider than 24 columns (combinatorial
     guard) and A with a NaN or infinite entry.
 
-    Each q-subset S is first screened on the Gram matrix G = A^H A. Let
-    H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1. H is
-    positive semidefinite, so by AM-GM on the other q - 1 eigenvalues
+    Screen. Each q-subset S is first screened on the Gram matrix G = A^H A.
+    Let H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1.
+    H is positive semidefinite, so by AM-GM on the other q - 1 eigenvalues
     det(H) <= l_1 * (1 / (q - 1))^(q - 1), and l_q <= 1; hence
-    l_1 / l_q >= b = det(H) * (q - 1)^(q - 1). S is cleared as full rank when
-    b > clear = max(rel_tol, 1e4 * eps). Then sigma_min / sigma_max of A_S
-    is at least sqrt(clear), above rel_tol by a wide margin when rel_tol < 1
-    (and b <= 1 never exceeds a clear of 1). The 1e4 * eps floor keeps a
-    singular G_S, whose computed b is rounding noise of order (p + q) *
-    eps, from being cleared, and caps cond(G_S) of a cleared subset near
-    1 / clear, where the rounding in G and in the computed det stays far
-    inside that margin. Subsets the screen does not clear, including every
-    one where b is NaN or tr(G_S) is below the smallest normal double (G
-    then carries underflow error), go through the SVD test on the complex
-    column slices, so every decision the screen does not make is exactly
-    the SVD test's.
+    l_1 / l_q >= l_1 >= b = det(H) * (q - 1)^(q - 1). S is cleared as full
+    rank when b > clear = max(rel_tol, 1e4 * eps), tr(G_S) is at least the
+    smallest normal double (below it G carries underflow error) and every
+    prefix of S (its first i columns, i < q) was cleared; a trace never falls
+    from prefix to subset, so the trace test is made on single columns and
+    the prefix rule carries it. Every other subset, including each one where
+    b is NaN, goes through the SVD test on the complex column slices, so
+    every decision the screen does not make is exactly the SVD test's.
+
+    Level pass. det(G_S) comes from symmetric Gaussian elimination (LDL^H)
+    of G_S in column order, shared along the subset tree (see ``_Block`` and
+    ``_children``): a child S + {j'} of S = P + {j} has the pivot
+    K_S[j', j'] = K_P[j', j'] - |K_P[j, j']|^2 / K_P[j, j], so
+    det(G_child) = det(G_S) * pivot and
+    nd_child = nd_S * (tr_S / tr_child)^q * (pivot / tr_child). A level costs
+    a few numpy operations over C(m, q) * (m - q) numbers and no LAPACK call.
+    Blocks hold whole sibling groups, so the children of a block are one
+    contiguous lexicographic range. A level of at most _KRUSKAL_KEEP subsets
+    is kept whole for the next level to grow from; deeper levels are regrown
+    block by block from the last kept one, so memory stays bounded up to 24
+    columns. The children of a subset that only the SVD test passed are
+    never cleared, so a zero or negative pivot only ever feeds subsets that
+    go to the SVD test.
+
+    Error bound. Each entry of each K_P is computed once, so the computed
+    pivots of S are those of LDL^H without pivoting applied to the computed
+    G_S. By the backward error analysis of a matrix product and of LDL^H /
+    Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sections 3.5, 3.6 and 10.1) they are the exact pivots of
+    M = A_S^H A_S + E with ||E||_2 <= delta = c (p + q + 4) eps tr(G_S),
+    c = 2, which covers complex arithmetic and, with tr(G_S) at least the
+    smallest normal double, underflow. The bound needs every pivot but the
+    last to be positive, which the prefix rule guarantees. The nd recurrence
+    adds a relative error of order q^2 eps. For p + q <= 400, which every
+    design (p <= m <= 24) meets, delta / tr <= 1e3 eps, and:
+    - A dependent S: M has an eigenvalue in [-delta, delta] and the others
+      sum in absolute value to at most tr(M) + 2 q delta, so the computed b
+      is at most about delta / tr <= 1e3 eps, under the 1e4 * eps floor: S
+      is never cleared.
+    - A cleared S: b(M) > clear up to that rounding, so M is positive
+      definite (two eigenvalues in [-delta, 0) would make b(M) of order
+      (delta / tr)^2) and l_1 of A_S^H A_S is at least
+      clear - 2 delta / tr >= 0.8 clear. So sigma_min / sigma_max of A_S is
+      at least sqrt(0.8 clear), 1.3e-6 when the eps floor sets clear, far
+      above such a rel_tol. When rel_tol sets clear, one column has
+      b = g / g = 1 exactly and ratio 1 > rel_tol, and for q >= 2
+      b <= max_l l (1 - l)^(q - 1) <= 1 / 4, so clearing needs
+      rel_tol < 1 / 4 and leaves a ratio of at least
+      sqrt(0.8 rel_tol) >= 1.7 rel_tol. The SVD test's own rounding does
+      not close that margin, so every cleared subset passes it and sigma is
+      what the SVD scan gives.
     """
     if rel_tol is None:
         rel_tol = tol.rank_rel_tol
@@ -261,23 +362,33 @@ def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
     _require_finite(A)
     gram = A.real.T @ A.real if not np.any(A.imag) else A.conj().T @ A
     clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
-    tiny = np.finfo(np.float64).tiny
-    sigma = 0
-    for q in range(1, min(p, m) + 1):
-        for combos in _combination_chunks(m, q):
-            sub_gram = gram[combos[:, :, None], combos[:, None, :]]  # (batch, q, q)
-            trace = np.trace(sub_gram, axis1=1, axis2=2).real
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                bound = np.linalg.det(sub_gram / trace[:, None, None]).real
-            bound *= float((q - 1) ** (q - 1))
-            left = combos[~((bound > clear) & (trace >= tiny))]
-            if left.size:
-                subs = np.moveaxis(A[:, left], 1, 0)  # (batch, p, q)
-                sv = np.linalg.svd(subs, compute_uv=False)
-                if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
-                    return sigma
-        sigma = q
-    return sigma
+    gdiag = gram.diagonal().real
+    cols = np.arange(m)
+    top = min(p, m)
+    # A zero pivot or trace makes NaN or inf only in subsets the screen does
+    # not clear; those go to the SVD test.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nd = gdiag / gdiag  # b = det(H) = 1 for one column
+        kept = (_Block(cols, 1 << cols, np.ascontiguousarray(gram.T[1:]), gdiag, gdiag, nd,
+                       (nd > clear) & (gdiag >= np.finfo(np.float64).tiny)),)
+        kept_q = 1
+        for q in range(1, top + 1):
+            level = kept if q == kept_q else _grow(kept, kept_q, q, m, gdiag, clear, top)
+            keep = [] if math.comb(m, q) <= _KRUSKAL_KEEP else None
+            for b in level:
+                left = b.mask[~b.ok]
+                if left.size:
+                    # the set bits of each mask, ascending: the subset's columns
+                    in_set = (left[:, None] >> cols) & 1
+                    subs = np.moveaxis(A[:, np.nonzero(in_set)[1].reshape(-1, q)], 1, 0)
+                    sv = np.linalg.svd(subs, compute_uv=False)  # (batch, min(p, q))
+                    if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
+                        return q - 1
+                if keep is not None:
+                    keep.append(b)
+            if keep is not None:
+                kept, kept_q = keep, q
+    return top
 
 
 @dataclass(frozen=True)

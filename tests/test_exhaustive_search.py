@@ -1,6 +1,9 @@
 """The rank-aware exhaustive search behind recovery against the full
 lexicographic scan ``solve_mmv_exhaustive``, the reference oracle: seeded
-equivalence, which path runs, and the fallback cases."""
+equivalence, which path runs, the fallback cases and problems scaled to the
+edges of the double range."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +161,20 @@ def test_guard_error_reaches_recover_with_the_oracle_message(oracle_calls):
     assert str(via_recover.value) == str(direct.value)
     assert "exceeds" in str(direct.value)
     assert len(oracle_calls) == 1
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e155])
+def test_scaled_problem_keeps_its_support(scale):
+    # ||V||_F underflows to 0 at 1e-170 and overflows at 1e155 unless the
+    # norms are taken on a rescaled copy
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 6))
+    v = a[:, [1, 3]] @ rng.standard_normal((2, 2))
+    prob = MMVProblem(scale * a, scale * v, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_mmv_exhaustive(prob) == frozenset({1, 3})
+        assert _screened(prob, DEFAULT_TOLERANCES) == frozenset({1, 3})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

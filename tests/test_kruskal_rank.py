@@ -1,12 +1,14 @@
 """kruskal_rank: the determinant screen against the plain SVD scan it replaced,
-the Chebotarev cross-check on prime-order DFT rows, and input rejection."""
+on single matrices, across block boundaries and through the periodic trial
+path; the Chebotarev cross-check on prime-order DFT rows, and input
+rejection."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from si_subnyq import sampling_design
+from si_subnyq import experiments, sampling_design
 from si_subnyq.errors import InvalidInputError
 from si_subnyq.experiments import trial_seed
 from si_subnyq.sampling_design import (
@@ -81,14 +83,29 @@ def test_screen_matches_svd_scan_on_seeded_matrices():
 
 
 def test_screen_matches_svd_scan_on_periodic_redraw_draws():
-    # p=10, m=16 Bernoulli draws: columns collide, so sigma spreads over 1..6
+    # p=10, m=16 Bernoulli draws: columns collide, so sigma spreads over 1..7;
+    # attempts 153 and 471 are the first with sigma 6 and 7, the deepest levels
     sigmas = []
-    for attempt in range(48):
+    for attempt in [*range(48), 153, 471]:
         a = make_cs_matrix("bernoulli", 10, 16, np.random.default_rng(trial_seed(7, attempt)))
         sigma = kruskal_rank(a)
         assert sigma == svd_scan_kruskal_rank(a), attempt
         sigmas.append(sigma)
-    assert min(sigmas) == 1 and max(sigmas) >= 5
+    assert min(sigmas) == 1 and {5, 6, 7} <= set(sigmas)
+
+
+@pytest.mark.parametrize("master", [1, 2])
+def test_periodic_redraw_trials_are_exact_with_svd_sigma(master):
+    # the benchmark's periodic_redraw config: a faster or wrong rank scan that
+    # accepts another A shows here as a sigma off the SVD scan or a missed trial
+    cfg = experiments.config_from_json(dict(
+        mode="periodic_sparsity", m=16, k=2, p=10, N=128, matrix_kind="bernoulli",
+        solver="exhaustive", seed=master, trials=20))
+    for record in experiments.run_trials(cfg):
+        assert record.exact, record
+        a, sigma, _ = experiments._draw_a(
+            cfg, lambda attempt: np.random.default_rng(trial_seed(record.seed, attempt)))
+        assert sigma == record.sigma_a == svd_scan_kruskal_rank(a) >= 4, record
 
 
 @pytest.mark.parametrize("rel_tol", REL_TOLS)
@@ -109,20 +126,16 @@ def test_screen_matches_svd_scan_on_planted_cases(rel_tol):
         assert kruskal_rank(case, rel_tol) == svd_scan_kruskal_rank(case, rel_tol)
 
 
-def test_chunked_levels_match_svd_scan(monkeypatch):
-    monkeypatch.setattr(sampling_design, "_KRUSKAL_CHUNK", 7)
+def test_blocked_levels_match_svd_scan(monkeypatch):
+    # blocks of a few children cut every level past the first between sibling
+    # groups, and levels of more than 20 subsets are regrown from the last kept
+    monkeypatch.setattr(sampling_design, "_KRUSKAL_BLOCK", 7)
+    monkeypatch.setattr(sampling_design, "_KRUSKAL_KEEP", 20)
     rng = np.random.default_rng(99)
     for index in range(120):
         a = _random_case(rng, index)
         rel_tol = REL_TOLS[index % len(REL_TOLS)]
         assert kruskal_rank(a, rel_tol) == svd_scan_kruskal_rank(a, rel_tol), index
-
-
-def test_cached_combination_arrays_are_read_only():
-    combos = sampling_design._combination_array(6, 3)
-    assert combos is sampling_design._combination_array(6, 3)
-    assert not combos.flags.writeable
-    assert [tuple(c) for c in combos] == list(itertools.combinations(range(6), 3))
 
 
 @pytest.mark.parametrize("m", [5, 7, 11, 13])
