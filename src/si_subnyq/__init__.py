@@ -42,7 +42,6 @@ from .sampling_design import (
     kruskal_rank,
     make_cs_matrix,
     make_design,
-    verify_rate,
 )
 from .ctf import (
     MMVProblem,
@@ -102,5 +101,4 @@ __all__ = [
     "solve_mmv_exhaustive",
     "solve_mmv_somp",
     "synthesize",
-    "verify_rate",
 ]

@@ -6,7 +6,6 @@ Subcommands:
     verify  [--json]
 
 Exit codes: 0 success, 1 invariant/recovery-suite failure, 2 config error.
-The environment variable SI_SUBNYQ_THREADS caps trial parallelism (0 = auto).
 """
 
 from __future__ import annotations

@@ -98,16 +98,14 @@ def compute_q(y: MeasurementBank, domain: str = "time") -> np.ndarray:
     return (q + q.conj().T) / 2.0
 
 
-def frame_from_q(q: np.ndarray, rank_tol: float | None = None,
+def frame_from_q(q: np.ndarray,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """Factor Q = V V^H by eigendecomposition, dropping eigenvalues below
-    rank_tol times the largest.
+    """Factor Q = V V^H by eigendecomposition, dropping eigenvalues at or
+    below ``tol.rank_rel_tol`` times the largest.
 
     Returns (V, eigenvalues) with eigenvalues sorted descending; V has one
     column per retained eigenvalue (possibly zero columns for Q = 0).
     """
-    if rank_tol is None:
-        rank_tol = tol.rank_rel_tol
     q = np.asarray(q, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionError(f"Q must be square, got shape {q.shape}")
@@ -126,7 +124,8 @@ def frame_from_q(q: np.ndarray, rank_tol: float | None = None,
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     lam_max = float(eigvals[0]) if eigvals.size else 0.0
-    keep = eigvals > rank_tol * lam_max if lam_max > 0 else np.zeros_like(eigvals, dtype=bool)
+    keep = (eigvals > tol.rank_rel_tol * lam_max if lam_max > 0
+            else np.zeros_like(eigvals, dtype=bool))
     v = eigvecs[:, keep] * np.sqrt(eigvals[keep])
     return v, eigvals
 
@@ -277,8 +276,14 @@ def solve_mmv_somp(prob: MMVProblem,
     columns. Stops at k_max atoms or when the relative residual drops below
     ``tol.mmv_residual_rel``. Ties break to the lowest index. The returned
     support is not verified; callers should check the residual.
+
+    A and V are each brought into range by the power of two of
+    ``_pow2_scale``, so no norm or score overflows or underflows; every
+    pick reads only ratios, and an in-range problem is not touched.
     """
-    A, v = prob.A, prob.V
+    a_scale, v_scale = _pow2_scale(prob.A), _pow2_scale(prob.V)
+    A = prob.A if a_scale == 1.0 else a_scale * prob.A
+    v = prob.V if v_scale == 1.0 else v_scale * prob.V
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         return frozenset()

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -288,36 +286,12 @@ def _trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
                    and result.diagnostics["residual"] <= tol.mmv_residual_rel))
 
 
-def _thread_count(trials: int) -> int:
-    """Worker threads for a run: SI_SUBNYQ_THREADS (0 = one per CPU), never
-    more than the run has trials."""
-    raw = os.environ.get("SI_SUBNYQ_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SI_SUBNYQ_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError(f"SI_SUBNYQ_THREADS must be >= 0, got {value}")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return min(value, trials)
-
-
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Execute all trials; rows come back ordered by trial index regardless
-    of completion order."""
+    """Execute all trials in trial-index order."""
     if cfg.mode not in _INSTANCES:
         raise ConfigError(
             f"mode {cfg.mode!r} does not run trials; use the verify command")
-    seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    workers = _thread_count(cfg.trials)
-    if workers == 1:
-        return [_trial(cfg, t, s) for t, s in enumerate(seeds)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_trial, cfg, t, s) for t, s in enumerate(seeds)]
-        return [f.result() for f in futures]
+    return [_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
 
 
 def _fmt_float(x: float) -> str:
@@ -352,14 +326,12 @@ def summarize(cfg: ExperimentConfig, records: list[TrialRecord],
          "support_found": list(r.support_found)}
         for r in records if r.collision
     ]
-    cfg_echo = asdict(cfg)
-    cfg_echo["tolerances"] = asdict(cfg.tolerances)
     return {
         "success_rate": float(np.mean([r.exact for r in records])),
         "median_nmse": float(np.median([r.nmse for r in records])),
         "trials": len(records),
         "collisions": collisions,
-        "config": cfg_echo,
+        "config": asdict(cfg),
         "timing": {"total_wall_time_s": total_time},
     }
 

@@ -391,22 +391,6 @@ def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
     return top
 
 
-@dataclass(frozen=True)
-class RateReport:
-    p: int
-    m: int
-    sigma: int
-    k_max_unique: int
-
-
-def verify_rate(design: MeasurementDesign,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> RateReport:
-    """Report the largest sparsity with guaranteed unique recovery,
-    k_max_unique = floor(sigma(A) / 2)."""
-    sigma = kruskal_rank(design.A, tol=tol)
-    return RateReport(p=design.p, m=design.m, sigma=sigma, k_max_unique=sigma // 2)
-
-
 # ---------------------------------------------------------------------------
 # Random ensembles
 # ---------------------------------------------------------------------------

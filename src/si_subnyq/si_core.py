@@ -127,18 +127,11 @@ class PeriodicMatrixFunction:
         values = np.broadcast_to(np.eye(n, dtype=np.complex128), (grid.n, n, n))
         return cls(grid, values)
 
-    @classmethod
-    def constant(cls, grid: FrequencyGrid, matrix: np.ndarray) -> "PeriodicMatrixFunction":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise DimensionError("constant() expects a 2-D matrix")
-        return cls(grid, np.broadcast_to(matrix, (grid.n,) + matrix.shape))
-
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        if self.rows != self.cols:
-            return False
-        off = self.values - np.einsum("qii->qi", self.values)[:, :, None] * np.eye(self.rows)
-        return bool(np.max(np.abs(off)) <= tol)
+    def is_diagonal(self) -> bool:
+        """Exactly diagonal: square, and every nonzero entry lies on the
+        diagonal (NaN counts as nonzero, -0.0 as zero)."""
+        return self.rows == self.cols and \
+            bool(np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()))
 
     def diagonal(self) -> np.ndarray:
         """(N, n) array of diagonal entries."""
@@ -155,9 +148,7 @@ class PeriodicMatrixFunction:
         """
         conds = self.__dict__.get("_condition_numbers")
         if conds is None:
-            # exactly diagonal: every nonzero entry lies on the diagonal
-            if self.rows == self.cols and \
-                    np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()):
+            if self.is_diagonal():
                 mag = np.abs(self.diagonal())
                 finite = np.all(np.isfinite(mag), axis=1)
                 lo = np.min(mag, axis=1)
@@ -319,15 +310,12 @@ def filterbank_sample(d: CoefficientBank, m_sa: PeriodicMatrixFunction) -> np.nd
 
 
 def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
-                         cond_tol: float | None = None,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> CoefficientBank:
     """Invert the sampling operator per grid point: solve M(w_q) d(w_q) = c(w_q).
 
     Raises as ``PeriodicMatrixFunction.require_conditioned`` does, naming the
-    first grid point whose condition number exceeds ``cond_tol``.
+    first grid point whose condition number exceeds ``tol.cond_tol``.
     """
-    if cond_tol is None:
-        cond_tol = tol.cond_tol
     c = np.asarray(c, dtype=np.complex128)
     if m_sa.rows != m_sa.cols:
         raise DimensionError("reconstruction requires a square sampling operator")
@@ -335,7 +323,7 @@ def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
         raise DimensionError(
             f"sample bank shape {c.shape} incompatible with operator "
             f"({m_sa.rows} channels, N={m_sa.grid.n})")
-    return CoefficientBank.from_sequences(m_sa.solve(c, cond_tol, "sampling operator"))
+    return CoefficientBank.from_sequences(m_sa.solve(c, tol.cond_tol, "sampling operator"))
 
 
 def random_generator_set(m: int, grid: FrequencyGrid, period: float,

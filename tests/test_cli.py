@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from si_subnyq import cli, experiments
+from si_subnyq import cli
 from si_subnyq.errors import ConfigError
 from si_subnyq.experiments import (
     CSV_HEADER,
@@ -165,40 +165,6 @@ def test_somp_solver_run(tmp_path):
                            trials=10, solver="somp")
     summary = run_experiment(cfg, tmp_path)
     assert summary["success_rate"] >= 0.9
-
-
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(mode="generic", m=6, k=2, p=4, N=8, seed=12, trials=6)
-    run_experiment(cfg, tmp_path / "serial")
-    monkeypatch.setenv("SI_SUBNYQ_THREADS", "3")
-    run_experiment(cfg, tmp_path / "threaded")
-    a = strip_wall_time((tmp_path / "serial" / "trials.csv").read_text())
-    b = strip_wall_time((tmp_path / "threaded" / "trials.csv").read_text())
-    assert a == b
-
-
-def test_threads_env_invalid_value(monkeypatch, tmp_path):
-    monkeypatch.setenv("SI_SUBNYQ_THREADS", "lots")
-    cfg = ExperimentConfig(mode="generic", m=4, k=1, p=2, N=8, seed=1, trials=1)
-    with pytest.raises(ConfigError, match="SI_SUBNYQ_THREADS"):
-        run_experiment(cfg, tmp_path)
-
-
-def test_threads_capped_at_trial_count(monkeypatch):
-    pools = []
-
-    class RecordingPool(experiments.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("SI_SUBNYQ_THREADS", "4")
-    cfg = ExperimentConfig(mode="generic", m=4, k=1, p=2, N=8, seed=1, trials=2)
-    assert len(experiments.run_trials(cfg)) == 2
-    assert pools == [2]
-    monkeypatch.setenv("SI_SUBNYQ_THREADS", "3")
-    assert experiments._thread_count(5) == 3
 
 
 # ---------------------------------------------------------------------------

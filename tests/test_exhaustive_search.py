@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from si_subnyq import ctf
-from si_subnyq.ctf import MMVProblem, recover, recover_support, solve_mmv_exhaustive
+from si_subnyq.ctf import (
+    MMVProblem,
+    recover,
+    recover_support,
+    solve_mmv_exhaustive,
+    solve_mmv_somp,
+)
 from si_subnyq.errors import InfeasibleError, InvalidInputError
 from si_subnyq.sampling_design import (
     MATRIX_KINDS,
@@ -175,6 +181,10 @@ def test_scaled_problem_keeps_its_support(scale):
         warnings.simplefilter("error")
         assert solve_mmv_exhaustive(prob) == frozenset({1, 3})
         assert _screened(prob, DEFAULT_TOLERANCES) == frozenset({1, 3})
+        # greedy SOMP misses {1, 3} here; scaled, it keeps its unscaled answer
+        unscaled = solve_mmv_somp(MMVProblem(a, v, 2))
+        assert unscaled == frozenset({3, 4})
+        assert solve_mmv_somp(prob) == unscaled
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

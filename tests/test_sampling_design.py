@@ -18,7 +18,6 @@ from si_subnyq.sampling_design import (
     random_diagonal_z,
     random_invertible_w,
     validate_design,
-    verify_rate,
 )
 from si_subnyq.scenarios import multiband_slice_generators, shifted_box_generators
 from si_subnyq.si_core import (
@@ -200,7 +199,7 @@ def test_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# kruskal_rank / verify_rate
+# kruskal_rank
 # ---------------------------------------------------------------------------
 
 def test_kruskal_identity():
@@ -225,29 +224,6 @@ def test_kruskal_zero_matrix():
 def test_kruskal_guard_refuses_wide_matrices():
     with pytest.raises(InvalidInputError, match="24"):
         kruskal_rank(np.ones((2, 25)))
-
-
-def test_verify_rate_reports_half_sigma():
-    rng = np.random.default_rng(42)
-    grid = FrequencyGrid(4)
-    a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    report = verify_rate(make_design(a, grid))
-    assert report.sigma == 4
-    assert report.k_max_unique == 2
-
-
-def test_verify_rate_identity_matrix():
-    grid = FrequencyGrid(2)
-    report = verify_rate(make_design(np.eye(5), grid))
-    assert report.k_max_unique == 2  # floor(5 / 2)
-
-
-def test_verify_rate_duplicate_column():
-    grid = FrequencyGrid(2)
-    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    report = verify_rate(make_design(a, grid))
-    assert report.sigma == 1
-    assert report.k_max_unique == 0
 
 
 # ---------------------------------------------------------------------------

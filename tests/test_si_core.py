@@ -176,7 +176,7 @@ def test_impulse_through_constant_operator():
     grid = FrequencyGrid(8)
     rng = np.random.default_rng(12)
     matrix = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    func = PeriodicMatrixFunction.constant(grid, matrix)
+    func = PeriodicMatrixFunction(grid, np.broadcast_to(matrix, (8, 2, 3)))
     sequences = np.zeros((3, 8), dtype=np.complex128)
     sequences[1, 0] = 1.0  # unit impulse in one channel
     out = filterbank_sample(CoefficientBank.from_sequences(sequences), func)
@@ -239,6 +239,12 @@ def test_diagonal_condition_shortcut_matches_svd(small):
     values[6, 0, 0] = small
     func = PeriodicMatrixFunction(grid, values)
     assert func.is_diagonal()
+    # off the diagonal, -0.0 counts as zero and NaN does not
+    off = values.copy()
+    off[2, 0, 1] = -0.0
+    assert PeriodicMatrixFunction(grid, off).is_diagonal()
+    off[2, 0, 1] = np.nan
+    assert not PeriodicMatrixFunction(grid, off).is_diagonal()
     tol = 1e8
     svd_bad = np.flatnonzero(~(np.linalg.cond(func.values) <= tol))
     fast_bad = np.flatnonzero(~(func.condition_numbers() <= tol))
