@@ -69,8 +69,8 @@ def demodulate(y: MeasurementBank, design: MeasurementDesign,
 
     Every call checks cond(W(w_q)) <= cond_tol, so a design built without
     ``make_design`` is still rejected at its singular grid point. The
-    condition numbers are computed once per W object and cached on it (W's
-    values are read-only, so the cache cannot go stale); after
+    condition numbers are computed once per W object and cached on it (W is
+    immutable, so the cache cannot go stale); after
     ``make_design`` the check is one comparison per bin.
     """
     if y.p != design.p or y.length != design.grid.n:

@@ -113,8 +113,8 @@ def validate_design(design: MeasurementDesign,
     bounded away from zero.
 
     The per-bin condition numbers come from ``W.condition_numbers()``, which
-    is computed once per W object and cached on it (W's values are read-only,
-    so the cache cannot go stale); ``demodulate`` reads the same array, so a
+    is computed once per W object and cached on it (W is immutable, so the
+    cache cannot go stale); ``demodulate`` reads the same array, so a
     validated design pays for its conditioning check once.
     """
     _require_finite(design.A)
@@ -193,7 +193,16 @@ def compressive_sample(d: CoefficientBank, design: MeasurementDesign,
     if design.Z is not None:
         spectra = design.Z.diagonal().T * spectra
     mixed = design.A @ spectra
-    shaped = np.einsum("qir,rq->iq", design.W.values, mixed)
+    # W by its structure, each route bit-identical to the dense einsum: I
+    # passes mixed through; a diagonal takes the einsum, as w_diag.T * mixed
+    # rounds differently.
+    w_diag = design.W._diagonal
+    if w_diag is None:
+        shaped = np.einsum("qir,rq->iq", design.W.values, mixed)
+    elif np.all(w_diag == 1):
+        shaped = mixed
+    else:
+        shaped = np.einsum("qi,iq->iq", w_diag, mixed)
     return MeasurementBank(np.fft.ifft(shaped, axis=1))
 
 
@@ -445,11 +454,7 @@ def random_diagonal_z(m: int, grid: FrequencyGrid,
     """Random invertible diagonal bank; magnitudes in [0.5, 1.5], random phase."""
     mag = rng.uniform(0.5, 1.5, size=(grid.n, m))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(grid.n, m))
-    diag = mag * np.exp(1j * phase)
-    values = np.zeros((grid.n, m, m), dtype=np.complex128)
-    idx = np.arange(m)
-    values[:, idx, idx] = diag
-    return PeriodicMatrixFunction(grid, values)
+    return PeriodicMatrixFunction._from_diagonal(grid, mag * np.exp(1j * phase))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +512,8 @@ def design_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES
     W = PeriodicMatrixFunction(grid, w_values)
     Z = None
     if doc.get("Z") is not None:
-        z_values = np.zeros((n, m, m), dtype=np.complex128)
-        idx = np.arange(m)
-        for q, diag in enumerate(doc["Z"]):
-            z_values[q, idx, idx] = _from_pairs(diag, (m,))
-        Z = PeriodicMatrixFunction(grid, z_values)
+        z_diag = np.stack([_from_pairs(diag, (m,)) for diag in doc["Z"]])
+        Z = PeriodicMatrixFunction._from_diagonal(grid, z_diag)
     design = MeasurementDesign(A=A, W=W, grid=grid, Z=Z)
     validate_design(design, tol)
     meta = {"matrix_kind": doc.get("matrix_kind"), "seed": doc.get("seed")}

@@ -312,10 +312,10 @@ def multiband_shaping_bank(sc: MultibandScenario,
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T)."""
     w = grid.points
-    values = np.zeros((grid.n, sc.p, sc.p), dtype=np.complex128)
+    diag = np.empty((grid.n, sc.p), dtype=np.complex128)
     for i, c in enumerate(sc.cosets):
-        values[:, i, i] = np.exp(1j * c * w / sc.m) / np.sqrt(sc.T)
-    return PeriodicMatrixFunction(grid, values)
+        diag[:, i] = np.exp(1j * c * w / sc.m) / np.sqrt(sc.T)
+    return PeriodicMatrixFunction._from_diagonal(grid, diag)
 
 
 @dataclass(frozen=True)

@@ -97,53 +97,81 @@ class GeneratorSet:
         return (w[:, None] - TWO_PI * j[None, :]) / self.period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PeriodicMatrixFunction:
     """A matrix-valued 2*pi-periodic function sampled on the grid.
 
-    ``values[q]`` is the (rows x cols) matrix at w_q.
+    ``values[q]`` is the (rows x cols) matrix at w_q. A diagonal function
+    built by ``_from_diagonal`` holds only its (N, n) diagonal, and ``solve``
+    works from that; its dense ``values`` are built on first read and kept.
     """
 
     grid: FrequencyGrid
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 3 or values.shape[0] != self.grid.n:
+    def __init__(self, grid: FrequencyGrid, values: np.ndarray):
+        values = np.asarray(values)
+        if values.ndim != 3 or values.shape[0] != grid.n:
             raise DimensionError(
-                f"values must be (N, rows, cols) with N={self.grid.n}, got {values.shape}")
-        object.__setattr__(self, "values", _as_complex_readonly(values))
+                f"values must be (N, rows, cols) with N={grid.n}, got {values.shape}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_values", _as_complex_readonly(values))
+        object.__setattr__(self, "_diagonal", None)
+
+    @classmethod
+    def _from_diagonal(cls, grid: FrequencyGrid, d: np.ndarray) -> "PeriodicMatrixFunction":
+        """The exactly diagonal function whose (N, n) diagonal is ``d``."""
+        d = np.asarray(d)
+        if d.ndim != 2 or d.shape[0] != grid.n:
+            raise DimensionError(f"diagonal must be (N, n) with N={grid.n}, got {d.shape}")
+        func = cls.__new__(cls)
+        object.__setattr__(func, "grid", grid)
+        object.__setattr__(func, "_values", None)
+        object.__setattr__(func, "_diagonal", _as_complex_readonly(d))
+        return func
+
+    @property
+    def values(self) -> np.ndarray:
+        """(N, rows, cols) read-only array of the matrices."""
+        if self._values is None:
+            n = self.cols
+            values = np.zeros((self.grid.n, n, n), dtype=np.complex128)
+            values[:, np.arange(n), np.arange(n)] = self._diagonal
+            values.setflags(write=False)
+            object.__setattr__(self, "_values", values)
+        return self._values
 
     @property
     def rows(self) -> int:
-        return self.values.shape[1]
+        return self.cols if self._diagonal is not None else self._values.shape[1]
 
     @property
     def cols(self) -> int:
-        return self.values.shape[2]
+        return self._diagonal.shape[1] if self._diagonal is not None else self._values.shape[2]
 
     @classmethod
     def identity(cls, grid: FrequencyGrid, n: int) -> "PeriodicMatrixFunction":
-        values = np.broadcast_to(np.eye(n, dtype=np.complex128), (grid.n, n, n))
-        return cls(grid, values)
+        return cls._from_diagonal(grid, np.ones((grid.n, n)))
 
     def is_diagonal(self) -> bool:
-        """Exactly diagonal: square, and every nonzero entry lies on the
-        diagonal (NaN counts as nonzero, -0.0 as zero)."""
-        return self.rows == self.cols and \
-            bool(np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()))
+        """Exactly diagonal: built by ``_from_diagonal``, or square with every
+        nonzero entry on the diagonal (NaN counts as nonzero, -0.0 as zero)."""
+        return self._diagonal is not None or self.rows == self.cols and \
+            bool(np.count_nonzero(self._values) == np.count_nonzero(self.diagonal()))
 
     def diagonal(self) -> np.ndarray:
         """(N, n) array of diagonal entries."""
-        return np.einsum("qii->qi", self.values)
+        if self._diagonal is None:
+            return np.einsum("qii->qi", self._values)
+        return self._diagonal
 
     def condition_numbers(self) -> np.ndarray:
         """(N,) read-only array of per-bin 2-norm condition numbers.
 
-        Computed on first use and kept on the object: ``values`` is read-only,
-        so the cache cannot go stale. An exactly diagonal function takes
-        max|d| / min|d| per bin instead of an SVD; a bin with a zero diagonal
-        entry gets inf, as ``np.linalg.cond`` reports for a singular matrix.
+        Computed on first use and kept on the object: the function is
+        immutable (its arrays are read-only), so the cache cannot go stale.
+        An exactly diagonal function takes max|d| / min|d| per bin instead of
+        an SVD; a bin with a zero diagonal entry gets inf, as
+        ``np.linalg.cond`` reports for a singular matrix.
         A bin with a NaN or infinite entry gets nan and no SVD.
         """
         conds = self.__dict__.get("_condition_numbers")
@@ -178,14 +206,27 @@ class PeriodicMatrixFunction:
 
     def solve(self, sequences: np.ndarray, cond_tol: float, label: str) -> np.ndarray:
         """After ``require_conditioned(cond_tol, label)``, solve values[q] x = s
-        per bin for s the DFT of the (rows, N) ``sequences``; return ifft(x)."""
+        per bin for s the DFT of the (rows, N) ``sequences``; return ifft(x).
+
+        Three routes give the dense solve's bits: an all-ones diagonal skips
+        the solve (LAPACK returns the right-hand side of I x = b unchanged),
+        any other diagonal runs LAPACK on N*n 1x1 systems, and a dense function
+        on its rows x rows systems. Dividing by the diagonal rounds differently
+        (up to ~1e-15 on the multiband W) and would change the written digits.
+        The 1x1 equality is observed on OpenBLAS, not documented;
+        tests/test_structured_w.py checks it on the running BLAS.
+        """
         self.require_conditioned(cond_tol, label)
         spectra = np.fft.fft(sequences, axis=1)
-        # A general solve even for diagonal W: dividing by the diagonal rounds
-        # differently (up to ~1e-15 on the multiband W), which would change the
-        # recovered coefficients in their last digits and so the written outputs.
-        solved = np.linalg.solve(self.values, spectra.T[:, :, None])[:, :, 0]
-        return np.fft.ifft(solved.T, axis=1)
+        d = self._diagonal
+        if d is None:
+            solved = np.linalg.solve(self._values, spectra.T[:, :, None])[:, :, 0].T
+        elif np.all(d == 1):
+            solved = spectra
+        else:
+            solved = np.linalg.solve(d[:, :, None, None], spectra.T[:, :, None, None])
+            solved = solved[:, :, 0, 0].T
+        return np.fft.ifft(solved, axis=1)
 
 
 @dataclass(frozen=True)
