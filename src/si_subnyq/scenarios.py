@@ -308,14 +308,25 @@ def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> Generat
     return GeneratorSet(grid, period, alias_support, spectra)
 
 
+@functools.lru_cache(maxsize=1)
+def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatrixFunction:
+    """Diagonal function with column c = exp(1j*c*w_q/m)/sqrt(T) for each coset
+    c in 0..m, and its reciprocal if every entry is finite and nonzero."""
+    w = grid.points
+    diag = np.empty((grid.n, m + 1), dtype=np.complex128)
+    for c in range(m + 1):
+        diag[:, c] = np.exp(1j * c * w / m) / np.sqrt(T)
+    table = PeriodicMatrixFunction._from_diagonal(grid, diag)
+    if np.all(np.isfinite(table.condition_numbers())):
+        table._reciprocal()
+    return table
+
+
 def multiband_shaping_bank(sc: MultibandScenario,
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
-    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T)."""
-    w = grid.points
-    diag = np.empty((grid.n, sc.p), dtype=np.complex128)
-    for i, c in enumerate(sc.cosets):
-        diag[:, i] = np.exp(1j * c * w / sc.m) / np.sqrt(sc.T)
-    return PeriodicMatrixFunction._from_diagonal(grid, diag)
+    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T), read from
+    the cached coset table with its reciprocals: no exp and no LAPACK call."""
+    return _coset_shaping_table(sc.m, sc.T, grid)._columns(sc.cosets)
 
 
 @dataclass(frozen=True)

@@ -81,9 +81,10 @@ class GeneratorSet:
             raise DimensionError(
                 f"spectra shape {spectra.shape} inconsistent with grid N={self.grid.n} "
                 f"and alias support of size {len(support)}")
-        # normalize the alias axis to ascending order so equality checks are stable
-        order = np.argsort(support)
-        object.__setattr__(self, "alias_support", tuple(support[i] for i in order))
+        # ascending alias axis, so equality checks are stable (a view if already sorted)
+        ascending = tuple(sorted(support))
+        order = slice(None) if support == ascending else np.argsort(support)
+        object.__setattr__(self, "alias_support", ascending)
         object.__setattr__(self, "spectra", _as_complex_readonly(spectra[:, :, order]))
 
     @property
@@ -128,6 +129,22 @@ class PeriodicMatrixFunction:
         object.__setattr__(func, "_values", None)
         object.__setattr__(func, "_diagonal", _as_complex_readonly(d))
         return func
+
+    def _columns(self, cols) -> "PeriodicMatrixFunction":
+        """The diagonal function of columns ``cols``, with their kept reciprocals."""
+        func = self._from_diagonal(self.grid, self._diagonal[:, cols])
+        if "_r" in self.__dict__:
+            object.__setattr__(func, "_r", _as_complex_readonly(self._r[:, cols]))
+        return func
+
+    def _reciprocal(self) -> np.ndarray:
+        """(N, n) LAPACK solutions of d x = 1, kept; after require_conditioned only."""
+        if "_r" not in self.__dict__:
+            d = self._diagonal[:, :, None, None]
+            r = np.linalg.solve(d, np.ones_like(d))[:, :, 0, 0]
+            r.setflags(write=False)
+            object.__setattr__(self, "_r", r)
+        return self._r
 
     @property
     def values(self) -> np.ndarray:
@@ -210,11 +227,14 @@ class PeriodicMatrixFunction:
 
         Three routes give the dense solve's bits: an all-ones diagonal skips
         the solve (LAPACK returns the right-hand side of I x = b unchanged),
-        any other diagonal runs LAPACK on N*n 1x1 systems, and a dense function
-        on its rows x rows systems. Dividing by the diagonal rounds differently
-        (up to ~1e-15 on the multiband W) and would change the written digits.
-        The 1x1 equality is observed on OpenBLAS, not documented;
-        tests/test_structured_w.py checks it on the running BLAS.
+        any other diagonal takes ``r * s`` with r its ``_reciprocal`` (LAPACK's
+        1x1 solutions of d x = 1, made once, after the check), and a dense
+        function runs LAPACK on its rows x rows systems. Operand order matters:
+        ``s * r``, the einsum ``"qi,iq->iq"`` and dividing by d round
+        differently (up to ~1e-15 on the multiband W), which would change the
+        written digits. That ``r * s`` equals the solves is observed on
+        OpenBLAS with numpy's SIMD complex product, not documented;
+        tests/test_structured_w.py checks it on the running build.
         """
         self.require_conditioned(cond_tol, label)
         spectra = np.fft.fft(sequences, axis=1)
@@ -224,8 +244,7 @@ class PeriodicMatrixFunction:
         elif np.all(d == 1):
             solved = spectra
         else:
-            solved = np.linalg.solve(d[:, :, None, None], spectra.T[:, :, None, None])
-            solved = solved[:, :, 0, 0].T
+            solved = self._reciprocal().T * spectra
         return np.fft.ifft(solved, axis=1)
 
 

@@ -67,6 +67,23 @@ def test_zero_spectrum_gives_zero():
     assert np.all(cross_spectrum(zero, other) == 0)
 
 
+def test_generator_set_sorts_a_non_ascending_support_with_its_spectra():
+    rng = np.random.default_rng(5)
+    spectra = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    gens = GeneratorSet(FrequencyGrid(4), 1.0, (1, -2, 0), spectra)
+    assert gens.alias_support == (-2, 0, 1)
+    assert np.array_equal(gens.spectra, spectra[:, :, [1, 2, 0]])
+
+
+@pytest.mark.parametrize("support", [(-1, 0, 1), (1, -1, 0)])
+def test_generator_set_keeps_its_own_read_only_spectra(support):
+    spectra = np.ones((1, 4, 3), dtype=np.complex128)
+    gens = GeneratorSet(FrequencyGrid(4), 1.0, support, spectra)
+    spectra[:] = 7.0
+    assert np.all(gens.spectra == 1.0)
+    assert not gens.spectra.flags.writeable and not np.shares_memory(gens.spectra, spectra)
+
+
 def test_cross_spectrum_matches_alias_sum_oracle():
     rng = np.random.default_rng(3)
     grid = FrequencyGrid(8)

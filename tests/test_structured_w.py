@@ -4,9 +4,10 @@ An identity or diagonal ``PeriodicMatrixFunction`` built by
 ``_from_diagonal`` solves and applies W without the dense (N, n, n) array.
 Each route must give exactly the bits the dense code gives on the same
 matrices, ``PeriodicMatrixFunction(grid, W.values)``: the written nmse digits
-depend on the last bits. The 1x1 LAPACK solve matching the n x n one is a
-property observed on OpenBLAS, not a documented one, so these tests compare
-with ``np.array_equal`` on whatever BLAS runs them.
+depend on the last bits. That LAPACK's reciprocal r times the right-hand
+side (``r * s``, r on the left) matches the n x n solve is a property observed
+on OpenBLAS with numpy's SIMD complex product, not a documented one, so these
+tests compare with ``np.array_equal`` on whatever build runs them.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from si_subnyq import ctf, experiments
+from si_subnyq.errors import InvalidInputError, SingularOperatorError
 from si_subnyq.experiments import ExperimentConfig
 from si_subnyq.sampling_design import (
     compressive_sample,
@@ -92,6 +94,71 @@ def test_structured_sampling_matches_dense_einsum_bit_for_bit(name):
     twin = dataclasses.replace(design, W=dense_twin(w), Z=dense_twin(design.Z))
     assert np.array_equal(compressive_sample(bank, design).sequences,
                           compressive_sample(bank, twin).sequences)
+
+
+def per_coset_exp_loop(sc, grid):
+    """multiband_shaping_bank's diagonal as the per-trial loop built it
+    before the cached coset table, verbatim."""
+    w = grid.points
+    diag = np.empty((grid.n, sc.p), dtype=np.complex128)
+    for i, c in enumerate(sc.cosets):
+        diag[:, i] = np.exp(1j * c * w / sc.m) / np.sqrt(sc.T)
+    return diag
+
+
+def scenario(m, T, cosets, n):
+    return MultibandScenario(n_bands=1, band_width=2 * np.pi / (m * T), m=m, T=T,
+                             cosets=cosets, seed=0, n_samples=n)
+
+
+# Cosets may include both ends 0 and m (each alone: they are equal mod m).
+TABLE_CASES = [(32, 1.0, tuple(range(0, 32, 2))), (8, 0.37, (8, 3, 5, 1)),
+               (8, 0.37, (0, 6, 2)), (5, 2.5, (4, 0, 1, 2, 3))]
+
+
+@pytest.mark.parametrize("n", [1, 64, 2048])
+@pytest.mark.parametrize("m, T, cosets", TABLE_CASES)
+def test_table_shaping_bank_equals_the_per_coset_exp_loop(n, m, T, cosets):
+    sc = scenario(m, T, cosets, n)
+    grid = FrequencyGrid(n)
+    w = multiband_shaping_bank(sc, grid)
+    assert np.array_equal(w.diagonal(), per_coset_exp_loop(sc, grid))
+    assert w._values is None and not w.diagonal().flags.writeable
+
+
+@pytest.mark.parametrize("m, T, cosets", TABLE_CASES)
+def test_table_shaping_bank_solves_as_a_fresh_diagonal_and_its_dense_twin(m, T, cosets):
+    sc = scenario(m, T, cosets, 256)
+    w = multiband_shaping_bank(sc, FrequencyGrid(256))
+    assert "_r" in w.__dict__  # the table's reciprocals came with the columns
+    fresh = PeriodicMatrixFunction._from_diagonal(w.grid, per_coset_exp_loop(sc, w.grid))
+    rng = np.random.default_rng(m)
+    sequences = random_complex(rng, (sc.p, 256)) * 1e30
+    solved = w.solve(sequences, COND_TOL, "W")
+    assert np.array_equal(solved, fresh.solve(sequences, COND_TOL, "W"))
+    assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
+    assert np.array_equal(w._reciprocal(), fresh._reciprocal())
+
+
+@pytest.mark.parametrize("bad, error", [(0.0, SingularOperatorError),
+                                        (np.nan, InvalidInputError)])
+def test_bad_diagonal_fails_the_conditioning_check_before_any_lapack_call(bad, error):
+    d = random_complex(np.random.default_rng(6), (32, 4))
+    d[5, 2] = bad
+    w = PeriodicMatrixFunction._from_diagonal(FrequencyGrid(32), d)
+    sequences = np.ones((4, 32), dtype=np.complex128)
+    with pytest.raises(error, match="grid point 5"):
+        w.solve(sequences, COND_TOL, "W")
+    assert "_r" not in w.__dict__  # numpy's LinAlgError could not have been raised
+
+
+def test_shaping_bank_of_a_nan_period_fails_the_conditioning_check():
+    sc = dataclasses.replace(scenario(8, 1.0, (0, 3, 5), 16), T=np.nan)
+    with np.errstate(invalid="ignore"):  # the exp expression itself warns on 1/sqrt(nan)
+        w = multiband_shaping_bank(sc, FrequencyGrid(16))
+    assert "_r" not in w.__dict__
+    with pytest.raises(InvalidInputError, match="grid point 0"):
+        w.solve(np.ones((3, 16)), COND_TOL, "W")
 
 
 # The four benchmark workload shapes (benchmarks/workloads.py).
