@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SiSubnyqError
 from .experiments import load_config, run_experiment, run_sweep
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -63,7 +64,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if cfg.mode == "verify":
-        return _cmd_verify_to(_resolve_out_dir(cfg.out_dir, args.out_dir), as_json=True)
+        return _cmd_verify_to(_resolve_out_dir(cfg.out_dir, args.out_dir), as_json=True,
+                              tol=cfg.tolerances)
     out_dir = _resolve_out_dir(cfg.out_dir, args.out_dir)
     summary = run_experiment(cfg, out_dir)
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'summary.json'}")
@@ -86,8 +88,8 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_to(out_dir: Path | None, as_json: bool) -> int:
-    report = run_verification()
+def _cmd_verify_to(out_dir: Path | None, as_json: bool, tol: Tolerances) -> int:
+    report = run_verification(tol)
     if as_json:
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
         print(text)
@@ -101,7 +103,7 @@ def _cmd_verify_to(out_dir: Path | None, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return _cmd_verify_to(None, as_json=args.json)
+    return _cmd_verify_to(None, as_json=args.json, tol=DEFAULT_TOLERANCES)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 EXHAUSTIVE_GUARD = 10 ** 6
 SOLVERS = ("exhaustive", "somp")
-Q_DOMAINS = ("time", "frequency")
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,13 @@ def demodulate(y: MeasurementBank, design: MeasurementDesign,
     return MeasurementBank(design.W.solve(y.sequences, tol.cond_tol, "W"))
 
 
-def compute_q(y: MeasurementBank, domain: str = "time") -> np.ndarray:
-    """Gram accumulation of the measurement sequences.
+def compute_q(y: MeasurementBank) -> np.ndarray:
+    """Gram accumulation Q = sum_n y[n] y[n]^H over the N samples.
 
-    time:      Q = sum_n y[n] y[n]^H over the N samples (default)
-    frequency: Q = sum_q y(w_q) y(w_q)^H over the grid bins (= N times the
-               time-domain Q, by Parseval)
-    Either yields the same column span, hence the same recovered support.
+    By Parseval, the Gram of the grid spectra is N times this Q, with the
+    same column span and hence the same recovered support.
     """
-    if domain == "time":
-        mat = y.sequences
-    elif domain == "frequency":
-        mat = np.fft.fft(y.sequences, axis=1)
-    else:
-        raise InvalidInputError(f"unknown Q domain {domain!r}; choose from {Q_DOMAINS}")
-    q = mat @ mat.conj().T
+    q = y.sequences @ y.sequences.conj().T
     return (q + q.conj().T) / 2.0
 
 
@@ -316,12 +307,12 @@ def _solve(prob: MMVProblem, solver: str, tol: Tolerances) -> frozenset[int]:
 
 
 def _identify(y: MeasurementBank, design: MeasurementDesign, k_max: int,
-              solver: str, q_domain: str, tol: Tolerances):
+              solver: str, tol: Tolerances):
     """Demodulate, accumulate Q, factor the frame V and solve for the support.
 
     Returns (y_tilde, V, eigenvalues of Q, support)."""
     y_tilde = demodulate(y, design, tol)
-    v, eigvals = frame_from_q(compute_q(y_tilde, q_domain), tol=tol)
+    v, eigvals = frame_from_q(compute_q(y_tilde), tol=tol)
     if v.shape[1] == 0:
         support: frozenset[int] = frozenset()
     else:
@@ -330,10 +321,10 @@ def _identify(y: MeasurementBank, design: MeasurementDesign, k_max: int,
 
 
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,
-                    solver: str = "exhaustive", q_domain: str = "time",
+                    solver: str = "exhaustive",
                     tol: Tolerances = DEFAULT_TOLERANCES) -> frozenset[int]:
     """Identify the active channel set from compressed measurements."""
-    return _identify(y, design, k_max, solver, q_domain, tol)[3]
+    return _identify(y, design, k_max, solver, tol)[3]
 
 
 def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
@@ -371,10 +362,10 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
 
 
 def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
-            solver: str = "exhaustive", q_domain: str = "time",
+            solver: str = "exhaustive",
             tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
     """Full pipeline with diagnostics: support, coefficients, Q spectrum."""
-    y_tilde, v, eigvals, support = _identify(y, design, k_max, solver, q_domain, tol)
+    y_tilde, v, eigvals, support = _identify(y, design, k_max, solver, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {
         "rank_q": int(v.shape[1]),

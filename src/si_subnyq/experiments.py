@@ -122,9 +122,17 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         if key == "tolerances":
             if not isinstance(value, dict):
                 raise ConfigError("field 'tolerances' must be an object")
+            overrides = {}
+            for name, entry in value.items():
+                try:
+                    overrides[name] = float(entry)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"tolerance {name!r} must be a number: {exc}") from exc
+                if not 0 < overrides[name] < math.inf:
+                    raise ConfigError(
+                        f"tolerance {name!r} must be finite and positive, got {entry}")
             try:
-                kwargs["tolerances"] = DEFAULT_TOLERANCES.with_overrides(
-                    **{k: float(v) for k, v in value.items()})
+                kwargs["tolerances"] = DEFAULT_TOLERANCES.with_overrides(**overrides)
             except TypeError as exc:
                 raise ConfigError(f"field 'tolerances' has an unknown entry: {exc}") from exc
             continue

@@ -16,6 +16,7 @@ true piecewise-constant waveform directly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +75,9 @@ class PeriodicSparsityScenario:
             raise InvalidInputError(f"s_pattern {sorted(pattern)} out of range 0..{self.m - 1}")
         if not 1 <= self.p <= self.m:
             raise InvalidInputError(f"p={self.p} must satisfy 1 <= p <= m={self.m}")
-        if self.base_period <= 0:
-            raise InvalidInputError("base_period must be positive")
+        if not 0 < self.base_period < math.inf:
+            raise InvalidInputError(
+                f"base_period must be finite and positive, got {self.base_period}")
         if self.n_blocks < 1:
             raise InvalidInputError("n_blocks must be >= 1")
         object.__setattr__(self, "s_pattern", pattern)
@@ -210,7 +212,6 @@ def baseline_reference_samples(build: PeriodicSparsityBuild) -> np.ndarray:
 
 
 def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
-                                      resolution: int = 64,
                                       tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
     """Integrate the modulated true waveform and compare with the filter-bank
     samples.
@@ -218,10 +219,12 @@ def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
     Each output sample is the integral over one length-(m*T') block of the
     waveform times the conjugated sampling filter, a piecewise-constant
     function with values A[i, l]/T' on base cell l. The integrand is constant
-    on every fine cell (cell width divides T'), so per-cell rectangle sums
-    integrate it exactly; the tolerance covers float accumulation only.
+    on every fine cell (64 to a base cell, so the width divides T'), so
+    per-cell rectangle sums integrate it exactly; the tolerance covers float
+    accumulation only.
     """
     sc = build.scenario
+    resolution = 64
     h = sc.base_period / resolution
     # the true waveform on the fine cells, as (blocks, base cell, fine cell)
     flat = flatten_block_coefficients(build.signal.coefficients)
@@ -266,8 +269,10 @@ class MultibandScenario:
     def __post_init__(self):
         if self.n_bands < 1:
             raise InvalidInputError("n_bands must be >= 1")
-        if self.T <= 0 or self.band_width <= 0:
-            raise InvalidInputError("T and band_width must be positive")
+        for name in ("T", "band_width"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.m * self.band_width * self.T > TWO_PI * (1 + 1e-12):
             raise InvalidInputError(
                 f"band_width={self.band_width:.6g} too wide for m={self.m} slices: need "
@@ -311,21 +316,20 @@ def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> Generat
 @functools.lru_cache(maxsize=1)
 def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal function with column c = exp(1j*c*w_q/m)/sqrt(T) for each coset
-    c in 0..m, and its reciprocal if every entry is finite and nonzero."""
+    c in 0..m. For the finite positive T a scenario holds, every entry is
+    finite and nonzero."""
     w = grid.points
     diag = np.empty((grid.n, m + 1), dtype=np.complex128)
     for c in range(m + 1):
         diag[:, c] = np.exp(1j * c * w / m) / np.sqrt(T)
-    table = PeriodicMatrixFunction._from_diagonal(grid, diag)
-    if np.all(np.isfinite(table.condition_numbers())):
-        table._reciprocal()
-    return table
+    return PeriodicMatrixFunction._from_diagonal(grid, diag)
 
 
 def multiband_shaping_bank(sc: MultibandScenario,
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
-    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T), read from
-    the cached coset table with its reciprocals: no exp and no LAPACK call."""
+    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T), read with
+    their reciprocals from the cached coset table, which computes both once
+    per (m, T, grid): a trial makes no exp and no LAPACK call."""
     return _coset_shaping_table(sc.m, sc.T, grid)._columns(sc.cosets)
 
 
@@ -378,14 +382,16 @@ def build_multiband(sc: MultibandScenario,
     return MultibandBuild(sc, generators, design, signal, report)
 
 
-def delay_filter_equivalence_check(build: MultibandBuild, n_points: int = 512,
+def delay_filter_equivalence_check(build: MultibandBuild,
                                    tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
     """Verify that each synthesized sampling branch acts as a pure delay.
 
     Evaluates G_i(w) = W_i*(e^{j*w*m*T}) * sum_l conj(A[i, l]) A_l(w) on a
-    dense grid inside [0, 2*pi/T) and compares with exp(-1j*c_i*w*T).
+    dense grid of 512 points inside [0, 2*pi/T) and compares with
+    exp(-1j*c_i*w*T).
     """
     sc = build.scenario
+    n_points = 512
     omega = np.arange(n_points) * (TWO_PI / sc.T) / n_points
     slice_width = TWO_PI / (sc.m * sc.T)
     ell = np.minimum((omega // slice_width).astype(int), sc.m - 1)

@@ -103,8 +103,9 @@ class PeriodicMatrixFunction:
     """A matrix-valued 2*pi-periodic function sampled on the grid.
 
     ``values[q]`` is the (rows x cols) matrix at w_q. A diagonal function
-    built by ``_from_diagonal`` holds only its (N, n) diagonal, and ``solve``
-    works from that; its dense ``values`` are built on first read and kept.
+    built by ``_from_diagonal`` holds only its (N, n) diagonal, and ``apply``
+    and ``solve`` work from that; its dense ``values`` are built on first
+    read and kept. Only this class reads its storage.
     """
 
     grid: FrequencyGrid
@@ -131,14 +132,15 @@ class PeriodicMatrixFunction:
         return func
 
     def _columns(self, cols) -> "PeriodicMatrixFunction":
-        """The diagonal function of columns ``cols``, with their kept reciprocals."""
+        """The diagonal function of columns ``cols``, with their reciprocals;
+        every entry of this diagonal must be finite and nonzero."""
         func = self._from_diagonal(self.grid, self._diagonal[:, cols])
-        if "_r" in self.__dict__:
-            object.__setattr__(func, "_r", _as_complex_readonly(self._r[:, cols]))
+        object.__setattr__(func, "_r", _as_complex_readonly(self._reciprocal()[:, cols]))
         return func
 
     def _reciprocal(self) -> np.ndarray:
-        """(N, n) LAPACK solutions of d x = 1, kept; after require_conditioned only."""
+        """(N, n) LAPACK solutions of d x = 1, kept. Only for a diagonal whose
+        entries are all finite and nonzero, as after require_conditioned."""
         if "_r" not in self.__dict__:
             d = self._diagonal[:, :, None, None]
             r = np.linalg.solve(d, np.ones_like(d))[:, :, 0, 0]
@@ -221,6 +223,21 @@ class PeriodicMatrixFunction:
                 f"{label} singular at grid point {q}: "
                 f"cond={conds[q]:.3e} exceeds {cond_tol:.1e}", grid_index=q)
 
+    def apply(self, spectra: np.ndarray) -> np.ndarray:
+        """values[q] @ spectra[:, q] at every bin q, for (cols, N) ``spectra``.
+
+        Each route gives the dense einsum's bits: an all-ones diagonal returns
+        ``spectra`` itself and any other diagonal takes the einsum
+        ``"qi,iq->iq"`` (``d.T * spectra`` rounds differently), so a diagonal
+        function never builds its dense ``values``.
+        """
+        d = self._diagonal
+        if d is None:
+            return np.einsum("qir,rq->iq", self._values, spectra)
+        if np.all(d == 1):
+            return spectra
+        return np.einsum("qi,iq->iq", d, spectra)
+
     def solve(self, sequences: np.ndarray, cond_tol: float, label: str) -> np.ndarray:
         """After ``require_conditioned(cond_tol, label)``, solve values[q] x = s
         per bin for s the DFT of the (rows, N) ``sequences``; return ifft(x).
@@ -273,13 +290,10 @@ class CoefficientBank:
         object.__setattr__(self, "support", support)
 
     @classmethod
-    def from_sequences(cls, sequences: np.ndarray,
-                       support=None) -> "CoefficientBank":
-        """Build a bank; with ``support=None`` it is inferred from exact nonzeros."""
+    def from_sequences(cls, sequences: np.ndarray) -> "CoefficientBank":
+        """Build a bank whose support is inferred from exact nonzeros."""
         seq = np.asarray(sequences, dtype=np.complex128)
-        if support is None:
-            support = frozenset(int(i) for i in range(seq.shape[0]) if np.any(seq[i] != 0))
-        return cls(seq, frozenset(support))
+        return cls(seq, frozenset(int(i) for i in range(seq.shape[0]) if np.any(seq[i] != 0)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "CoefficientBank":
@@ -364,9 +378,7 @@ def filterbank_sample(d: CoefficientBank, m_sa: PeriodicMatrixFunction) -> np.nd
         raise DimensionError(f"operator has {m_sa.cols} columns but bank has {d.m} channels")
     if m_sa.grid.n != d.length:
         raise DimensionError(f"grid length {m_sa.grid.n} != sequence length {d.length}")
-    spectra = np.fft.fft(d.sequences, axis=1)
-    out = np.einsum("qil,lq->iq", m_sa.values, spectra)
-    return np.fft.ifft(out, axis=1)
+    return np.fft.ifft(m_sa.apply(np.fft.fft(d.sequences, axis=1)), axis=1)
 
 
 def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
@@ -387,10 +399,10 @@ def reconstruct_subspace(c: np.ndarray, m_sa: PeriodicMatrixFunction,
 
 
 def random_generator_set(m: int, grid: FrequencyGrid, period: float,
-                         alias_support, rng: np.random.Generator,
-                         max_cond: float = 1e6, max_draws: int = 64) -> GeneratorSet:
-    """Draw a random band-limited generator set whose Gram matrix is well
-    conditioned at every grid point (used by tests and the verification suite).
+                         alias_support, rng: np.random.Generator) -> GeneratorSet:
+    """Draw a random band-limited generator set whose Gram matrix has
+    condition number at most 1e6 at every grid point, in at most 64 draws
+    (used by tests and the verification suite).
 
     Requires at least m alias cells, otherwise the Gram matrix is singular by
     rank count.
@@ -399,11 +411,11 @@ def random_generator_set(m: int, grid: FrequencyGrid, period: float,
     if len(alias_support) < m:
         raise InvalidInputError(
             f"need at least m={m} alias cells for a Riesz family, got {len(alias_support)}")
-    for _ in range(max_draws):
+    for _ in range(64):
         spectra = rng.standard_normal((m, grid.n, len(alias_support))) \
             + 1j * rng.standard_normal((m, grid.n, len(alias_support)))
         gens = GeneratorSet(grid, period, alias_support, spectra)
         gram = cross_spectrum_matrix(gens, gens)
-        if np.max(np.linalg.cond(gram.values)) <= max_cond:
+        if np.max(np.linalg.cond(gram.values)) <= 1e6:
             return gens
     raise InvalidInputError("failed to draw a well-conditioned generator set")

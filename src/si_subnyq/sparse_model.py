@@ -12,8 +12,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .si_core import TWO_PI, CoefficientBank, GeneratorSet
 
-AMPLITUDE_DISTRIBUTIONS = ("complex_normal", "real_normal", "bernoulli")
-
 
 @dataclass(frozen=True)
 class SparsityProfile:
@@ -52,39 +50,20 @@ class SparseSISignal:
                 f"generator set has {self.generators.m}")
 
 
-def _draw(rng: np.random.Generator, dist: str, n: int) -> np.ndarray:
-    if dist == "complex_normal":
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    if dist == "real_normal":
-        return rng.standard_normal(n).astype(np.complex128)
-    if dist == "bernoulli":
-        return rng.choice([-1.0, 1.0], size=n).astype(np.complex128)
-    raise InvalidInputError(
-        f"unknown amplitude distribution {dist!r}; choose from {AMPLITUDE_DISTRIBUTIONS}")
-
-
 def synthesize(profile: SparsityProfile, n_samples: int,
-               seed: int | np.random.Generator,
-               dist: str = "complex_normal") -> CoefficientBank:
+               seed: int | np.random.Generator) -> CoefficientBank:
     """Seeded random coefficient bank honoring the sparsity profile.
 
-    Active channels get i.i.d. values from ``dist`` (default unit-variance
-    complex normal); inactive channels are exactly zero. Each active channel
-    is redrawn if it comes out identically zero, so the empirical support
-    always equals the profile support.
+    Active channels, in ascending order, get i.i.d. unit-variance complex
+    normal values; inactive channels are exactly zero.
     """
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     sequences = np.zeros((profile.m, n_samples), dtype=np.complex128)
     for channel in sorted(profile.support):
-        for _ in range(100):
-            values = _draw(rng, dist, n_samples)
-            if np.any(values != 0):
-                break
-        else:
-            raise InvalidInputError(f"distribution {dist!r} keeps drawing all-zero channels")
-        sequences[channel] = values
+        sequences[channel] = (rng.standard_normal(n_samples)
+                              + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
     return CoefficientBank(sequences, profile.support)
 
 

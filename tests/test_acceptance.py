@@ -199,7 +199,7 @@ def test_criterion_6_multiband_example():
     build0 = build_multiband(MultibandScenario(
         n_bands=1, band_width=2 * np.pi / 8, m=7, T=1.0,
         cosets=(0, 2, 3, 5), seed=0, n_samples=32))
-    delay_report = delay_filter_equivalence_check(build0, n_points=512)
+    delay_report = delay_filter_equivalence_check(build0)
     delay_ok = delay_report["max_deviation"] <= 1e-9
 
     rng = np.random.default_rng(606)

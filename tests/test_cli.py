@@ -65,6 +65,12 @@ def test_config_unknown_tolerance_rejected():
         config_from_json({"tolerances": {"nope": 1.0}})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8, "tight"])
+def test_config_bad_tolerance_value_named(value):
+    with pytest.raises(ConfigError, match="cond_tol"):
+        config_from_json({"tolerances": {"cond_tol": value}})
+
+
 def test_trial_seed_derivation_is_stable():
     assert trial_seed(7, 0) == trial_seed(7, 0)
     assert trial_seed(7, 0) != trial_seed(7, 1)
@@ -295,6 +301,17 @@ def test_cli_bad_scenario_fields_exit_2(tmp_path, capsys, fields):
     assert field in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("mode, field", [("multiband", "T"), ("multiband", "band_width"),
+                                         ("periodic_sparsity", "base_period")])
+def test_cli_non_finite_scenario_float_exits_2(tmp_path, capsys, mode, field, value):
+    config = write_config(tmp_path / "cfg.json", mode=mode, m=7, k=2, p=4, N=8, seed=1,
+                          trials=1, **{field: value})
+    assert cli.main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field} must be finite and positive" in err
+
+
 def test_cli_missing_config_file(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -321,3 +338,13 @@ def test_cli_run_verify_mode(tmp_path):
     code = cli.main(["run", "--config", config])
     assert code == 0
     assert (tmp_path / "out" / "verify.json").exists()
+
+
+def test_cli_run_verify_mode_uses_the_config_tolerances(tmp_path):
+    config = write_config(tmp_path / "cfg.json", mode="verify",
+                          out_dir=str(tmp_path / "out"),
+                          tolerances={"dual_path_tol": 1e-40})
+    assert cli.main(["run", "--config", config]) == 1
+    doc = json.loads((tmp_path / "out" / "verify.json").read_text())
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert "sampling_design.dual_path" in failed

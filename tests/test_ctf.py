@@ -118,15 +118,6 @@ def test_q_rank_bounded_by_joint_support():
     assert np.all(sv[k:] <= 1e-10 * sv[0])
 
 
-def test_q_frequency_domain_is_scaled_time_domain():
-    design, _, _, y = planted_instance(55)
-    y_tilde = demodulate(y, design)
-    q_time = compute_q(y_tilde, "time")
-    q_freq = compute_q(y_tilde, "frequency")
-    n = design.grid.n
-    assert np.max(np.abs(q_freq - n * q_time)) <= 1e-12 * np.max(np.abs(q_freq))
-
-
 # ---------------------------------------------------------------------------
 # frame_from_q
 # ---------------------------------------------------------------------------

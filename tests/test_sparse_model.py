@@ -67,17 +67,6 @@ def test_support_and_off_support_energy():
         assert np.any(bank.sequences[channel] != 0)
 
 
-@pytest.mark.parametrize("dist", ["complex_normal", "real_normal", "bernoulli"])
-def test_distributions_fill_active_channels(dist):
-    bank = synthesize(SparsityProfile(3, 2, frozenset({0, 2})), 8, seed=5, dist=dist)
-    assert bank.support == frozenset({0, 2})
-
-
-def test_unknown_distribution_rejected():
-    with pytest.raises(InvalidInputError):
-        synthesize(SparsityProfile(2, 1, frozenset({0})), 4, seed=0, dist="cauchy")
-
-
 # ---------------------------------------------------------------------------
 # signal_spectrum
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ tests compare with ``np.array_equal`` on whatever build runs them.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from si_subnyq.sampling_design import (
     random_diagonal_z,
 )
 from si_subnyq.scenarios import MultibandScenario, multiband_shaping_bank
-from si_subnyq.si_core import CoefficientBank, FrequencyGrid, PeriodicMatrixFunction
+from si_subnyq.si_core import (
+    CoefficientBank,
+    FrequencyGrid,
+    PeriodicMatrixFunction,
+    filterbank_sample,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -96,6 +102,16 @@ def test_structured_sampling_matches_dense_einsum_bit_for_bit(name):
                           compressive_sample(bank, twin).sequences)
 
 
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+def test_structured_filterbank_sample_matches_dense_twin_bit_for_bit(name):
+    w = STRUCTURED[name]()
+    rng = np.random.default_rng(len(name) + 200)
+    bank = CoefficientBank.from_sequences(random_complex(rng, (w.cols, w.grid.n)))
+    sampled = filterbank_sample(bank, w)
+    assert w._values is None  # applied from the diagonal alone
+    assert np.array_equal(sampled, filterbank_sample(bank, dense_twin(w)))
+
+
 def per_coset_exp_loop(sc, grid):
     """multiband_shaping_bank's diagonal as the per-trial loop built it
     before the cached coset table, verbatim."""
@@ -153,12 +169,18 @@ def test_bad_diagonal_fails_the_conditioning_check_before_any_lapack_call(bad, e
 
 
 def test_shaping_bank_of_a_nan_period_fails_the_conditioning_check():
-    sc = dataclasses.replace(scenario(8, 1.0, (0, 3, 5), 16), T=np.nan)
+    # The scenario rejects the NaN period by name, so no table is built from it.
+    sc = scenario(8, 1.0, (0, 3, 5), 16)
+    with pytest.raises(InvalidInputError, match="T must be finite"):
+        dataclasses.replace(sc, T=np.nan)
+    # The bank the coset expression gives for it still fails the check in solve.
+    grid = FrequencyGrid(16)
+    nan_period = types.SimpleNamespace(m=8, T=np.nan, cosets=sc.cosets, p=sc.p)
     with np.errstate(invalid="ignore"):  # the exp expression itself warns on 1/sqrt(nan)
-        w = multiband_shaping_bank(sc, FrequencyGrid(16))
-    assert "_r" not in w.__dict__
+        w = PeriodicMatrixFunction._from_diagonal(grid, per_coset_exp_loop(nan_period, grid))
     with pytest.raises(InvalidInputError, match="grid point 0"):
         w.solve(np.ones((3, 16)), COND_TOL, "W")
+    assert "_r" not in w.__dict__
 
 
 # The four benchmark workload shapes (benchmarks/workloads.py).
