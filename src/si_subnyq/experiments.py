@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.p <= self.m:
             raise ConfigError(f"p={self.p} must satisfy 1 <= p <= m={self.m}")
         if not 0 <= self.k <= self.m:
@@ -110,9 +112,24 @@ _CONFIG_FIELDS = {
 }
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true, false or null",
+               str: "a string", list: "a list of integers"}
+
+
+def _has_type(value, expected: type) -> bool:
+    """Whether a value ``json.load`` produced has the field type ``expected``.
+    A bool is not an integer; an integer is a float."""
+    if expected is float:
+        return type(value) in (int, float)
+    if expected is list:
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is expected
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig; every
-    complaint names the offending field."""
+    complaint names the offending field. Values are type-checked, never
+    coerced: ``"m": 6.7`` or ``"compute_sigma": "no"`` is an error."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     kwargs = {}
@@ -122,33 +139,26 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         if key == "tolerances":
             if not isinstance(value, dict):
                 raise ConfigError("field 'tolerances' must be an object")
-            overrides = {}
             for name, entry in value.items():
-                try:
-                    overrides[name] = float(entry)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"tolerance {name!r} must be a number: {exc}") from exc
-                if not 0 < overrides[name] < math.inf:
+                if not (_has_type(entry, float) and 0 < entry < math.inf):
                     raise ConfigError(
-                        f"tolerance {name!r} must be finite and positive, got {entry}")
+                        f"tolerance {name!r} must be a finite positive number, got {entry!r}")
             try:
-                kwargs["tolerances"] = DEFAULT_TOLERANCES.with_overrides(**overrides)
+                kwargs["tolerances"] = DEFAULT_TOLERANCES.with_overrides(
+                    **{name: float(entry) for name, entry in value.items()})
             except TypeError as exc:
                 raise ConfigError(f"field 'tolerances' has an unknown entry: {exc}") from exc
             continue
-        if key in ("s_pattern", "cosets"):
-            if value is not None and not isinstance(value, list):
-                raise ConfigError(f"field {key!r} must be a list of integers")
-            kwargs[key] = None if value is None else tuple(int(v) for v in value)
-            continue
         expected = _CONFIG_FIELDS[key]
-        if value is None and key in ("out_dir", "band_width", "compute_sigma"):
+        if value is None and key in ("out_dir", "compute_sigma", "s_pattern",
+                                     "band_width", "cosets"):
             kwargs[key] = None
-            continue
-        try:
-            kwargs[key] = expected(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {key!r} must be {expected.__name__}: {exc}") from exc
+        elif not _has_type(value, expected):
+            raise ConfigError(f"field {key!r} must be {_TYPE_NAMES[expected]}, got {value!r}")
+        elif expected is list:
+            kwargs[key] = tuple(value)
+        else:
+            kwargs[key] = float(value) if expected is float else value
     return ExperimentConfig(**kwargs)
 
 
@@ -256,13 +266,13 @@ def _periodic_instance(cfg: ExperimentConfig, seed: int):
         cfg, lambda attempt: np.random.default_rng(trial_seed(seed, attempt)))
     sc = _scenario(cfg, np.random.default_rng(seed), trial_seed(seed, attempt))
     build = scenarios.build_periodic_sparsity(sc, cfg.tolerances)
-    return build.design, build.signal.coefficients, cfg.k, sigma
+    return build.design, build.coefficients, cfg.k, sigma
 
 
 def _multiband_instance(cfg: ExperimentConfig, seed: int):
     sc = _scenario(cfg, np.random.default_rng(seed), seed)
     build = scenarios.build_multiband(sc, cfg.tolerances)
-    return (build.design, build.signal.coefficients, build.report["k_max"],
+    return (build.design, build.coefficients, build.report["k_max"],
             _sigma(cfg, build.design.A))
 
 

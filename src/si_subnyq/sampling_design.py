@@ -477,33 +477,50 @@ def design_to_json(design: MeasurementDesign, matrix_kind: str | None = None,
         raise InvalidInputError(f"cannot serialize design: {exc}") from exc
 
 
-def _from_pairs(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
+def _from_pairs(pairs, shape: tuple[int, ...], key: str) -> np.ndarray:
+    try:
+        return np.array([complex(re, im) for re, im in pairs],
+                        dtype=np.complex128).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"design field {key!r} needs {math.prod(shape)} [re, im] pairs per entry: "
+            f"{exc}") from exc
+
+
+def _per_bin(doc: dict, key: str, shape: tuple[int, ...], grid: FrequencyGrid) -> np.ndarray:
+    """Field ``key`` (W or Z): one list of [re, im] pairs per grid bin."""
+    bins = doc[key]
+    if not isinstance(bins, list) or len(bins) != grid.n:
+        raise InvalidInputError(f"design field {key!r} needs one entry per grid bin ({grid.n})")
+    return np.stack([_from_pairs(pairs, shape, key) for pairs in bins])
 
 
 def design_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES
                      ) -> tuple[MeasurementDesign, dict]:
     """Parse a serialized design; returns (design, metadata).
 
-    The design is validated as ``make_design`` validates it, so a W that is
-    singular at some bin, or a Z with a near-zero entry, raises
-    SingularOperatorError naming the grid point.
+    Text that is not a JSON object, or a field of the wrong type or length,
+    raises InvalidInputError naming the field. The design is built by
+    ``make_design``, so a W that is singular at some bin, or a Z with a
+    near-zero entry, raises SingularOperatorError naming the grid point.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"design document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError("design document must be a JSON object")
     for key in ("p", "m", "N", "A", "W"):
         if key not in doc:
             raise InvalidInputError(f"design document is missing field {key!r}")
-    p, m, n = int(doc["p"]), int(doc["m"]), int(doc["N"])
-    grid = FrequencyGrid(n)
-    A = _from_pairs(doc["A"], (p, m))
-    w_values = np.stack([_from_pairs(rows, (p, p)) for rows in doc["W"]])
-    W = PeriodicMatrixFunction(grid, w_values)
+        if key in ("p", "m", "N") and type(doc[key]) is not int:  # rejects a bool too
+            raise InvalidInputError(f"design field {key!r} must be an integer")
+    p, m = doc["p"], doc["m"]
+    grid = FrequencyGrid(doc["N"])
+    W = PeriodicMatrixFunction(grid, _per_bin(doc, "W", (p, p), grid))
     Z = None
     if doc.get("Z") is not None:
-        z_diag = np.stack([_from_pairs(diag, (m,)) for diag in doc["Z"]])
-        Z = PeriodicMatrixFunction._from_diagonal(grid, z_diag)
-    design = MeasurementDesign(A=A, W=W, grid=grid, Z=Z)
-    validate_design(design, tol)
+        Z = PeriodicMatrixFunction._from_diagonal(grid, _per_bin(doc, "Z", (m,), grid))
+    design = make_design(_from_pairs(doc["A"], (p, m), "A"), grid, W, Z, tol)
     meta = {"matrix_kind": doc.get("matrix_kind"), "seed": doc.get("seed")}
     return design, meta

@@ -1,8 +1,11 @@
 """End-to-end scenario builders: periodic coefficient sparsity and multiband.
 
-Both scenarios emit plain (generators, design, signal) triples that feed the
-generic sampling/recovery pipeline; no scenario-specific recovery code
-exists.
+Both scenario builds emit a ``ScenarioBuild``: the design (A, W), the planted
+coefficient bank and a report. That is the finite problem y(w) = W(w) A d(w)
+the generic sampling/recovery pipeline solves; no scenario-specific recovery
+code exists. The analog objects that justify it, the generator sets and their
+biorthogonal sets, come from their own functions (``shifted_box_generators``,
+``multiband_slice_generators``), which no build calls.
 
 Generator representation note: the frequency-domain generator sets declared
 here are exact on the evaluation lattice. For the piecewise-constant (box)
@@ -24,7 +27,6 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError
 from .sampling_design import (
     MeasurementDesign,
-    biorthogonalize,
     compressive_sample,
     make_cs_matrix,
     make_design,
@@ -35,11 +37,10 @@ from .si_core import (
     FrequencyGrid,
     GeneratorSet,
     PeriodicMatrixFunction,
-    cross_spectrum,
     cross_spectrum_matrix,
     filterbank_sample,
 )
-from .sparse_model import SparseSISignal, SparsityProfile, synthesize
+from .sparse_model import SparsityProfile, synthesize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -120,54 +121,24 @@ def _base_rate_box_pair(m: int, base_period: float,
 
 
 @dataclass(frozen=True)
-class PeriodicSparsityBuild:
-    scenario: PeriodicSparsityScenario
-    generators: GeneratorSet
-    biorthogonal: GeneratorSet
+class ScenarioBuild:
+    """What a Monte Carlo trial reads from a scenario: the design, the planted
+    coefficient bank and a report (rates, or the active slices and k_max)."""
+
+    scenario: PeriodicSparsityScenario | MultibandScenario
     design: MeasurementDesign
-    signal: SparseSISignal
+    coefficients: CoefficientBank
     report: dict = field(repr=False)
 
 
-@functools.lru_cache(maxsize=1)
-def _periodic_frame(m: int, base_period: float, grid: FrequencyGrid,
-                    tol: Tolerances) -> tuple[GeneratorSet, GeneratorSet, float, float]:
-    """The A-independent part of a periodic-sparsity build: box generators,
-    their biorthogonal set, and the deviations of the two construction
-    identities (M_VA = I, prefilter product spectrum = 1).
-
-    Cached on its arguments, so the checks run once per key and not once per
-    A redraw. The cache holds one entry; its generator sets are immutable
-    (read-only arrays), so sharing them between builds is safe. A failed
-    check raises and caches nothing.
-    """
-    generators = shifted_box_generators(m, base_period, grid)
-    v = biorthogonalize(generators, generators, tol)
-    m_va = cross_spectrum_matrix(v, generators)
-    m_va_dev = float(np.max(np.abs(
-        m_va.values - np.eye(m)[None, :, :])))
-    if m_va_dev > tol.biorth_tol:
-        raise InvalidInputError(
-            f"biorthogonality identity failed: max deviation {m_va_dev:.3e}")
-
-    # prefilter identity on the base-rate grid: the product spectrum of the
-    # normalized box against the box generator is identically one
-    g_values = cross_spectrum(*_base_rate_box_pair(m, base_period, grid.n))
-    g_dev = float(np.max(np.abs(g_values - 1.0)))
-    return generators, v, m_va_dev, g_dev
-
-
 def build_periodic_sparsity(sc: PeriodicSparsityScenario,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> PeriodicSparsityBuild:
-    """Assemble the m-generator reformulation, its biorthogonal set, the
-    design (A drawn from the seed, W = I) and a block-sparse signal.
+                            tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
+    """Assemble the m-generator reformulation's design (A drawn from the seed,
+    W = I) and a block-sparse coefficient bank.
 
-    The build verifies the two construction identities numerically: the
-    prefilter/generator product spectrum is identically 1 on the base-rate
-    grid, and the biorthogonal cross-spectrum matrix is the identity. That
-    part does not depend on A or the seed and is cached on (m, base_period,
-    grid, tol), so repeated builds, such as the trials of a Monte Carlo run,
-    share one generator set and one biorthogonal set and run the checks once.
+    The box generators and their biorthogonal set do not enter the design, so
+    the build makes neither; the ``scenarios.periodic_identities`` check of
+    ``verify`` builds them and checks the two construction identities.
 
     The build's first use of ``default_rng(sc.seed)`` is the draw of A, by
     ``make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)``; the coefficients are
@@ -175,24 +146,19 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
     seed, then build the scenario once with that seed and get the same A.
     """
     grid = FrequencyGrid(sc.n_blocks)
-    generators, v, m_va_dev, g_dev = _periodic_frame(sc.m, sc.base_period, grid, tol)
-
     rng = np.random.default_rng(sc.seed)
     a_matrix = make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)
     design = make_design(a_matrix, grid, tol=tol)  # W = I
 
     profile = SparsityProfile(sc.m, sc.k, sc.s_pattern)
     coefficients = synthesize(profile, sc.n_blocks, rng)
-    signal = SparseSISignal(profile, coefficients, generators)
 
     report = {
-        "m_va_deviation": m_va_dev,
-        "prefilter_identity_deviation": g_dev,
         "baseline_rate": 1.0 / sc.base_period,
         "compressed_rate": sc.p / (sc.m * sc.base_period),
         "compression_factor": sc.p / sc.m,
     }
-    return PeriodicSparsityBuild(sc, generators, v, design, signal, report)
+    return ScenarioBuild(sc, design, coefficients, report)
 
 
 def flatten_block_coefficients(bank: CoefficientBank) -> np.ndarray:
@@ -201,17 +167,17 @@ def flatten_block_coefficients(bank: CoefficientBank) -> np.ndarray:
     return bank.sequences.T.reshape(-1)
 
 
-def baseline_reference_samples(build: PeriodicSparsityBuild) -> np.ndarray:
+def baseline_reference_samples(build: ScenarioBuild) -> np.ndarray:
     """The uncompressed reference path: one sequence at the base rate whose
     samples equal the flat coefficients (prefilter-then-sample, m = 1)."""
     sc = build.scenario
     m_qa = cross_spectrum_matrix(*_base_rate_box_pair(sc.m, sc.base_period, sc.n_blocks))
-    flat = flatten_block_coefficients(build.signal.coefficients)
+    flat = flatten_block_coefficients(build.coefficients)
     d_flat = CoefficientBank.from_sequences(flat[None, :])
     return filterbank_sample(d_flat, m_qa)[0]
 
 
-def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
+def piecewise_constant_waveform_check(build: ScenarioBuild,
                                       tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
     """Integrate the modulated true waveform and compare with the filter-bank
     samples.
@@ -227,13 +193,13 @@ def piecewise_constant_waveform_check(build: PeriodicSparsityBuild,
     resolution = 64
     h = sc.base_period / resolution
     # the true waveform on the fine cells, as (blocks, base cell, fine cell)
-    flat = flatten_block_coefficients(build.signal.coefficients)
+    flat = flatten_block_coefficients(build.coefficients)
     cells = np.repeat(flat, resolution).reshape(sc.n_blocks, sc.m, resolution)
     base_cell_integrals = cells.sum(axis=2) * h  # (blocks, m)
     modulator = build.design.A / sc.base_period  # conj(s_i) values per base cell
     y_quad = np.einsum("il,nl->in", modulator, base_cell_integrals)
 
-    y_fb = compressive_sample(build.signal.coefficients, build.design, tol).sequences
+    y_fb = compressive_sample(build.coefficients, build.design, tol).sequences
     scale = float(np.max(np.abs(y_fb)))
     max_err = float(np.max(np.abs(y_quad - y_fb)))
     rel_err = max_err / scale if scale > 0 else max_err
@@ -294,16 +260,11 @@ class MultibandScenario:
         return len(self.cosets)
 
 
-@functools.lru_cache(maxsize=1)
 def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> GeneratorSet:
     """m orthonormal brick-wall slice generators covering [0, 2*pi/T).
 
     Slice i has constant value sqrt(m*T) on [i*2*pi/(m*T), (i+1)*2*pi/(m*T))
-    and is exactly zero elsewhere, so the Gram matrix is the identity.
-
-    The last result is cached: it depends only on (m, T, grid), which a
-    Monte Carlo run keeps fixed, and a GeneratorSet is immutable (read-only
-    spectra), so every caller can share the one (m, N, m) array."""
+    and is exactly zero elsewhere, so the Gram matrix is the identity."""
     period = m * T
     alias_support = tuple(range(-(m - 1), 1))
     spectra = np.zeros((m, grid.n, m), dtype=np.complex128)
@@ -333,27 +294,11 @@ def multiband_shaping_bank(sc: MultibandScenario,
     return _coset_shaping_table(sc.m, sc.T, grid)._columns(sc.cosets)
 
 
-@dataclass(frozen=True)
-class MultibandBuild:
-    scenario: MultibandScenario
-    generators: GeneratorSet
-    design: MeasurementDesign
-    signal: SparseSISignal
-    report: dict = field(repr=False)
-
-
 def build_multiband(sc: MultibandScenario,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> MultibandBuild:
-    """Construct slice generators, the coset-row mixing matrix, the diagonal
-    shaping bank and a sparse multiband signal occupying <= 2*n_bands slices.
-
-    The slice generators come from the one-entry cache of
-    ``multiband_slice_generators``: they depend only on (m, T, N), so builds
-    that share those values share one immutable generator set.
-    """
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
+    """Construct the coset-row mixing matrix, the diagonal shaping bank and a
+    sparse multiband coefficient bank occupying <= 2*n_bands slices."""
     grid = FrequencyGrid(sc.n_samples)
-    generators = multiband_slice_generators(sc.m, sc.T, grid)
-
     a_matrix = make_cs_matrix("fourier_rows", sc.p, sc.m,
                               np.random.default_rng(sc.seed), cosets=sc.cosets)
     design = make_design(a_matrix, grid, W=multiband_shaping_bank(sc, grid), tol=tol)
@@ -372,17 +317,16 @@ def build_multiband(sc: MultibandScenario,
 
     profile = SparsityProfile(sc.m, len(active), frozenset(active))
     coefficients = synthesize(profile, sc.n_samples, rng)
-    signal = SparseSISignal(profile, coefficients, generators)
 
     report = {
         "active_slices": sorted(active),
         "band_edges": band_edges,
         "k_max": 2 * sc.n_bands,
     }
-    return MultibandBuild(sc, generators, design, signal, report)
+    return ScenarioBuild(sc, design, coefficients, report)
 
 
-def delay_filter_equivalence_check(build: MultibandBuild,
+def delay_filter_equivalence_check(build: ScenarioBuild,
                                    tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
     """Verify that each synthesized sampling branch acts as a pure delay.
 

@@ -432,7 +432,7 @@ def _periodic_build(seed: int = 401):
 
 def check_periodic_block_pattern(tol: Tolerances) -> CheckResult:
     build = _periodic_build()
-    flat = scenarios.flatten_block_coefficients(build.signal.coefficients)
+    flat = scenarios.flatten_block_coefficients(build.coefficients)
     idx = np.flatnonzero(flat != 0)
     residues = set(int(i) % build.scenario.m for i in idx)
     ok = residues <= set(build.scenario.s_pattern)
@@ -468,6 +468,26 @@ def check_periodic_waveform_quadrature(tol: Tolerances) -> CheckResult:
                        f"integration vs filter bank rel err {worst:.2e}", worst)
 
 
+def check_periodic_identities(tol: Tolerances) -> CheckResult:
+    """The two construction identities of the periodic reformulation, which
+    do not depend on A: the biorthogonal set of the box generators gives
+    M_VA = I, and the normalized box prefilter against the box generator has
+    product spectrum 1 on the base-rate grid."""
+    m, n_blocks = 7, 8
+    m_va_dev = g_dev = 0.0
+    for base_period in (1.0, 0.5):
+        gens = scenarios.shifted_box_generators(m, base_period, si_core.FrequencyGrid(n_blocks))
+        v = sampling_design.biorthogonalize(gens, gens, tol)
+        m_va = si_core.cross_spectrum_matrix(v, gens)
+        m_va_dev = max(m_va_dev, float(np.max(np.abs(m_va.values - np.eye(m)))))
+        g = si_core.cross_spectrum(*scenarios._base_rate_box_pair(m, base_period, n_blocks))
+        g_dev = max(g_dev, float(np.max(np.abs(g - 1.0))))
+    return CheckResult("scenarios.periodic_identities",
+                       m_va_dev <= tol.biorth_tol and g_dev <= 1e-12,
+                       f"max |M_VA - I| = {m_va_dev:.2e}, "
+                       f"max |prefilter product - 1| = {g_dev:.2e}", m_va_dev)
+
+
 def _multiband_build(seed: int = 405):
     sc = scenarios.MultibandScenario(
         n_bands=1, band_width=2 * np.pi / 8, m=7, T=1.0,
@@ -501,10 +521,10 @@ def check_multiband_end_to_end(tol: Tolerances) -> CheckResult:
     worst = 0.0
     for seed in (407, 408, 409):
         build = _multiband_build(seed)
-        y = sampling_design.compressive_sample(build.signal.coefficients, build.design)
+        y = sampling_design.compressive_sample(build.coefficients, build.design)
         result = ctf.recover(y, build.design, k_max=build.report["k_max"])
-        exact = exact and result.support == build.signal.profile.support
-        d = build.signal.coefficients.sequences
+        exact = exact and result.support == build.coefficients.support
+        d = build.coefficients.sequences
         worst = max(worst, float(np.linalg.norm(result.coefficients.sequences - d) ** 2
                                  / np.linalg.norm(d) ** 2))
     ok = exact and worst <= tol.recovery_rel_tol
@@ -535,6 +555,7 @@ CHECKS: tuple[tuple[str, Callable[[Tolerances], CheckResult]], ...] = (
     ("scenarios.periodic_block_pattern", check_periodic_block_pattern),
     ("scenarios.periodic_rate_accounting", check_periodic_rate_accounting),
     ("scenarios.periodic_waveform_quadrature", check_periodic_waveform_quadrature),
+    ("scenarios.periodic_identities", check_periodic_identities),
     ("scenarios.multiband_delay_identity", check_multiband_delay_identity),
     ("scenarios.multiband_fractional_delay", check_multiband_fractional_delay),
     ("scenarios.multiband_end_to_end", check_multiband_end_to_end),

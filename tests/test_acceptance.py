@@ -222,12 +222,12 @@ def test_criterion_6_multiband_example():
             n_bands=n_bands, band_width=2 * np.pi / 8, m=7, T=1.0,
             cosets=cosets, seed=seed, n_samples=32))
         assert kruskal_rank(build.design.A) >= 2 * build.report["k_max"]  # per draw
-        y = compressive_sample(build.signal.coefficients, build.design)
+        y = compressive_sample(build.coefficients, build.design)
         result = recover(y, build.design, k_max=build.report["k_max"])
-        d = build.signal.coefficients.sequences
+        d = build.coefficients.sequences
         nmse = (np.linalg.norm(result.coefficients.sequences - d) ** 2
                 / np.linalg.norm(d) ** 2)
-        if result.support == build.signal.profile.support and nmse <= 1e-9:
+        if result.support == build.coefficients.support and nmse <= 1e-9:
             exact += 1
     report(6, delay_ok and chain_ok and exact == 50,
            f"delay identity {delay_report['max_deviation']:.2e} <= 1e-9, "
@@ -251,12 +251,12 @@ def test_criterion_7_periodic_sparsity_example():
         sc = PeriodicSparsityScenario(m=7, k=2, s_pattern=frozenset({1, 4}),
                                       base_period=1.0, n_blocks=8, seed=seed, p=5)
         build = build_periodic_sparsity(sc)
-        y = compressive_sample(build.signal.coefficients, build.design)
+        y = compressive_sample(build.coefficients, build.design)
         result = recover(y, build.design, k_max=2)
         flat = flatten_block_coefficients(result.coefficients)
         nonzero = np.flatnonzero(np.abs(flat) > 1e-12 * np.max(np.abs(flat)))
         pattern_ok = pattern_ok and set(int(i) % 7 for i in nonzero) <= {1, 4}
-        truth = flatten_block_coefficients(build.signal.coefficients)
+        truth = flatten_block_coefficients(build.coefficients)
         pattern_ok = pattern_ok and bool(
             np.linalg.norm(flat - truth) <= 1e-9 * np.linalg.norm(truth))
     report(7, quad_ok and pattern_ok,

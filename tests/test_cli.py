@@ -65,10 +65,39 @@ def test_config_unknown_tolerance_rejected():
         config_from_json({"tolerances": {"nope": 1.0}})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8, "tight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8, "tight",
+                                   "1e-6", True, None])
 def test_config_bad_tolerance_value_named(value):
     with pytest.raises(ConfigError, match="cond_tol"):
         config_from_json({"tolerances": {"cond_tol": value}})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("compute_sigma", "no"),
+    ("m", 6.7),
+    ("trials", 2.9),
+    ("N", True),
+    ("seed", 1.9),
+    ("out_dir", 5),
+    ("s_pattern", [1.5, 3.2]),
+    ("cosets", [0, True]),
+    ("mode", 1),
+    ("T", "1.0"),
+    ("base_period", False),
+    ("n_bands", None),
+])
+def test_config_wrong_type_is_named_not_coerced(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}' must be"):
+        config_from_json({field: value})
+
+
+def test_config_accepts_json_integers_for_float_fields():
+    cfg = config_from_json({"mode": "multiband", "m": 7, "p": 4, "T": 2,
+                            "band_width": None, "compute_sigma": None,
+                            "tolerances": {"cond_tol": 1000000}})
+    assert cfg.T == 2.0 and isinstance(cfg.T, float)
+    assert cfg.tolerances.cond_tol == 1e6 and isinstance(cfg.tolerances.cond_tol, float)
+    assert cfg.compute_sigma is None
 
 
 def test_trial_seed_derivation_is_stable():
@@ -310,6 +339,20 @@ def test_cli_non_finite_scenario_float_exits_2(tmp_path, capsys, mode, field, va
     assert cli.main(["run", "--config", config]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{field} must be finite and positive" in err
+
+
+@pytest.mark.parametrize("config_seed, argv", [
+    (-1, ["run"]),
+    (3, ["run", "--seed", "-1"]),
+    (3, ["sweep", "--var", "p", "--values", "4", "--seed", "-1"]),
+], ids=["config", "run --seed", "sweep --seed"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, config_seed, argv):
+    config = write_config(tmp_path / "cfg.json", mode="generic", seed=config_seed, trials=1)
+    code = cli.main(argv + ["--config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -300,7 +300,7 @@ def _multiband_instance():
     sc = MultibandScenario(n_bands=1, band_width=2 * np.pi / 8, m=8, T=1.0,
                            cosets=(0, 1, 3, 6), seed=71, n_samples=32)
     build = build_multiband(sc)
-    y = compressive_sample(build.signal.coefficients, build.design)
+    y = compressive_sample(build.coefficients, build.design)
     return build.design, y, build.report["k_max"]
 
 

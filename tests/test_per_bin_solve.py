@@ -35,7 +35,7 @@ def shaped_instance(kind):
         sc = MultibandScenario(n_bands=1, band_width=2 * np.pi / 8, m=8, T=1.0,
                                cosets=(0, 1, 3, 6), seed=71, n_samples=32)
         build = build_multiband(sc)
-        return build.design, compressive_sample(build.signal.coefficients, build.design)
+        return build.design, compressive_sample(build.coefficients, build.design)
     rng = np.random.default_rng(90)
     grid = FrequencyGrid(16)
     w = random_invertible_w(4, grid, rng) if kind == "dense" else None

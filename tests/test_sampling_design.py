@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -335,6 +336,44 @@ def test_design_json_writes_numpy_integers_as_integers():
 def test_design_json_missing_field_rejected():
     with pytest.raises(InvalidInputError, match="'A'"):
         design_from_json('{"p": 1, "m": 2, "N": 2, "W": []}')
+
+
+def _design_doc():
+    rng = np.random.default_rng(49)
+    grid = FrequencyGrid(3)
+    design = make_design(make_cs_matrix("gaussian", 2, 4, rng), grid,
+                         W=random_invertible_w(2, grid, rng),
+                         Z=random_diagonal_z(4, grid, rng))
+    return json.loads(design_to_json(design))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"p": 1, "m": 2,', "not valid JSON"),
+    ("[1, 2]", "JSON object"),
+    ("3", "JSON object"),
+])
+def test_design_json_rejects_malformed_documents(text, message):
+    with pytest.raises(InvalidInputError, match=message):
+        design_from_json(text)
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("A", lambda doc: doc["A"].pop()),
+    ("A", lambda doc: doc["A"].append([0.0, 0.0])),
+    ("A", lambda doc: doc["A"].__setitem__(0, [1.0])),
+    ("W", lambda doc: doc["W"].pop()),
+    ("W", lambda doc: doc["W"][1].pop()),
+    ("W", lambda doc: doc.__setitem__("W", "identity")),
+    ("Z", lambda doc: doc["Z"].append(doc["Z"][0])),
+    ("Z", lambda doc: doc["Z"][2].pop()),
+    ("p", lambda doc: doc.__setitem__("p", "2")),
+    ("N", lambda doc: doc.__setitem__("N", 3.0)),
+])
+def test_design_json_wrong_length_or_type_names_the_field(field, edit):
+    doc = _design_doc()
+    edit(doc)
+    with pytest.raises(InvalidInputError, match=f"'{field}'"):
+        design_from_json(json.dumps(doc))
 
 
 def test_design_json_rejects_singular_w_like_make_design():

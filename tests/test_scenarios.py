@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from si_subnyq import experiments
 from si_subnyq.ctf import recover
 from si_subnyq.errors import InvalidInputError
 from si_subnyq.sampling_design import (
     MeasurementBank,
+    biorthogonalize,
     compressive_sample,
     kruskal_rank,
     make_cs_matrix,
@@ -23,10 +25,16 @@ from si_subnyq.scenarios import (
     fractional_delay_direct,
     multiband_slice_generators,
     piecewise_constant_waveform_check,
+    shifted_box_generators,
 )
-from si_subnyq.si_core import CoefficientBank, FrequencyGrid, cross_spectrum_matrix
-from si_subnyq.sparse_model import SparseSISignal, SparsityProfile
+from si_subnyq.si_core import (
+    CoefficientBank,
+    FrequencyGrid,
+    GeneratorSet,
+    cross_spectrum_matrix,
+)
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
+from si_subnyq.verification import check_periodic_identities
 
 
 def periodic_scenario(**overrides):
@@ -47,18 +55,16 @@ def multiband_scenario(**overrides):
 # periodic sparsity
 # ---------------------------------------------------------------------------
 
-def test_build_verifies_identities():
-    build = build_periodic_sparsity(periodic_scenario())
-    assert build.report["m_va_deviation"] <= 1e-10
-    assert build.report["prefilter_identity_deviation"] <= 1e-12
+def test_periodic_identities_check_passes_at_defaults():
+    result = check_periodic_identities(DEFAULT_TOLERANCES)
+    assert result.name == "scenarios.periodic_identities"
+    assert result.passed
+    assert result.metric <= 1e-10
 
 
-def test_repeated_periodic_builds_share_the_generator_frame():
+def test_periodic_builds_of_different_seeds_draw_different_a():
     first = build_periodic_sparsity(periodic_scenario(seed=5))
     second = build_periodic_sparsity(periodic_scenario(seed=6))
-    assert second.generators is first.generators
-    assert second.biorthogonal is first.biorthogonal
-    assert not first.biorthogonal.spectra.flags.writeable
     assert not np.array_equal(first.design.A, second.design.A)
 
 
@@ -72,22 +78,43 @@ def test_periodic_build_draws_a_first_from_the_scenario_seed():
 
 
 def test_tightened_biorth_tol_still_reaches_identity_check():
-    sc = periodic_scenario()
-    build_periodic_sparsity(sc)  # fills the cache at the default tolerances
     tight = DEFAULT_TOLERANCES.with_overrides(biorth_tol=1e-30)
-    with pytest.raises(InvalidInputError, match="biorthogonality identity"):
-        build_periodic_sparsity(sc, tight)
+    result = check_periodic_identities(tight)
+    assert not result.passed
+    assert "M_VA - I" in result.detail
 
 
 def test_box_case_biorthogonal_equals_generators_up_to_gain():
     # h = a with unit base period: the biorthogonal set is the generator set
-    build = build_periodic_sparsity(periodic_scenario(base_period=1.0))
-    assert np.max(np.abs(build.biorthogonal.spectra - build.generators.spectra)) <= 1e-12
+    gens = shifted_box_generators(7, 1.0, FrequencyGrid(8))
+    v = biorthogonalize(gens, gens)
+    assert not v.spectra.flags.writeable
+    assert np.max(np.abs(v.spectra - gens.spectra)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    experiments.ExperimentConfig(mode="periodic_sparsity", m=7, k=2, p=5, N=8, seed=6,
+                                 s_pattern=(1, 4)),
+    experiments.ExperimentConfig(mode="multiband", m=7, k=2, p=4, N=32, seed=7,
+                                 cosets=(0, 2, 3, 5)),
+], ids=["periodic_sparsity", "multiband"])
+def test_scenario_trial_builds_no_generator_set(monkeypatch, cfg):
+    built = []
+    original = GeneratorSet.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GeneratorSet, "__post_init__", counting)
+    record = experiments._trial(cfg, 0, experiments.trial_seed(cfg.seed, 0))
+    assert record.exact
+    assert built == []
 
 
 def test_block_pattern_of_flat_sequence():
     build = build_periodic_sparsity(periodic_scenario())
-    flat = flatten_block_coefficients(build.signal.coefficients)
+    flat = flatten_block_coefficients(build.coefficients)
     nonzero = np.flatnonzero(flat != 0)
     assert len(nonzero) > 0
     assert set(int(i) % 7 for i in nonzero) <= {1, 4}
@@ -95,13 +122,13 @@ def test_block_pattern_of_flat_sequence():
 
 def test_recovered_coefficients_respect_block_pattern():
     build = build_periodic_sparsity(periodic_scenario())
-    y = compressive_sample(build.signal.coefficients, build.design)
+    y = compressive_sample(build.coefficients, build.design)
     result = recover(y, build.design, k_max=2)
     assert result.support == frozenset({1, 4})
     flat = flatten_block_coefficients(result.coefficients)
     nonzero = np.flatnonzero(np.abs(flat) > 1e-12)
     assert set(int(i) % 7 for i in nonzero) <= {1, 4}
-    truth = flatten_block_coefficients(build.signal.coefficients)
+    truth = flatten_block_coefficients(build.coefficients)
     assert np.linalg.norm(flat - truth) / np.linalg.norm(truth) <= 1e-9
 
 
@@ -109,17 +136,17 @@ def test_degenerate_single_channel_scenario():
     # m = 1, k = 1, p = 1: no compression, plain sample-and-solve
     build = build_periodic_sparsity(periodic_scenario(
         m=1, k=1, s_pattern=frozenset({0}), p=1))
-    y = compressive_sample(build.signal.coefficients, build.design)
+    y = compressive_sample(build.coefficients, build.design)
     result = recover(y, build.design, k_max=1)
     assert result.support == frozenset({0})
-    err = np.linalg.norm(result.coefficients.sequences - build.signal.coefficients.sequences)
-    assert err / np.linalg.norm(build.signal.coefficients.sequences) <= 1e-10
+    err = np.linalg.norm(result.coefficients.sequences - build.coefficients.sequences)
+    assert err / np.linalg.norm(build.coefficients.sequences) <= 1e-10
 
 
 def test_baseline_reference_path_reads_off_coefficients():
     build = build_periodic_sparsity(periodic_scenario())
     baseline = baseline_reference_samples(build)
-    flat = flatten_block_coefficients(build.signal.coefficients)
+    flat = flatten_block_coefficients(build.coefficients)
     assert np.max(np.abs(baseline - flat)) <= 1e-12 * max(1.0, np.max(np.abs(flat)))
 
 
@@ -157,8 +184,7 @@ def test_single_block_value_gives_mixing_column():
     sequences = np.zeros((4, sc.n_blocks), dtype=np.complex128)
     sequences[2, 3] = 1.0
     bank = CoefficientBank.from_sequences(sequences)
-    signal = SparseSISignal(SparsityProfile(4, 1, frozenset({2})), bank, build.generators)
-    build2 = replace(build, signal=signal)
+    build2 = replace(build, coefficients=bank)
     report = piecewise_constant_waveform_check(build2)
     assert report["passed"]
     quad = report["samples_quadrature"]
@@ -182,7 +208,8 @@ def test_quadrature_holds_for_non_unit_base_period():
     sc = periodic_scenario(m=4, k=2, s_pattern=frozenset({0, 3}),
                            base_period=0.5, p=3)
     build = build_periodic_sparsity(sc)
-    gram = csm(build.generators, build.generators)
+    gens = shifted_box_generators(sc.m, sc.base_period, FrequencyGrid(sc.n_blocks))
+    gram = csm(gens, gens)
     assert np.max(np.abs(gram.values - 0.5 * np.eye(4))) <= 1e-12
     report = piecewise_constant_waveform_check(build)
     assert report["max_relative_error"] <= 1e-6
@@ -193,20 +220,15 @@ def test_quadrature_holds_for_non_unit_base_period():
 # ---------------------------------------------------------------------------
 
 def test_slice_generators_are_orthonormal():
-    build = build_multiband(multiband_scenario())
-    gram = cross_spectrum_matrix(build.generators, build.generators)
+    sc = multiband_scenario()
+    gens = multiband_slice_generators(sc.m, sc.T, FrequencyGrid(sc.n_samples))
+    gram = cross_spectrum_matrix(gens, gens)
     assert np.max(np.abs(gram.values - np.eye(7))) <= 1e-12
 
 
-def test_slice_generators_are_cached_and_read_only():
-    grid = FrequencyGrid(16)
-    gens = multiband_slice_generators(5, 1.0, grid)
-    assert multiband_slice_generators(5, 1.0, FrequencyGrid(16)) is gens
+def test_slice_generators_are_read_only():
+    gens = multiband_slice_generators(5, 1.0, FrequencyGrid(16))
     assert not gens.spectra.flags.writeable
-    assert build_multiband(multiband_scenario(m=5, n_samples=16,
-                                              band_width=2 * np.pi / 5,
-                                              cosets=(0, 1, 3))).generators is gens
-    assert multiband_slice_generators(5, 2.0, grid) is not gens
 
 
 def test_mixing_matrix_entry_arithmetic():
@@ -225,10 +247,10 @@ def test_active_slice_count_bounded():
 def test_full_coset_set_recovers_trivially():
     sc = multiband_scenario(m=4, cosets=(0, 1, 2, 3), band_width=2 * np.pi / 4)
     build = build_multiband(sc)
-    y = compressive_sample(build.signal.coefficients, build.design)
+    y = compressive_sample(build.coefficients, build.design)
     result = recover(y, build.design, k_max=build.report["k_max"])
-    assert result.support == build.signal.profile.support
-    d = build.signal.coefficients.sequences
+    assert result.support == build.coefficients.support
+    d = build.coefficients.sequences
     assert np.linalg.norm(result.coefficients.sequences - d) <= 1e-10 * np.linalg.norm(d)
 
 
@@ -240,10 +262,10 @@ def test_prime_slice_count_gives_full_spark():
 def test_multiband_end_to_end_recovery():
     for seed in (80, 81, 82):
         build = build_multiband(multiband_scenario(seed=seed))
-        y = compressive_sample(build.signal.coefficients, build.design)
+        y = compressive_sample(build.coefficients, build.design)
         result = recover(y, build.design, k_max=build.report["k_max"])
-        assert result.support == build.signal.profile.support
-        d = build.signal.coefficients.sequences
+        assert result.support == build.coefficients.support
+        d = build.coefficients.sequences
         nmse = np.linalg.norm(result.coefficients.sequences - d) ** 2 / np.linalg.norm(d) ** 2
         assert nmse <= 1e-9
 
@@ -336,7 +358,7 @@ def test_bank_level_delay_demodulation_matches_w_inverse_up_to_scale():
     for t_scale in (1.0, 2.0):
         build = build_multiband(multiband_scenario(
             T=t_scale, band_width=2 * np.pi / (8 * t_scale)))
-        y = compressive_sample(build.signal.coefficients, build.design)
+        y = compressive_sample(build.coefficients, build.design)
         via_w = demodulate(y, build.design)
         via_chain = demodulate_by_delays(y, build.scenario)
         assert np.max(np.abs(via_chain.sequences - via_w.sequences / t_scale)) \
