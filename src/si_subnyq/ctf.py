@@ -76,7 +76,7 @@ def demodulate(y: MeasurementBank, design: MeasurementDesign,
         raise DimensionError(
             f"measurements ({y.p} x {y.length}) incompatible with design "
             f"(p={design.p}, N={design.grid.n})")
-    return MeasurementBank(design.W.solve(y.sequences, tol.cond_tol, "W"))
+    return MeasurementBank._owned(design.W.solve(y.sequences, tol.cond_tol, "W"))
 
 
 def compute_q(y: MeasurementBank) -> np.ndarray:
@@ -159,9 +159,9 @@ def solve_mmv_exhaustive(prob: MMVProblem,
     returns the first one whose projection residual is within
     ``tol.mmv_residual_rel``. Guarded to C(m, k_max) <= 1e6 subsets per size.
 
-    Recovery (``solver="exhaustive"``) runs the rank-aware search
-    ``_solve_exhaustive``, which returns this function's answer and calls it
-    as the fallback for every case its screen cannot settle.
+    Recovery (``solver="exhaustive"``) runs the rank-aware ``_screen`` first,
+    which returns this function's answer, and calls this function for every
+    case the screen cannot settle.
     """
     m = prob.A.shape[1]
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
@@ -185,9 +185,9 @@ def solve_mmv_exhaustive(prob: MMVProblem,
         best_residual=best_res, best_support=best_support)
 
 
-def _solve_exhaustive(prob: MMVProblem, tol: Tolerances) -> frozenset[int]:
-    """Rank-aware minimum-support search with the answer of
-    ``solve_mmv_exhaustive``.
+def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
+    """Rank-aware minimum-support search: the answer of
+    ``solve_mmv_exhaustive`` when some r-subset fits, else None.
 
     Let t = ``tol.mmv_residual_rel``, tau = t ||V||_F, delta = tau +
     max(t, 2^20 eps) ||V||_F, and sigma_1 >= sigma_2 >= ... the singular
@@ -217,12 +217,12 @@ def _solve_exhaustive(prob: MMVProblem, tol: Tolerances) -> frozenset[int]:
     So when r <= k_max and some r-subset fits, the oracle's answer is the
     first fitting r-subset in lexicographic order, which is the first
     fitting r-subset of M: the scan below tests those with the oracle's own
-    ``_support_residual`` call, so every fit decision is bit-identical. It calls ``solve_mmv_exhaustive``
-    for every case it cannot settle: the C(m, k_max) guard, V = 0 or
-    ||V||_F not finite, r = 0 or r > k_max, and no fitting r-subset of M.
-    The guard error, the empty support of V = 0 and the ``InfeasibleError``
-    with its ``best_residual`` and ``best_support`` are then the oracle's by
-    construction.
+    ``_support_residual`` call, so every fit decision is bit-identical. It
+    returns None for every case it cannot settle: the C(m, k_max) guard,
+    V = 0 or ||V||_F not finite, r = 0 or r > k_max, and no fitting r-subset
+    of M. ``_solve`` then calls the oracle, so the guard error, the empty
+    support of V = 0 and the ``InfeasibleError`` with its ``best_residual``
+    and ``best_support`` are the oracle's by construction.
 
     Rounding. The computed relative residual of an A_S with condition
     number kappa is off by about eps kappa (backward stability of the SVD
@@ -255,7 +255,7 @@ def _solve_exhaustive(prob: MMVProblem, tol: Tolerances) -> frozenset[int]:
             for combo in itertools.combinations(near, r):
                 if _support_residual(A, v, combo) <= t:
                     return frozenset(combo)
-    return solve_mmv_exhaustive(prob, tol)
+    return None
 
 
 def solve_mmv_somp(prob: MMVProblem,
@@ -266,7 +266,7 @@ def solve_mmv_somp(prob: MMVProblem,
     the current residual matrix, then re-projects V onto the selected
     columns. Stops at k_max atoms or when the relative residual drops below
     ``tol.mmv_residual_rel``. Ties break to the lowest index. The returned
-    support is not verified; callers should check the residual.
+    support is not verified; ``_solve`` checks its residual.
 
     A and V are each brought into range by the power of two of
     ``_pow2_scale``, so no norm or score overflows or underflows; every
@@ -298,26 +298,41 @@ def solve_mmv_somp(prob: MMVProblem,
     return frozenset(selected)
 
 
-def _solve(prob: MMVProblem, solver: str, tol: Tolerances) -> frozenset[int]:
+def _solve(prob: MMVProblem, solver: str,
+           tol: Tolerances) -> tuple[frozenset[int], float]:
+    """The support ``solver`` finds and its ``_support_residual``.
+
+    A SOMP support whose residual exceeds ``tol.mmv_residual_rel`` is a miss;
+    it gives way to the screen's fitting support when the screen settles, and
+    stays otherwise. A miss never reaches the oracle, which could refuse or
+    raise, so it costs a trial its exactness and not the run.
+    """
     if solver == "exhaustive":
-        return _solve_exhaustive(prob, tol)
-    if solver == "somp":
-        return solve_mmv_somp(prob, tol)
-    raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+        support = _screen(prob, tol) or solve_mmv_exhaustive(prob, tol)
+        return support, _support_residual(prob.A, prob.V, support)
+    if solver != "somp":
+        raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    support = solve_mmv_somp(prob, tol)
+    residual = _support_residual(prob.A, prob.V, support)
+    if residual > tol.mmv_residual_rel:
+        screened = _screen(prob, tol)
+        if screened is not None:
+            return screened, _support_residual(prob.A, prob.V, screened)
+    return support, residual
 
 
 def _identify(y: MeasurementBank, design: MeasurementDesign, k_max: int,
               solver: str, tol: Tolerances):
     """Demodulate, accumulate Q, factor the frame V and solve for the support.
 
-    Returns (y_tilde, V, eigenvalues of Q, support)."""
+    Returns (y_tilde, V, eigenvalues of Q, support, its residual)."""
     y_tilde = demodulate(y, design, tol)
     v, eigvals = frame_from_q(compute_q(y_tilde), tol=tol)
     if v.shape[1] == 0:
-        support: frozenset[int] = frozenset()
+        support, residual = frozenset(), 0.0
     else:
-        support = _solve(MMVProblem(design.A, v, k_max), solver, tol)
-    return y_tilde, v, eigvals, support
+        support, residual = _solve(MMVProblem(design.A, v, k_max), solver, tol)
+    return y_tilde, v, eigvals, support, residual
 
 
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,
@@ -358,18 +373,18 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
         x = x / design.Z.diagonal()[:, support].T
     sequences = np.zeros((design.m, n), dtype=np.complex128)
     sequences[support] = np.fft.ifft(x, axis=1)
-    return CoefficientBank(sequences, frozenset(support))
+    return CoefficientBank._owned(sequences, frozenset(support))
 
 
 def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
             solver: str = "exhaustive",
             tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
     """Full pipeline with diagnostics: support, coefficients, Q spectrum."""
-    y_tilde, v, eigvals, support = _identify(y, design, k_max, solver, tol)
+    y_tilde, v, eigvals, support, residual = _identify(y, design, k_max, solver, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {
         "rank_q": int(v.shape[1]),
-        "residual": _support_residual(design.A, v, support),
+        "residual": residual,
         "solver": solver,
         "q_eigenvalues": [float(e) for e in eigvals],
     }

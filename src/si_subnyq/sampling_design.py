@@ -81,7 +81,13 @@ class MeasurementDesign:
 
 @dataclass(frozen=True)
 class MeasurementBank:
-    """p compressed measurement sequences of length N."""
+    """p compressed measurement sequences of length N.
+
+    The constructor keeps a read-only complex copy. ``_owned`` keeps the
+    array it is given: only ``compressive_sample`` and ``ctf.demodulate``
+    call it, each on the complex (p, N) array its inverse FFT has just made,
+    to spare a trial's megabyte banks a second copy.
+    """
 
     sequences: np.ndarray = field(repr=False)
 
@@ -91,6 +97,14 @@ class MeasurementBank:
             raise DimensionError(f"sequences must be (p, N), got shape {seq.shape}")
         seq.setflags(write=False)
         object.__setattr__(self, "sequences", seq)
+
+    @classmethod
+    def _owned(cls, sequences: np.ndarray) -> "MeasurementBank":
+        """The bank of a fresh complex (p, N) array, made read-only and kept."""
+        sequences.setflags(write=False)
+        bank = cls.__new__(cls)
+        object.__setattr__(bank, "sequences", sequences)
+        return bank
 
     @property
     def p(self) -> int:
@@ -192,7 +206,7 @@ def compressive_sample(d: CoefficientBank, design: MeasurementDesign,
     spectra = np.fft.fft(d.sequences, axis=1)
     if design.Z is not None:
         spectra = design.Z.apply(spectra)
-    return MeasurementBank(np.fft.ifft(design.W.apply(design.A @ spectra), axis=1))
+    return MeasurementBank._owned(np.fft.ifft(design.W.apply(design.A @ spectra), axis=1))
 
 
 def combined_operator(design: MeasurementDesign) -> PeriodicMatrixFunction:

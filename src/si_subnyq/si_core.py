@@ -265,12 +265,26 @@ class PeriodicMatrixFunction:
         return np.fft.ifft(solved, axis=1)
 
 
+def _require_zero_off_support(seq: np.ndarray, support: frozenset[int]) -> None:
+    """Every row of ``seq`` outside ``support`` is exactly zero (-0.0 is, NaN
+    is not); tested row by row, so no off-support copy is made."""
+    for i in range(seq.shape[0]):
+        if i not in support and np.any(seq[i]):
+            raise InvalidInputError("channels outside the declared support must be exactly zero")
+
+
 @dataclass(frozen=True)
 class CoefficientBank:
     """m complex sequences of length N with circular convolution semantics.
 
     ``support`` is the set of channels that are not identically zero;
     channels outside it are exactly zero (enforced at construction).
+
+    The constructor keeps a read-only complex copy. ``_owned`` keeps the
+    array it is given: only the pipeline's producers (``synthesize``,
+    ``zeros``, ``ctf``'s coefficient step) call it, each on a complex (m, N)
+    array it has just made, to spare a trial's megabyte banks a second copy.
+    Both routes run the off-support zero check.
     """
 
     sequences: np.ndarray = field(repr=False)
@@ -283,11 +297,19 @@ class CoefficientBank:
         support = frozenset(int(i) for i in self.support)
         if any(i < 0 or i >= seq.shape[0] for i in support):
             raise InvalidInputError(f"support {sorted(support)} out of range for m={seq.shape[0]}")
-        off = sorted(set(range(seq.shape[0])) - support)
-        if off and np.any(seq[off] != 0):
-            raise InvalidInputError("channels outside the declared support must be exactly zero")
+        _require_zero_off_support(seq, support)
         object.__setattr__(self, "sequences", _as_complex_readonly(seq))
         object.__setattr__(self, "support", support)
+
+    @classmethod
+    def _owned(cls, sequences: np.ndarray, support: frozenset[int]) -> "CoefficientBank":
+        """The bank of a fresh complex (m, N) array, made read-only and kept."""
+        _require_zero_off_support(sequences, support)
+        sequences.setflags(write=False)
+        bank = cls.__new__(cls)
+        object.__setattr__(bank, "sequences", sequences)
+        object.__setattr__(bank, "support", support)
+        return bank
 
     @classmethod
     def from_sequences(cls, sequences: np.ndarray) -> "CoefficientBank":
@@ -297,7 +319,7 @@ class CoefficientBank:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "CoefficientBank":
-        return cls(np.zeros((m, n), dtype=np.complex128), frozenset())
+        return cls._owned(np.zeros((m, n), dtype=np.complex128), frozenset())
 
     @property
     def m(self) -> int:

@@ -64,7 +64,7 @@ def synthesize(profile: SparsityProfile, n_samples: int,
     for channel in sorted(profile.support):
         sequences[channel] = (rng.standard_normal(n_samples)
                               + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
-    return CoefficientBank(sequences, profile.support)
+    return CoefficientBank._owned(sequences, profile.support)
 
 
 def _dtft(sequence: np.ndarray, theta: float) -> complex:

@@ -337,7 +337,7 @@ def check_q_domain_equivalence(tol: Tolerances) -> CheckResult:
                       / np.max(np.abs(q_freq)))
     s_time, s_freq = [
         ctf._solve(ctf.MMVProblem(design.A, ctf.frame_from_q(q, tol)[0], len(support)),
-                   "exhaustive", tol)
+                   "exhaustive", tol)[0]
         for q in (q_time, q_freq)]
     ok = scale_err <= 1e-12 and s_time == s_freq == support
     return CheckResult("ctf.q_domain_equivalence", ok,
@@ -354,8 +354,8 @@ def check_frame_independence(tol: Tolerances) -> CheckResult:
         v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde))
         g = rng.standard_normal((v.shape[1], v.shape[1])) \
             + 1j * rng.standard_normal((v.shape[1], v.shape[1]))
-        s1 = ctf._solve(ctf.MMVProblem(design.A, v, len(support)), "exhaustive", tol)
-        s2 = ctf._solve(ctf.MMVProblem(design.A, v @ g, len(support)), "exhaustive", tol)
+        s1 = ctf._solve(ctf.MMVProblem(design.A, v, len(support)), "exhaustive", tol)[0]
+        s2 = ctf._solve(ctf.MMVProblem(design.A, v @ g, len(support)), "exhaustive", tol)[0]
         agree = agree and s1 == s2 == support
     return CheckResult("ctf.frame_independence", agree,
                        "recovery's support invariant under frame change V -> V G")

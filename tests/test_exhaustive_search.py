@@ -1,14 +1,15 @@
 """The rank-aware exhaustive search behind recovery against the full
 lexicographic scan ``solve_mmv_exhaustive``, the reference oracle: seeded
 equivalence, which path runs, the fallback cases and problems scaled to the
-edges of the double range."""
+edges of the double range. Also the check of SOMP's answer, which sends a
+miss to the same screen and never to the oracle."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from si_subnyq import ctf
+from si_subnyq import ctf, experiments
 from si_subnyq.ctf import (
     MMVProblem,
     recover,
@@ -46,7 +47,7 @@ def oracle_calls(monkeypatch):
 
 
 def _screened(prob, tol):
-    return ctf._solve(prob, "exhaustive", tol)
+    return ctf._solve(prob, "exhaustive", tol)[0]
 
 
 def _outcome(solve, prob, tol):
@@ -185,6 +186,65 @@ def test_scaled_problem_keeps_its_support(scale):
         unscaled = solve_mmv_somp(MMVProblem(a, v, 2))
         assert unscaled == frozenset({3, 4})
         assert solve_mmv_somp(prob) == unscaled
+
+
+def test_somp_answer_that_fits_is_kept_and_a_miss_takes_the_screen(oracle_calls):
+    rng = np.random.default_rng(909)
+    seen = {"kept": 0, "screened": 0, "missed": 0}
+    for index in range(1200):
+        prob, _ = _random_problem(rng, index)
+        tol = TOLS[index % len(TOLS)]
+        if prob.k_max == 0:
+            continue
+        somp = solve_mmv_somp(prob, tol)
+        residual = ctf._support_residual(prob.A, prob.V, somp)
+        oracle_calls.clear()
+        found, found_residual = ctf._solve(prob, "somp", tol)
+        assert oracle_calls == []
+        assert found_residual == ctf._support_residual(prob.A, prob.V, found)
+        if residual <= tol.mmv_residual_rel:
+            assert (found, found_residual) == (somp, residual), index
+            seen["kept"] += 1
+        elif found != somp:
+            # the screen settled, so its support is the oracle's answer
+            assert found_residual <= tol.mmv_residual_rel
+            assert found == solve_mmv_exhaustive(prob, tol), index
+            seen["screened"] += 1
+        else:
+            assert ctf._screen(prob, tol) is None
+            seen["missed"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_somp_miss_without_a_screen_keeps_somp_support(oracle_calls, monkeypatch):
+    # the scaled problem below: greedy SOMP picks {3, 4} for the planted {1, 3}
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 6))
+    prob = MMVProblem(a, a[:, [1, 3]] @ rng.standard_normal((2, 2)), 2)
+    assert solve_mmv_somp(prob) == frozenset({3, 4})
+    assert ctf._solve(prob, "somp", DEFAULT_TOLERANCES)[0] == frozenset({1, 3})
+    monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 1)
+    support, residual = ctf._solve(prob, "somp", DEFAULT_TOLERANCES)
+    assert support == frozenset({3, 4})
+    assert residual > DEFAULT_TOLERANCES.mmv_residual_rel
+    with pytest.raises(InvalidInputError, match="refused"):
+        ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES)
+    assert len(oracle_calls) == 1
+
+
+@pytest.mark.parametrize("seed, trials, truth", [
+    (29000438, 1, (17, 18, 19, 20)),
+    (57000183, 2, (2, 3, 4, 5)),
+])
+def test_multiband_somp_misses_become_exact(seed, trials, truth):
+    # SOMP alone returned a wrong support on the last trial of each run
+    cfg = experiments.ExperimentConfig(mode="multiband", m=32, k=4, p=16, N=2048,
+                                       n_bands=2, solver="somp", seed=seed,
+                                       trials=trials)
+    record = experiments.run_trials(cfg)[-1]
+    assert record.support_true == truth
+    assert record.support_found == truth
+    assert record.exact
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
