@@ -28,7 +28,6 @@ from .si_core import (
     cross_spectrum_matrix,
     filterbank_sample,
     reconstruct_subspace,
-    riesz_check,
 )
 from .sparse_model import SparseSISignal, SparsityProfile, signal_spectrum, synthesize
 from .sampling_design import (
@@ -96,7 +95,6 @@ __all__ = [
     "recover",
     "recover_coefficients",
     "recover_support",
-    "riesz_check",
     "signal_spectrum",
     "solve_mmv_exhaustive",
     "solve_mmv_somp",

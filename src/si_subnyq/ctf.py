@@ -218,11 +218,13 @@ def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
     first fitting r-subset in lexicographic order, which is the first
     fitting r-subset of M: the scan below tests those with the oracle's own
     ``_support_residual`` call, so every fit decision is bit-identical. It
-    returns None for every case it cannot settle: the C(m, k_max) guard,
-    V = 0 or ||V||_F not finite, r = 0 or r > k_max, and no fitting r-subset
-    of M. ``_solve`` then calls the oracle, so the guard error, the empty
-    support of V = 0 and the ``InfeasibleError`` with its ``best_residual``
-    and ``best_support`` are the oracle's by construction.
+    returns None for every case it cannot settle: V = 0 or ||V||_F not
+    finite, r = 0 or r > k_max, more than ``EXHAUSTIVE_GUARD`` r-subsets of M
+    to test, and no fitting r-subset of M. ``_solve`` then calls the oracle,
+    so the oracle's C(m, k_max) guard error, the empty support of V = 0 and
+    the ``InfeasibleError`` with its ``best_residual`` and ``best_support``
+    are the oracle's by construction. The argument above uses neither guard:
+    the screen's own, on C(|M|, r), only bounds the work of its scan.
 
     Rounding. The computed relative residual of an A_S with condition
     number kappa is off by about eps kappa (backward stability of the SVD
@@ -235,10 +237,9 @@ def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
     two on the bound absorbs.
     """
     A, v = prob.A, prob.V
-    m = A.shape[1]
     scale = _pow2_scale(v)
     norm_v = _norm(v, scale) / scale
-    if math.comb(m, prob.k_max) <= EXHAUSTIVE_GUARD and 0.0 < norm_v < math.inf:
+    if 0.0 < norm_v < math.inf:
         t = tol.mmv_residual_rel
         delta = (t + max(t, 2.0 ** 20 * np.finfo(np.float64).eps)) * norm_v
         u, sv, _ = np.linalg.svd(v, full_matrices=False)
@@ -252,6 +253,8 @@ def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
             dist = np.linalg.norm(cols - basis @ (basis.conj().T @ cols), axis=0)
             bound = 6.0 * delta / (sv[r - 1] - delta) * np.linalg.norm(cols, axis=0)
             near = np.flatnonzero(dist <= bound).tolist()
+            if math.comb(len(near), r) > EXHAUSTIVE_GUARD:
+                return None
             for combo in itertools.combinations(near, r):
                 if _support_residual(A, v, combo) <= t:
                     return frozenset(combo)

@@ -295,15 +295,15 @@ def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float,
                 yield from _grow((child,), q + 1, target, m, gdiag, clear, top)
 
 
-def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Largest q such that every set of q columns of A is linearly independent.
 
     Exhaustive over column subsets, bottom-up in q, returning at the first
     block of a level that holds a failing subset; a subset counts as full
-    rank when its smallest singular value exceeds rel_tol times its largest
-    (the SVD test). Refuses matrices wider than 24 columns (combinatorial
-    guard) and A with a NaN or infinite entry.
+    rank when its smallest singular value exceeds rel_tol =
+    ``tol.rank_rel_tol`` times its largest (the SVD test). Refuses matrices
+    wider than 24 columns (combinatorial guard) and A with a NaN or infinite
+    entry.
 
     Screen. Each q-subset S is first screened on the Gram matrix G = A^H A.
     Let H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1.
@@ -361,8 +361,7 @@ def kruskal_rank(A: np.ndarray, rel_tol: float | None = None,
       not close that margin, so every cleared subset passes it and sigma is
       what the SVD scan gives.
     """
-    if rel_tol is None:
-        rel_tol = tol.rank_rel_tol
+    rel_tol = tol.rank_rel_tol
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionError(f"A must be 2-D, got shape {A.shape}")

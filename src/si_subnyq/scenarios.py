@@ -103,21 +103,15 @@ def shifted_box_generators(m: int, base_period: float,
     return GeneratorSet(grid, period, alias_support, spectra)
 
 
-def box_prefilter_generator(base_period: float, grid: FrequencyGrid) -> GeneratorSet:
-    """The normalized box q(t) = box(t)/T' as a single generator at period T'
-    (lattice-equivalent spectrum: 1 on [0, 2*pi/T'))."""
-    spectra = np.ones((1, grid.n, 1), dtype=np.complex128)
-    return GeneratorSet(grid, base_period, (0,), spectra)
-
-
 def _base_rate_box_pair(m: int, base_period: float,
                         n_blocks: int) -> tuple[GeneratorSet, GeneratorSet]:
-    """The normalized box prefilter and the box generator, both at period T'
-    on the base-rate grid of m * n_blocks points."""
+    """The normalized box prefilter q(t) = box(t)/T' and the box generator,
+    both at period T' on the base-rate grid of m * n_blocks points
+    (lattice-equivalent spectra: 1 and T' on [0, 2*pi/T'))."""
     base_grid = FrequencyGrid(m * n_blocks)
-    a_base = GeneratorSet(base_grid, base_period, (0,),
-                          base_period * np.ones((1, base_grid.n, 1)))
-    return box_prefilter_generator(base_period, base_grid), a_base
+    ones = np.ones((1, base_grid.n, 1), dtype=np.complex128)
+    return (GeneratorSet(base_grid, base_period, (0,), ones),
+            GeneratorSet(base_grid, base_period, (0,), base_period * ones))
 
 
 @dataclass(frozen=True)
@@ -249,8 +243,6 @@ class MultibandScenario:
             raise InvalidInputError(f"cosets {cosets} must lie in 0..m={self.m}")
         if len(set(c % self.m for c in cosets)) != len(cosets):
             raise InvalidInputError(f"cosets {cosets} must be distinct mod m")
-        if len(cosets) > self.m:
-            raise InvalidInputError("more cosets than slices")
         if self.n_samples < 1:
             raise InvalidInputError("n_samples must be >= 1")
         object.__setattr__(self, "cosets", cosets)

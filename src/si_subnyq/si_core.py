@@ -13,7 +13,6 @@ forward DFT ``X(w_q) = sum_n x[n] exp(-1j*w_q*n)`` (``numpy.fft.fft``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +39,6 @@ class FrequencyGrid:
     @property
     def points(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def _as_complex_readonly(a: np.ndarray) -> np.ndarray:
@@ -330,12 +326,6 @@ class CoefficientBank:
         return self.sequences.shape[1]
 
 
-class RieszReport(NamedTuple):
-    ok: bool
-    min_eigenvalue: float
-    max_eigenvalue: float
-
-
 def _check_compatible(s: GeneratorSet, a: GeneratorSet) -> None:
     if s.grid.n != a.grid.n:
         raise DimensionError(f"grid mismatch: {s.grid.n} vs {a.grid.n}")
@@ -363,30 +353,6 @@ def cross_spectrum_matrix(s: GeneratorSet, a: GeneratorSet) -> PeriodicMatrixFun
     _check_compatible(s, a)
     values = np.einsum("iqj,lqj->qil", np.conj(s.spectra), a.spectra) / s.period
     return PeriodicMatrixFunction(s.grid, values)
-
-
-def riesz_check(m_aa: PeriodicMatrixFunction, alpha: float, beta: float,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> RieszReport:
-    """Check the frame-bound condition alpha*I <= M_AA(w_q) <= beta*I on the grid.
-
-    The matrix function must be Hermitian at every grid point up to
-    ``tol.hermitian_tol``; it is symmetrized before the eigensolve.
-    """
-    if m_aa.rows != m_aa.cols:
-        raise DimensionError("riesz_check requires a square matrix function")
-    if alpha <= 0 or beta <= 0:
-        raise InvalidInputError("frame bounds must be positive")
-    values = m_aa.values
-    herm = np.conj(np.swapaxes(values, 1, 2))
-    dev = np.max(np.abs(values - herm)) if values.size else 0.0
-    if dev > tol.hermitian_tol:
-        raise InvalidInputError(
-            f"matrix function is non-Hermitian: max deviation {dev:.3e} "
-            f"exceeds {tol.hermitian_tol:.3e}")
-    eigs = np.linalg.eigvalsh((values + herm) / 2.0)
-    min_eig = float(np.min(eigs))
-    max_eig = float(np.max(eigs))
-    return RieszReport(alpha <= min_eig and max_eig <= beta, min_eig, max_eig)
 
 
 def filterbank_sample(d: CoefficientBank, m_sa: PeriodicMatrixFunction) -> np.ndarray:

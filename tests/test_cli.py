@@ -283,6 +283,17 @@ def test_cli_run(tmp_path, capsys):
     assert "success_rate=1.0000" in capsys.readouterr().out
 
 
+def test_cli_run_exhaustive_multiband_beyond_the_oracle_guard(tmp_path):
+    # C(64, 6) exceeds the oracle's guard; the screen scans only the subsets
+    # near span(V), so every trial is settled without the oracle
+    config = write_config(tmp_path / "cfg.json", mode="multiband", m=64, k=6, p=24,
+                          N=256, n_bands=3, solver="exhaustive", trials=5, seed=3)
+    assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "trials.csv").read_text().strip().splitlines()
+    column = lines[0].split(",").index("exact")
+    assert [line.split(",")[column] for line in lines[1:]] == ["true"] * 5
+
+
 def test_cli_run_seed_override(tmp_path):
     config = write_config(tmp_path / "cfg.json", mode="generic", m=6, k=2, p=4,
                           N=8, seed=3, trials=3)

@@ -14,7 +14,7 @@ from si_subnyq.ctf import (
     solve_mmv_exhaustive,
     solve_mmv_somp,
 )
-from si_subnyq.errors import InfeasibleError, InvalidInputError
+from si_subnyq.errors import DimensionError, InfeasibleError, InvalidInputError
 from si_subnyq.sampling_design import (
     MeasurementBank,
     compressive_sample,
@@ -152,6 +152,15 @@ def test_frame_of_low_rank_psd_matches_eigensolve_oracle():
 def test_frame_rejects_indefinite_matrix():
     with pytest.raises(InvalidInputError):
         frame_from_q(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("q, error, match", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), InvalidInputError, "not Hermitian"),
+    (np.ones((2, 3)), DimensionError, "must be square"),
+])
+def test_frame_rejects_non_hermitian_or_non_square_matrix(q, error, match):
+    with pytest.raises(error, match=match):
+        frame_from_q(q)
 
 
 # ---------------------------------------------------------------------------

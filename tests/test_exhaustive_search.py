@@ -4,6 +4,7 @@ equivalence, which path runs, the fallback cases and problems scaled to the
 edges of the double range. Also the check of SOMP's answer, which sends a
 miss to the same screen and never to the oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -157,17 +158,60 @@ def test_unsettled_cases_fall_back_to_the_oracle(oracle_calls):
 
 
 def test_guard_error_reaches_recover_with_the_oracle_message(oracle_calls):
+    # 24 equal columns and a rank-2 V: no 2-subset fits, so the screen cannot
+    # settle and the oracle, with C(24, 12) above its guard, refuses
     grid = FrequencyGrid(4)
     design = make_design(np.ones((2, 24)), grid)
-    y = compressive_sample(synthesize(SparsityProfile(24, 1, frozenset({0})), 4,
-                                      np.random.default_rng(0)), design)
+    rng = np.random.default_rng(0)
+    y = MeasurementBank(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
     with pytest.raises(InvalidInputError) as direct:
-        solve_mmv_exhaustive(MMVProblem(design.A, np.ones((2, 1)), 12))
+        solve_mmv_exhaustive(MMVProblem(design.A, np.eye(2), 12))
     with pytest.raises(InvalidInputError) as via_recover:
         recover(y, design, 12)
     assert str(via_recover.value) == str(direct.value)
     assert "exceeds" in str(direct.value)
     assert len(oracle_calls) == 1
+
+
+def test_screen_guard_bounds_only_the_subsets_it_scans(oracle_calls, monkeypatch):
+    # with the guard lowered to 20, C(m, k_max) exceeds it on most problems,
+    # where the oracle refuses; the screen scans C(|M|, r) subsets and must
+    # still return the unguarded oracle's answer wherever it settles
+    rng = np.random.default_rng(4242)
+    cases = []
+    for index in range(600):
+        prob, _ = _random_problem(rng, index)
+        tol = TOLS[index % len(TOLS)]
+        cases.append((prob, tol, _outcome(solve_mmv_exhaustive, prob, tol)))
+    monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 20)
+    seen = {"settled_past_oracle_guard": 0, "fallback": 0, "refused": 0}
+    for index, (prob, tol, expected) in enumerate(cases):
+        oracle_calls.clear()
+        try:
+            found = _outcome(_screened, prob, tol)
+        except InvalidInputError as exc:
+            assert "refused" in str(exc), index
+            assert math.comb(prob.A.shape[1], prob.k_max) > 20, index
+            seen["refused"] += 1
+            continue
+        assert found == expected, index
+        if oracle_calls:
+            seen["fallback"] += 1
+        elif math.comb(prob.A.shape[1], prob.k_max) > 20:
+            seen["settled_past_oracle_guard"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_screen_guard_counts_the_r_subsets_of_m(monkeypatch):
+    # p = 2: every column lies in span(V), so M holds all 24 columns and the
+    # screen has C(24, 2) = 276 subsets to scan; {0, 1} is the first that fits
+    rng = np.random.default_rng(1)
+    a = make_cs_matrix("gaussian", 2, 24, rng)
+    prob = MMVProblem(a, a[:, [0, 1]] @ rng.standard_normal((2, 2)), 12)
+    monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 276)
+    assert ctf._screen(prob, DEFAULT_TOLERANCES) == frozenset({0, 1})
+    monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 275)
+    assert ctf._screen(prob, DEFAULT_TOLERANCES) is None
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e155])
@@ -216,17 +260,19 @@ def test_somp_answer_that_fits_is_kept_and_a_miss_takes_the_screen(oracle_calls)
     assert min(seen.values()) >= 20, seen
 
 
-def test_somp_miss_without_a_screen_keeps_somp_support(oracle_calls, monkeypatch):
-    # the scaled problem below: greedy SOMP picks {3, 4} for the planted {1, 3}
+def test_somp_miss_without_a_screen_keeps_somp_support(oracle_calls):
+    # 24 equal columns and a rank-2 V: any SOMP support misses, and the
+    # screen finds no fitting 2-subset; the oracle would refuse C(24, 12)
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 6))
-    prob = MMVProblem(a, a[:, [1, 3]] @ rng.standard_normal((2, 2)), 2)
-    assert solve_mmv_somp(prob) == frozenset({3, 4})
-    assert ctf._solve(prob, "somp", DEFAULT_TOLERANCES)[0] == frozenset({1, 3})
-    monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 1)
+    v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    prob = MMVProblem(np.ones((2, 24)), v, 12)
+    somp = solve_mmv_somp(prob)
+    assert 0 in somp
+    assert ctf._screen(prob, DEFAULT_TOLERANCES) is None
     support, residual = ctf._solve(prob, "somp", DEFAULT_TOLERANCES)
-    assert support == frozenset({3, 4})
+    assert support == somp
     assert residual > DEFAULT_TOLERANCES.mmv_residual_rel
+    assert oracle_calls == []
     with pytest.raises(InvalidInputError, match="refused"):
         ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES)
     assert len(oracle_calls) == 1

@@ -20,6 +20,7 @@ from si_subnyq.sampling_design import (
     make_design,
 )
 from si_subnyq.si_core import FrequencyGrid
+from si_subnyq.tolerances import DEFAULT_TOLERANCES
 
 REL_TOLS = (0.0, 1e-10, 1e-3, 0.5, 1.0)
 _ORACLE_CHUNK = 20000
@@ -47,6 +48,11 @@ def svd_scan_kruskal_rank(A, rel_tol=1e-10):
             break
         sigma = q
     return sigma
+
+
+def _rank_tol(rel_tol):
+    """Tolerances whose ``rank_rel_tol`` is ``rel_tol``."""
+    return DEFAULT_TOLERANCES.with_overrides(rank_rel_tol=rel_tol)
 
 
 def _random_case(rng, index):
@@ -77,7 +83,7 @@ def test_screen_matches_svd_scan_on_seeded_matrices():
         a = _random_case(rng, index)
         rel_tol = REL_TOLS[index % len(REL_TOLS)]
         expected = svd_scan_kruskal_rank(a, rel_tol)
-        assert kruskal_rank(a, rel_tol) == expected, (index, a.shape, rel_tol)
+        assert kruskal_rank(a, _rank_tol(rel_tol)) == expected, (index, a.shape, rel_tol)
         seen_sigma.add(expected)
     assert seen_sigma >= set(range(0, 11))
 
@@ -123,7 +129,8 @@ def test_screen_matches_svd_scan_on_planted_cases(rel_tol):
     dup = a.real.copy()
     dup[:, 4] = 3.0 * dup[:, 1]
     for case in (a, exact, near, zero, a.real, 1e-160 * a, 1e150 * a, 1e-158 * dup):
-        assert kruskal_rank(case, rel_tol) == svd_scan_kruskal_rank(case, rel_tol)
+        assert (kruskal_rank(case, _rank_tol(rel_tol))
+                == svd_scan_kruskal_rank(case, rel_tol))
 
 
 def test_blocked_levels_match_svd_scan(monkeypatch):
@@ -135,7 +142,8 @@ def test_blocked_levels_match_svd_scan(monkeypatch):
     for index in range(120):
         a = _random_case(rng, index)
         rel_tol = REL_TOLS[index % len(REL_TOLS)]
-        assert kruskal_rank(a, rel_tol) == svd_scan_kruskal_rank(a, rel_tol), index
+        assert (kruskal_rank(a, _rank_tol(rel_tol))
+                == svd_scan_kruskal_rank(a, rel_tol)), index
 
 
 @pytest.mark.parametrize("m", [5, 7, 11, 13])

@@ -13,7 +13,6 @@ from si_subnyq.si_core import (
     filterbank_sample,
     random_generator_set,
     reconstruct_subspace,
-    riesz_check,
 )
 from si_subnyq.sparse_model import SparsityProfile, synthesize
 
@@ -134,49 +133,6 @@ def test_matrix_matches_entrywise_oracle():
         for ell in range(2):
             expected = alias_sum_oracle(gens, gens, i, ell)
             assert np.max(np.abs(gram.values[:, i, ell] - expected)) <= 1e-14
-
-
-# ---------------------------------------------------------------------------
-# riesz_check
-# ---------------------------------------------------------------------------
-
-def test_riesz_identity():
-    report = riesz_check(PeriodicMatrixFunction.identity(FrequencyGrid(8), 3), 0.5, 2.0)
-    assert report.ok
-    assert report.min_eigenvalue == pytest.approx(1.0)
-    assert report.max_eigenvalue == pytest.approx(1.0)
-
-
-def test_riesz_fails_on_degenerate_point():
-    grid = FrequencyGrid(8)
-    values = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
-    values[3] = 0.0
-    report = riesz_check(PeriodicMatrixFunction(grid, values), 0.5, 2.0)
-    assert not report.ok
-    assert report.min_eigenvalue == pytest.approx(0.0)
-
-
-def test_riesz_extremes_match_per_point_eigensolve():
-    rng = np.random.default_rng(7)
-    raw = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
-    values = raw + np.conj(np.swapaxes(raw, 1, 2))
-    func = PeriodicMatrixFunction(FrequencyGrid(8), values)
-    report = riesz_check(func, 1e-6, 1e6)
-    # independent per-point eigensolve
-    los, his = [], []
-    for q in range(8):
-        eigs = np.linalg.eigvalsh(values[q])
-        los.append(eigs[0])
-        his.append(eigs[-1])
-    assert report.min_eigenvalue == pytest.approx(min(los), abs=1e-12)
-    assert report.max_eigenvalue == pytest.approx(max(his), abs=1e-12)
-
-
-def test_riesz_rejects_non_hermitian():
-    values = np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (4, 2, 2))
-    func = PeriodicMatrixFunction(FrequencyGrid(4), values)
-    with pytest.raises(InvalidInputError):
-        riesz_check(func, 0.1, 10.0)
 
 
 # ---------------------------------------------------------------------------
