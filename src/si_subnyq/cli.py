@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, SiSubnyqError
-from .experiments import load_config, run_experiment, run_sweep
+from .experiments import SWEEP_VARS, load_config, run_experiment, run_sweep
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one variable over a list of values")
     sweep_p.add_argument("--config", required=True, help="path to the JSON config")
-    sweep_p.add_argument("--var", required=True, choices=("p", "k", "N"),
+    sweep_p.add_argument("--var", required=True, choices=SWEEP_VARS,
                          help="variable to sweep")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated list of integer values")

@@ -98,12 +98,12 @@ def frame_from_q(q: np.ndarray,
     column per retained eigenvalue (possibly zero columns for Q = 0).
     """
     q = np.asarray(q, dtype=np.complex128)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise DimensionError(f"Q must be square, got shape {q.shape}")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise DimensionError(f"Q must be square and non-empty, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise InvalidInputError("Q has a NaN or infinite entry")
-    herm_dev = float(np.max(np.abs(q - q.conj().T))) if q.size else 0.0
-    scale = max(float(np.max(np.abs(q))), 1.0) if q.size else 1.0
+    herm_dev = float(np.max(np.abs(q - q.conj().T)))
+    scale = max(float(np.max(np.abs(q))), 1.0)
     if herm_dev > 1e-10 * scale:
         raise InvalidInputError(f"Q is not Hermitian (deviation {herm_dev:.3e})")
     eigvals, eigvecs = np.linalg.eigh((q + q.conj().T) / 2.0)
@@ -114,7 +114,7 @@ def frame_from_q(q: np.ndarray,
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
+    lam_max = float(eigvals[0])
     keep = (eigvals > tol.rank_rel_tol * lam_max if lam_max > 0
             else np.zeros_like(eigvals, dtype=bool))
     v = eigvecs[:, keep] * np.sqrt(eigvals[keep])

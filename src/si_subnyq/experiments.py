@@ -25,6 +25,7 @@ import numpy as np
 from . import ctf, scenarios
 from .errors import ConfigError, InvalidInputError
 from .sampling_design import (
+    KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
     compressive_sample,
     kruskal_rank,
@@ -84,6 +85,8 @@ class ExperimentConfig:
                 f"matrix_kind must be one of {MATRIX_KINDS}, got {self.matrix_kind!r}")
         if self.solver not in ctf.SOLVERS:
             raise ConfigError(f"solver must be one of {ctf.SOLVERS}, got {self.solver!r}")
+        if self.compute_sigma and self.m > KRUSKAL_MAX_COLUMNS:
+            raise ConfigError(f"compute_sigma needs m <= {KRUSKAL_MAX_COLUMNS}, got m={self.m}")
         if self.s_pattern is not None:
             pattern = tuple(sorted(int(i) for i in self.s_pattern))
             if len(pattern) != self.k:
@@ -109,6 +112,13 @@ _CONFIG_FIELDS = {
     "compute_sigma": bool, "base_period": float, "s_pattern": list,
     "n_bands": int, "band_width": float, "T": float, "cosets": list,
     "tolerances": dict,
+}
+
+# The modes that read a mode-specific field; any other mode refuses it.
+_FIELD_MODES = {
+    "s_pattern": ("periodic_sparsity",), "base_period": ("periodic_sparsity",),
+    "n_bands": ("multiband",), "band_width": ("multiband",), "T": ("multiband",),
+    "cosets": ("multiband",), "matrix_kind": ("generic", "periodic_sparsity", "verify"),
 }
 
 
@@ -159,6 +169,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = float(value) if expected is float else value
+    mode = kwargs.get("mode", ExperimentConfig.mode)
+    for key in kwargs:
+        if mode in MODES and mode not in _FIELD_MODES.get(key, MODES):
+            raise ConfigError(f"field {key!r} is not read in mode {mode!r}")
     return ExperimentConfig(**kwargs)
 
 
@@ -210,21 +224,22 @@ def _sigma(cfg: ExperimentConfig, a_matrix: np.ndarray) -> int | None:
     return kruskal_rank(a_matrix, tol=cfg.tolerances) if compute else None
 
 
-def _draw_a(cfg: ExperimentConfig, rng_for) -> tuple[np.ndarray, int | None, int]:
+def _draw_a(cfg: ExperimentConfig, rng_for) -> tuple[np.ndarray, int | None, np.random.Generator]:
     """Draw A until its Kruskal rank reaches min(2k, p, m); attempt i draws
     from ``rng_for(i)``.
 
-    Returns (A, sigma, accepted attempt). When sigma is not computed the first
-    draw is taken; when all _MAX_DRAWS draws fall short the last one is kept
-    and its sigma reported, so the trial still runs.
+    Returns (A, sigma, the generator that drew A). When sigma is not computed
+    the first draw is taken; when all _MAX_DRAWS draws fall short the last one
+    is kept and its sigma reported, so the trial still runs.
     """
     target = min(2 * cfg.k, cfg.p, cfg.m)
     for attempt in range(_MAX_DRAWS):
-        a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng_for(attempt))
+        rng = rng_for(attempt)
+        a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
         sigma = _sigma(cfg, a_matrix)
         if sigma is None or sigma >= target:
             break
-    return a_matrix, sigma, attempt
+    return a_matrix, sigma, rng
 
 
 def _choose(rng: np.random.Generator, n: int, size: int) -> tuple[int, ...]:
@@ -250,23 +265,25 @@ def _scenario(cfg: ExperimentConfig, rng: np.random.Generator, seed: int):
 
 # One instance per mode: (design, planted coefficient bank, k_max, sigma).
 
-def _generic_instance(cfg: ExperimentConfig, seed: int):
-    rng = np.random.default_rng(seed)
-    a_matrix, sigma, _ = _draw_a(cfg, lambda attempt: rng)
+def _sparse_instance(cfg: ExperimentConfig, seed: int):
+    """A generic or periodic_sparsity instance: A kept once sigma(A) reaches
+    min(2k, p, m), W = I, and k planted channels. A generic trial draws the
+    attempts, then the support, from one generator. A periodic trial draws
+    attempt i from ``trial_seed(seed, i)``, and its pattern, unless
+    ``s_pattern`` fixes it, from ``default_rng(seed)``. The generator that drew
+    the kept A draws the coefficients."""
+    if cfg.mode == "periodic_sparsity":
+        a_matrix, sigma, rng = _draw_a(
+            cfg, lambda attempt: np.random.default_rng(trial_seed(seed, attempt)))
+        support = (cfg.s_pattern if cfg.s_pattern is not None
+                   else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
+    else:
+        shared = np.random.default_rng(seed)
+        a_matrix, sigma, rng = _draw_a(cfg, lambda attempt: shared)
+        support = _choose(rng, cfg.m, cfg.k)
     design = make_design(a_matrix, FrequencyGrid(cfg.N), tol=cfg.tolerances)
-    profile = SparsityProfile(cfg.m, cfg.k, frozenset(_choose(rng, cfg.m, cfg.k)))
+    profile = SparsityProfile(cfg.m, cfg.k, frozenset(support))
     return design, synthesize(profile, cfg.N, rng), cfg.k, sigma
-
-
-def _periodic_instance(cfg: ExperimentConfig, seed: int):
-    # Attempt i draws A as the scenario with seed trial_seed(seed, i) would
-    # (build_periodic_sparsity draws A first from default_rng(sc.seed)), so
-    # only A is redrawn and the scenario is built once, for the accepted seed.
-    _, sigma, attempt = _draw_a(
-        cfg, lambda attempt: np.random.default_rng(trial_seed(seed, attempt)))
-    sc = _scenario(cfg, np.random.default_rng(seed), trial_seed(seed, attempt))
-    build = scenarios.build_periodic_sparsity(sc, cfg.tolerances)
-    return build.design, build.coefficients, cfg.k, sigma
 
 
 def _multiband_instance(cfg: ExperimentConfig, seed: int):
@@ -277,8 +294,8 @@ def _multiband_instance(cfg: ExperimentConfig, seed: int):
 
 
 _INSTANCES = {
-    "generic": _generic_instance,
-    "periodic_sparsity": _periodic_instance,
+    "generic": _sparse_instance,
+    "periodic_sparsity": _sparse_instance,
     "multiband": _multiband_instance,
 }
 

@@ -48,8 +48,8 @@ class MeasurementDesign:
 
     def __post_init__(self):
         a = np.array(self.A, dtype=np.complex128)
-        if a.ndim != 2:
-            raise DimensionError(f"A must be 2-D, got shape {a.shape}")
+        if a.ndim != 2 or 0 in a.shape:
+            raise DimensionError(f"A must be 2-D with a row and a column, got shape {a.shape}")
         p, m = a.shape
         if p > m:
             raise InvalidInputError(f"A must have p <= m rows, got {p} x {m}")

@@ -133,11 +133,6 @@ def build_periodic_sparsity(sc: PeriodicSparsityScenario,
     The box generators and their biorthogonal set do not enter the design, so
     the build makes neither; the ``scenarios.periodic_identities`` check of
     ``verify`` builds them and checks the two construction identities.
-
-    The build's first use of ``default_rng(sc.seed)`` is the draw of A, by
-    ``make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)``; the coefficients are
-    drawn after it. A caller can therefore redraw only A to find an acceptable
-    seed, then build the scenario once with that seed and get the same A.
     """
     grid = FrequencyGrid(sc.n_blocks)
     rng = np.random.default_rng(sc.seed)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ctf, sampling_design, scenarios, si_core, sparse_model
+from . import ctf, experiments, sampling_design, scenarios, si_core, sparse_model
 from .errors import SiSubnyqError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -297,19 +297,12 @@ def check_serialization(tol: Tolerances) -> CheckResult:
 # ctf
 # ---------------------------------------------------------------------------
 
-def _planted_instance(seed: int, m: int = 6, p: int = 4, k: int = 2, n: int = 16,
-                      require_sigma: int | None = None):
-    rng = np.random.default_rng(seed)
-    grid = si_core.FrequencyGrid(n)
-    while True:
-        a_matrix = sampling_design.make_cs_matrix("gaussian", p, m, rng)
-        if require_sigma is None or sampling_design.kruskal_rank(a_matrix) >= require_sigma:
-            break
-    design = sampling_design.make_design(a_matrix, grid)
-    support = frozenset(int(i) for i in rng.choice(m, size=k, replace=False))
-    d = sparse_model.synthesize(sparse_model.SparsityProfile(m, k, support), n, rng)
-    y = sampling_design.compressive_sample(d, design)
-    return design, support, d, y
+def _planted_instance(seed: int, filtered: bool = False):
+    """A trial instance of the README example config (m=6 k=2 p=4 N=16,
+    Gaussian A); ``filtered`` keeps A only once sigma(A) = 4."""
+    cfg = experiments.ExperimentConfig(m=6, k=2, p=4, N=16, compute_sigma=filtered)
+    design, d, _, _ = experiments._sparse_instance(cfg, seed)
+    return design, d.support, d, sampling_design.compressive_sample(d, design)
 
 
 def check_rank_bound(tol: Tolerances) -> CheckResult:
@@ -387,7 +380,7 @@ def check_end_to_end_exact(tol: Tolerances) -> CheckResult:
     worst = 0.0
     exact = True
     for seed in (312, 313, 314, 315):
-        design, support, d, y = _planted_instance(seed, require_sigma=4)
+        design, support, d, y = _planted_instance(seed, filtered=True)
         result = ctf.recover(y, design, k_max=len(support))
         exact = exact and result.support == support
         err = float(np.linalg.norm(result.coefficients.sequences - d.sequences) ** 2
@@ -402,7 +395,7 @@ def check_uniqueness_brute_force(tol: Tolerances) -> CheckResult:
     import itertools as it
     ok = True
     for seed in range(316, 336):
-        design, support, _, y = _planted_instance(seed, require_sigma=4)
+        design, support, _, y = _planted_instance(seed, filtered=True)
         y_tilde = ctf.demodulate(y, design)
         v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde))
         k = len(support)

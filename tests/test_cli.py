@@ -341,6 +341,51 @@ def test_cli_bad_scenario_fields_exit_2(tmp_path, capsys, fields):
     assert field in err
 
 
+@pytest.mark.parametrize("mode, field, value", [
+    ("generic", "s_pattern", [1, 4]),
+    ("generic", "base_period", 1.0),
+    ("multiband", "s_pattern", [1, 4]),
+    ("verify", "base_period", 2.0),
+    ("generic", "n_bands", 1),
+    ("generic", "cosets", None),
+    ("periodic_sparsity", "band_width", 0.5),
+    ("periodic_sparsity", "T", 1.0),
+    ("verify", "cosets", [0, 2, 3, 5]),
+    ("multiband", "matrix_kind", "bernoulli"),
+])
+def test_cli_field_the_mode_never_reads_exits_2(tmp_path, capsys, mode, field, value):
+    config = write_config(tmp_path / "cfg.json", mode=mode, m=7, k=2, p=4, N=8, seed=1,
+                          trials=1, **{field: value})
+    assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}' is not read in mode '{mode}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, fields", [
+    ("generic", dict(matrix_kind="bernoulli")),
+    ("periodic_sparsity", dict(matrix_kind="bernoulli", s_pattern=[1, 4], base_period=2.0)),
+    ("multiband", dict(n_bands=1, band_width=0.5, T=1.0, cosets=[0, 2, 3, 5])),
+])
+def test_config_accepts_the_fields_its_mode_reads(mode, fields):
+    cfg = config_from_json(dict(mode=mode, m=7, k=2, p=4, **fields))
+    for key, value in fields.items():
+        assert getattr(cfg, key) == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_cli_compute_sigma_past_the_kruskal_limit_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", mode="generic", m=26, p=6,
+                          compute_sigma=True)
+    assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: compute_sigma" in err and "m=26" in err
+    assert not (tmp_path / "out").exists()
+    # the limit itself, and sigma left off or automatic past it, are accepted
+    assert config_from_json({"m": 24, "compute_sigma": True}).m == 24
+    for compute in (False, None):
+        assert config_from_json({"m": 26, "compute_sigma": compute}).m == 26
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("mode, field", [("multiband", "T"), ("multiband", "band_width"),
                                          ("periodic_sparsity", "base_period")])

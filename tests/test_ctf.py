@@ -157,6 +157,7 @@ def test_frame_rejects_indefinite_matrix():
 @pytest.mark.parametrize("q, error, match", [
     (np.array([[1.0, 0.5], [0.0, 1.0]]), InvalidInputError, "not Hermitian"),
     (np.ones((2, 3)), DimensionError, "must be square"),
+    (np.zeros((0, 0)), DimensionError, "must be square and non-empty"),
 ])
 def test_frame_rejects_non_hermitian_or_non_square_matrix(q, error, match):
     with pytest.raises(error, match=match):

@@ -238,6 +238,12 @@ def test_design_rejects_more_rows_than_columns():
                           grid=grid)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+def test_design_rejects_a_without_rows_or_columns(shape):
+    with pytest.raises(DimensionError, match="A must be 2-D with a row and a column"):
+        make_design(np.zeros(shape), FrequencyGrid(4))
+
+
 def test_validate_design_rejects_singular_w():
     grid = FrequencyGrid(4)
     values = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()

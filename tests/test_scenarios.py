@@ -69,8 +69,8 @@ def test_periodic_builds_of_different_seeds_draw_different_a():
 
 
 def test_periodic_build_draws_a_first_from_the_scenario_seed():
-    # The Monte Carlo runner redraws only A and builds the scenario once with
-    # the accepted seed; that needs A to be the build's first draw.
+    # A periodic trial draws A, then the coefficients, from one generator;
+    # the build at the trial's accepted seed draws them in the same order.
     for kind in ("gaussian", "bernoulli"):
         sc = periodic_scenario(matrix_kind=kind, seed=17)
         expected = make_cs_matrix(kind, sc.p, sc.m, np.random.default_rng(sc.seed))
