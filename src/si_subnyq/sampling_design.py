@@ -222,77 +222,93 @@ class _Block(NamedTuple):
     (a sibling group: the subsets P + {j}, j > max(P), of one parent P).
 
     Subset i is S = P + {j}, j = last[i], whose columns are the set bits of
-    mask[i]. row[c - q, i] = K_P[j, c] for the columns c >= q, where K_P is
-    the Schur complement of G_P in the Gram matrix G;
+    mask[i]. K_P is the Schur complement of G_P in the Gram matrix G;
     piv[i] = K_P[j, j] = det(G_S) / det(G_P); tr[i] = tr(G_S);
     nd[i] = det(G_S) / tr(G_S)^q; ok[i] says the screen cleared S and every
-    prefix of S."""
+    prefix of S.
+
+    Rows. The row of S is K_P[j, c] for c > j, one entry per child S + {c},
+    so a level has C(m, q + 1) row entries. It is formed only when the
+    children of S are grown (``_children``), from ``up``: the rows of level
+    q - 1 back to back, one entry per subset of the block ``_children``
+    made, of which this block may be a cut. With P = P' + {j_P}, subset i
+    owns x[i] = K_P'[j_P, j], the row of P runs on at x[i + 1], x[i + 2],
+    ..., and the row of the sibling P' + {j} of P is
+    up[src[i] + d] = K_P'[j, j + d], d >= 1. Both are contiguous runs, and
+    K_P[j, j + d] = up[src[i] + d] - mult[i] x[i + d] with
+    mult[i] = conj(x[i]) / K_P'[j_P, j_P]. Level 1 reads G itself: up is G
+    flattened, src[i] the place of G[j, j] and mult = x = 0. Cutting a block
+    cuts every field but ``up``."""
 
     last: np.ndarray
     mask: np.ndarray
-    row: np.ndarray
     piv: np.ndarray
     tr: np.ndarray
     nd: np.ndarray
     ok: np.ndarray
+    mult: np.ndarray
+    x: np.ndarray
+    src: np.ndarray
+    up: np.ndarray
 
 
-def _children(b: _Block, q: int, m: int, gdiag: np.ndarray, clear: float,
-              rows: bool) -> _Block:
+def _children(b: _Block, counts: np.ndarray, first: np.ndarray, q: int,
+              gdiag: np.ndarray, clear: float) -> _Block:
     """The (q+1)-subsets S + {j'}, j' > j, of the q-subsets S = P + {j} of b,
-    in lexicographic order. The sibling P + {j'} sits j' - j places after S
-    and holds row j' of K_P, so one elimination step gives row j' of K_S;
-    ``rows`` says whether the next level needs those rows. A zero pivot in b
+    in lexicographic order; subset i of b has counts[i] = m - 1 - j children,
+    the first at first[i]. Forms the rows of b: x[t] = K_P[j, j'] for child
+    t, whose sibling P + {j'} sits j' - j places after S and owns K_P[j', j'],
+    so one elimination step gives the pivot of the child. A zero pivot in b
     divides by zero here, under the caller's errstate."""
-    after = b.last[:, None] + np.arange(1, m - q + 1)  # j' = j + 1, j + 2, ...
-    par, step = np.nonzero(after < m)
-    last = after[par, step]
-    sib = par + step + 1  # P + {j'}
-    x = b.row[last - q, par]  # K_P[j, j']
+    par = np.repeat(np.arange(counts.size), counts)
+    gap = np.arange(1, par.size + 1) - first[par]  # j' - j
+    last = b.last[par] + gap
+    sib = par + gap  # P + {j'}
+    x = b.up[b.src[par] + gap]  # K_P'[j, j']
+    x -= b.mult[par] * b.x[sib]  # K_P[j, j'] = K_P'[j, j'] - mult K_P'[j_P, j']
     mult = x.conj() / b.piv[par]
     piv = b.piv[sib] - (mult * x).real
     trp = b.tr[par]
     tr = trp + gdiag[last]
     nd = b.nd[par] * (trp / tr) ** q * (piv / tr)
     ok = b.ok[par] & (nd > clear / float(q ** q))
-    row = b.row[1:, :0]
-    if rows:  # row j' of K_S at the columns > q
-        row = np.take(b.row[1:], sib, axis=1)
-        row -= mult * np.take(b.row[1:], par, axis=1)
-    return _Block(last, b.mask[par] | (1 << last), row, piv, tr, nd, ok)
+    return _Block(last, b.mask[par] | (1 << last), piv, tr, nd, ok, mult, x,
+                  (first - 1)[sib], x)
 
 
 def _pieces(b: _Block, m: int):
     """b cut between sibling groups into runs of at most _KRUSKAL_BLOCK
-    children each, or of one group where a group alone has more."""
+    children each, or of one group where a group alone has more; each with
+    the children of each of its subsets and the index of the first."""
     counts = m - 1 - b.last
-    if counts.sum() <= _KRUSKAL_BLOCK:
-        yield b
+    ends = np.cumsum(counts)
+    if ends[-1] <= _KRUSKAL_BLOCK:
+        yield b, counts, ends - counts
         return
     parent = b.mask ^ (1 << b.last)
     cuts = np.flatnonzero(np.diff(parent, prepend=-1, append=-1))  # group starts, end
-    before = np.concatenate(([0], np.cumsum(counts)))[cuts]  # children before each cut
+    before = np.concatenate(([0], ends))[cuts]  # children before each cut
     i = 0
     while i < cuts.size - 1:
         k = int(np.searchsorted(before, before[i] + _KRUSKAL_BLOCK, side="right")) - 1
         k = max(k, i + 1)
-        yield _Block(*(field[..., cuts[i]:cuts[k]] for field in b))
+        lo, hi = cuts[i], cuts[k]
+        piece = _Block(*(field[lo:hi] for field in b[:-1]), b.up)
+        yield piece, counts[lo:hi], ends[lo:hi] - counts[lo:hi] - before[i]
         i = k
 
 
-def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float,
-          top: int):
-    """The blocks of level ``target`` that descend from ``blocks`` of level q;
-    no rows are built for level ``top``, the last one scanned."""
+def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float):
+    """The blocks of level ``target`` that descend from ``blocks`` of level q."""
     for b in blocks:
-        for piece in _pieces(b, m):
-            child = _children(piece, q, m, gdiag, clear, q + 1 < top)
+        for piece, counts, first in _pieces(b, m):
+            child = _children(piece, counts, first, q, gdiag, clear)
             if not child.ok.size:
                 continue
             if q + 1 == target:
                 yield child
             else:
-                yield from _grow((child,), q + 1, target, m, gdiag, clear, top)
+                yield from _grow((child,), q + 1, target, m, gdiag, clear)
 
 
 def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -323,8 +339,11 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     ``_children``): a child S + {j'} of S = P + {j} has the pivot
     K_S[j', j'] = K_P[j', j'] - |K_P[j, j']|^2 / K_P[j, j], so
     det(G_child) = det(G_S) * pivot and
-    nd_child = nd_S * (tr_S / tr_child)^q * (pivot / tr_child). A level costs
-    a few numpy operations over C(m, q) * (m - q) numbers and no LAPACK call.
+    nd_child = nd_S * (tr_S / tr_child)^q * (pivot / tr_child). Growing
+    level q + 1 costs a few numpy operations over its C(m, q + 1) subsets,
+    each with one entry of the rows of level q, and no LAPACK call. The rows
+    of a level are formed only when the next level is grown from it, so the
+    level where the scan stops forms none.
     Blocks hold whole sibling groups, so the children of a block are one
     contiguous lexicographic range. A level of at most _KRUSKAL_KEEP subsets
     is kept whole for the next level to grow from; deeper levels are regrown
@@ -333,15 +352,19 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     never cleared, so a zero or negative pivot only ever feeds subsets that
     go to the SVD test.
 
-    Error bound. Each entry of each K_P is computed once, so the computed
-    pivots of S are those of LDL^H without pivoting applied to the computed
-    G_S. By the backward error analysis of a matrix product and of LDL^H /
-    Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., sections 3.5, 3.6 and 10.1) they are the exact pivots of
-    M = A_S^H A_S + E with ||E||_2 <= delta = c (p + q + 4) eps tr(G_S),
-    c = 2, which covers complex arithmetic and, with tr(G_S) at least the
-    smallest normal double, underflow. The bound needs every pivot but the
-    last to be positive, which the prefix rule guarantees. The nd recurrence
+    Error bound. Each entry of each K_P comes from the computed G by one
+    elimination step per column of P, in column order, each step on the
+    entries the step before computed (a regrown level repeats the same
+    operations on the same operands, so it computes the same values). So
+    the computed pivots of S are those of LDL^H without pivoting applied to
+    the computed G_S. By the backward error analysis of a matrix product
+    and of LDL^H / Cholesky (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.5, 3.6 and 10.1) they are the exact
+    pivots of M = A_S^H A_S + E with
+    ||E||_2 <= delta = c (p + q + 4) eps tr(G_S), c = 2, which covers
+    complex arithmetic and, with tr(G_S) at least the smallest normal
+    double, underflow. The bound needs every pivot but the last to be
+    positive, which the prefix rule guarantees. The nd recurrence
     adds a relative error of order q^2 eps. For p + q <= 400, which every
     design (p <= m <= 24) meets, delta / tr <= 1e3 eps, and:
     - A dependent S: M has an eigenvalue in [-delta, delta] and the others
@@ -380,11 +403,13 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     # not clear; those go to the SVD test.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nd = gdiag / gdiag  # b = det(H) = 1 for one column
-        kept = (_Block(cols, 1 << cols, np.ascontiguousarray(gram.T[1:]), gdiag, gdiag, nd,
-                       (nd > clear) & (gdiag >= np.finfo(np.float64).tiny)),)
+        zero = np.zeros(m, gram.dtype)
+        kept = (_Block(cols, 1 << cols, gdiag, gdiag, nd,
+                       (nd > clear) & (gdiag >= np.finfo(np.float64).tiny),
+                       zero, zero, cols * (m + 1), gram.reshape(-1)),)
         kept_q = 1
         for q in range(1, top + 1):
-            level = kept if q == kept_q else _grow(kept, kept_q, q, m, gdiag, clear, top)
+            level = kept if q == kept_q else _grow(kept, kept_q, q, m, gdiag, clear)
             keep = [] if math.comb(m, q) <= _KRUSKAL_KEEP else None
             for b in level:
                 left = b.mask[~b.ok]

@@ -1,9 +1,11 @@
 """kruskal_rank: the determinant screen against the plain SVD scan it replaced,
-on single matrices, across block boundaries and through the periodic trial
-path; the Chebotarev cross-check on prime-order DFT rows, and input
-rejection."""
+on single matrices, across block boundaries, at the widest A and through the
+periodic trial path; the rows the level pass forms against the Schur
+complements they stand for; the Chebotarev cross-check on prime-order DFT
+rows, and input rejection."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +78,17 @@ def _random_case(rng, index):
     return a
 
 
+def _periodic_draw(attempt):
+    """The m = 16 Bernoulli A of the periodic_redraw config at master seed 7."""
+    return make_cs_matrix("bernoulli", 10, 16, np.random.default_rng(trial_seed(7, attempt)))
+
+
+def _columns(masks, size):
+    """The set bits of each mask, ascending: (len(masks), size)."""
+    bits = (masks[:, None] >> np.arange(sampling_design.KRUSKAL_MAX_COLUMNS)) & 1
+    return np.nonzero(bits)[1].reshape(-1, size)
+
+
 def test_screen_matches_svd_scan_on_seeded_matrices():
     rng = np.random.default_rng(2024)
     seen_sigma = set()
@@ -93,7 +106,7 @@ def test_screen_matches_svd_scan_on_periodic_redraw_draws():
     # attempts 153 and 471 are the first with sigma 6 and 7, the deepest levels
     sigmas = []
     for attempt in [*range(48), 153, 471]:
-        a = make_cs_matrix("bernoulli", 10, 16, np.random.default_rng(trial_seed(7, attempt)))
+        a = _periodic_draw(attempt)
         sigma = kruskal_rank(a)
         assert sigma == svd_scan_kruskal_rank(a), attempt
         sigmas.append(sigma)
@@ -135,7 +148,8 @@ def test_screen_matches_svd_scan_on_planted_cases(rel_tol):
 
 def test_blocked_levels_match_svd_scan(monkeypatch):
     # blocks of a few children cut every level past the first between sibling
-    # groups, and levels of more than 20 subsets are regrown from the last kept
+    # groups, and levels of more than 20 subsets are regrown from the last
+    # kept; the two m = 16 periodic draws take the scan to levels 7 and 8
     monkeypatch.setattr(sampling_design, "_KRUSKAL_BLOCK", 7)
     monkeypatch.setattr(sampling_design, "_KRUSKAL_KEEP", 20)
     rng = np.random.default_rng(99)
@@ -144,6 +158,63 @@ def test_blocked_levels_match_svd_scan(monkeypatch):
         rel_tol = REL_TOLS[index % len(REL_TOLS)]
         assert (kruskal_rank(a, _rank_tol(rel_tol))
                 == svd_scan_kruskal_rank(a, rel_tol)), index
+    for attempt, sigma in ((153, 6), (471, 7)):
+        a = _periodic_draw(attempt)
+        assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == sigma, attempt
+
+
+@pytest.mark.parametrize("case", ["complex 5x8", "bernoulli 10x16"])
+def test_level_rows_are_the_schur_complement_entries(monkeypatch, case):
+    # every row entry the level pass forms is K_P[j, c] for its child
+    # P + {j, c}; level q forms C(m, q + 1) of them, and only when level
+    # q + 1 is grown from it, so the level where the scan stops forms none
+    if case == "complex 5x8":
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    else:
+        a = _periodic_draw(471)  # sigma 7: every K_P read has a regular G_P
+    gram = a.conj().T @ a
+    scale = np.abs(gram).max()
+    formed = {}
+    children = sampling_design._children
+
+    def recording(b, counts, first, q, *rest):
+        child = children(b, counts, first, q, *rest)
+        cols = _columns(child.mask, q + 1)
+        p_, j, c = cols[:, :-2], cols[:, -2], cols[:, -1]
+        expected = gram[j, c]
+        if q > 1:
+            g_pp = gram[p_[:, :, None], p_[:, None, :]]
+            g_pc = gram[p_, c[:, None]][..., None]
+            expected = expected - (gram[j[:, None], p_][:, None, :]
+                                   @ np.linalg.solve(g_pp, g_pc))[:, 0, 0]
+        np.testing.assert_allclose(child.x, expected, rtol=1e-10, atol=1e-10 * scale)
+        formed[q] = formed.get(q, 0) + child.x.size
+        return child
+
+    monkeypatch.setattr(sampling_design, "_children", recording)
+    sigma = kruskal_rank(a)
+    m = a.shape[1]
+    assert sigma == (5 if case == "complex 5x8" else 7)
+    last_scanned = min(sigma + 1, min(a.shape))
+    assert formed == {q: math.comb(m, q + 1) for q in range(1, last_scanned)}
+
+
+def test_widest_a_matches_svd_scan():
+    # m = KRUSKAL_MAX_COLUMNS: 3 x 24 DFT rows, where consecutive rows are a
+    # Vandermonde matrix and scan all C(24, 3) subsets, and a duplicated
+    # Bernoulli column stops the scan at level 2
+    m = sampling_design.KRUSKAL_MAX_COLUMNS
+    rng = np.random.default_rng(24)
+    sigmas = []
+    for cosets in ((0, 1, 2), None, None, None):
+        a = make_cs_matrix("fourier_rows", 3, m, rng, cosets=cosets)
+        sigmas.append(kruskal_rank(a))
+        assert sigmas[-1] == svd_scan_kruskal_rank(a), cosets
+    assert sigmas[0] == 3
+    a = make_cs_matrix("bernoulli", 12, m, rng).copy()
+    a[:, 23] = -a[:, 5]
+    assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == 1
 
 
 @pytest.mark.parametrize("m", [5, 7, 11, 13])
