@@ -8,6 +8,10 @@ single finite joint-sparse problem:
     ->  joint-sparse solve of V = A U  ->  support S
     ->  coefficients via the pseudo-inverse of A restricted to S (and Z undone).
 
+``recover`` composes these steps once. Q = 0 gives a frame V with no columns,
+which the solve answers like any V, after the same argument checks: with the
+empty support.
+
 Solvers: exhaustive minimum-support search (exact, combinatorial) and
 simultaneous orthogonal matching pursuit (greedy).
 """
@@ -31,7 +35,8 @@ SOLVERS = ("exhaustive", "somp")
 
 @dataclass(frozen=True)
 class MMVProblem:
-    """Finite joint-sparse system V = A U with a sparsity budget."""
+    """Finite joint-sparse system V = A U with a sparsity budget. V may have
+    no columns (the frame of Q = 0); every solver returns the empty support."""
 
     A: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
@@ -44,8 +49,6 @@ class MMVProblem:
             raise DimensionError("A and V must be 2-D")
         if v.shape[0] != a.shape[0]:
             raise DimensionError(f"V has {v.shape[0]} rows but A has {a.shape[0]}")
-        if v.shape[1] < 1:
-            raise InvalidInputError("V must have at least one column")
         for name, arr in (("A", a), ("V", v)):
             if not np.isfinite(arr).all():
                 raise InvalidInputError(f"{name} has a NaN or infinite entry")
@@ -92,7 +95,8 @@ def compute_q(y: MeasurementBank) -> np.ndarray:
 def frame_from_q(q: np.ndarray,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """Factor Q = V V^H by eigendecomposition, dropping eigenvalues at or
-    below ``tol.rank_rel_tol`` times the largest.
+    below ``tol.rank_rel_tol`` times the largest, and all when that is <= 0.
+    Refuses Q if |Q - Q^H| exceeds ``tol.hermitian_tol`` max(max |Q|, 1).
 
     Returns (V, eigenvalues) with eigenvalues sorted descending; V has one
     column per retained eigenvalue (possibly zero columns for Q = 0).
@@ -104,7 +108,7 @@ def frame_from_q(q: np.ndarray,
         raise InvalidInputError("Q has a NaN or infinite entry")
     herm_dev = float(np.max(np.abs(q - q.conj().T)))
     scale = max(float(np.max(np.abs(q))), 1.0)
-    if herm_dev > 1e-10 * scale:
+    if herm_dev > tol.hermitian_tol * scale:
         raise InvalidInputError(f"Q is not Hermitian (deviation {herm_dev:.3e})")
     eigvals, eigvecs = np.linalg.eigh((q + q.conj().T) / 2.0)
     trace = float(np.sum(eigvals))
@@ -114,9 +118,7 @@ def frame_from_q(q: np.ndarray,
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    lam_max = float(eigvals[0])
-    keep = (eigvals > tol.rank_rel_tol * lam_max if lam_max > 0
-            else np.zeros_like(eigvals, dtype=bool))
+    keep = eigvals > tol.rank_rel_tol * max(float(eigvals[0]), 0.0)
     v = eigvecs[:, keep] * np.sqrt(eigvals[keep])
     return v, eigvals
 
@@ -157,18 +159,19 @@ def solve_mmv_exhaustive(prob: MMVProblem,
 
     Scans supports by increasing size (lexicographic within a size) and
     returns the first one whose projection residual is within
-    ``tol.mmv_residual_rel``. Guarded to C(m, k_max) <= 1e6 subsets per size.
+    ``tol.mmv_residual_rel``. An all-zero V (no columns included) gets the
+    empty support before the guard, which refuses C(m, k_max) > 1e6.
 
     Recovery (``solver="exhaustive"``) runs the rank-aware ``_screen`` first,
     which returns this function's answer, and calls this function for every
     case the screen cannot settle.
     """
+    if not np.any(prob.V):
+        return frozenset()
     m = prob.A.shape[1]
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
         raise InvalidInputError(
             f"exhaustive search refused: C({m}, {prob.k_max}) exceeds {EXHAUSTIVE_GUARD}")
-    if not np.any(prob.V):
-        return frozenset()
     best_res = math.inf
     best_support: frozenset[int] = frozenset()
     for size in range(1, prob.k_max + 1):
@@ -185,9 +188,11 @@ def solve_mmv_exhaustive(prob: MMVProblem,
         best_residual=best_res, best_support=best_support)
 
 
-def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
+def _screen(prob: MMVProblem,
+            tol: Tolerances) -> tuple[frozenset[int], float] | None:
     """Rank-aware minimum-support search: the answer of
-    ``solve_mmv_exhaustive`` when some r-subset fits, else None.
+    ``solve_mmv_exhaustive`` and its ``_support_residual`` when some r-subset
+    fits, else None.
 
     Let t = ``tol.mmv_residual_rel``, tau = t ||V||_F, delta = tau +
     max(t, 2^20 eps) ||V||_F, and sigma_1 >= sigma_2 >= ... the singular
@@ -256,8 +261,9 @@ def _screen(prob: MMVProblem, tol: Tolerances) -> frozenset[int] | None:
             if math.comb(len(near), r) > EXHAUSTIVE_GUARD:
                 return None
             for combo in itertools.combinations(near, r):
-                if _support_residual(A, v, combo) <= t:
-                    return frozenset(combo)
+                residual = _support_residual(A, v, combo)
+                if residual <= t:
+                    return frozenset(combo), residual
     return None
 
 
@@ -303,46 +309,37 @@ def solve_mmv_somp(prob: MMVProblem,
 
 def _solve(prob: MMVProblem, solver: str,
            tol: Tolerances) -> tuple[frozenset[int], float]:
-    """The support ``solver`` finds and its ``_support_residual``.
+    """(support, its ``_support_residual``) for the support ``solver`` finds.
+
+    ``solver`` is checked first, whatever V holds; an empty V gives (empty
+    support, 0.0). A screened support comes with the residual it was accepted on.
 
     A SOMP support whose residual exceeds ``tol.mmv_residual_rel`` is a miss;
     it gives way to the screen's fitting support when the screen settles, and
     stays otherwise. A miss never reaches the oracle, which could refuse or
     raise, so it costs a trial its exactness and not the run.
     """
-    if solver == "exhaustive":
-        support = _screen(prob, tol) or solve_mmv_exhaustive(prob, tol)
-        return support, _support_residual(prob.A, prob.V, support)
-    if solver != "somp":
+    if solver not in SOLVERS:
         raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    support = solve_mmv_somp(prob, tol)
-    residual = _support_residual(prob.A, prob.V, support)
-    if residual > tol.mmv_residual_rel:
-        screened = _screen(prob, tol)
-        if screened is not None:
-            return screened, _support_residual(prob.A, prob.V, screened)
-    return support, residual
-
-
-def _identify(y: MeasurementBank, design: MeasurementDesign, k_max: int,
-              solver: str, tol: Tolerances):
-    """Demodulate, accumulate Q, factor the frame V and solve for the support.
-
-    Returns (y_tilde, V, eigenvalues of Q, support, its residual)."""
-    y_tilde = demodulate(y, design, tol)
-    v, eigvals = frame_from_q(compute_q(y_tilde), tol=tol)
-    if v.shape[1] == 0:
-        support, residual = frozenset(), 0.0
-    else:
-        support, residual = _solve(MMVProblem(design.A, v, k_max), solver, tol)
-    return y_tilde, v, eigvals, support, residual
+    if solver == "somp":
+        support = solve_mmv_somp(prob, tol)
+        residual = _support_residual(prob.A, prob.V, support)
+        if residual <= tol.mmv_residual_rel:
+            return support, residual
+        return _screen(prob, tol) or (support, residual)
+    screened = _screen(prob, tol)
+    if screened is not None:
+        return screened
+    support = solve_mmv_exhaustive(prob, tol)
+    return support, _support_residual(prob.A, prob.V, support)
 
 
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,
                     solver: str = "exhaustive",
                     tol: Tolerances = DEFAULT_TOLERANCES) -> frozenset[int]:
-    """Identify the active channel set from compressed measurements."""
-    return _identify(y, design, k_max, solver, tol)[3]
+    """Identify the active channel set from compressed measurements: the
+    support of ``recover``, which also forms its coefficients."""
+    return recover(y, design, k_max, solver, tol).support
 
 
 def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
@@ -383,7 +380,9 @@ def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
             solver: str = "exhaustive",
             tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
     """Full pipeline with diagnostics: support, coefficients, Q spectrum."""
-    y_tilde, v, eigvals, support, residual = _identify(y, design, k_max, solver, tol)
+    y_tilde = demodulate(y, design, tol)
+    v, eigvals = frame_from_q(compute_q(y_tilde), tol=tol)
+    support, residual = _solve(MMVProblem(design.A, v, k_max), solver, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {
         "rank_q": int(v.shape[1]),

@@ -286,11 +286,10 @@ def build_multiband(sc: MultibandScenario,
     """Construct the coset-row mixing matrix, the diagonal shaping bank and a
     sparse multiband coefficient bank occupying <= 2*n_bands slices."""
     grid = FrequencyGrid(sc.n_samples)
-    a_matrix = make_cs_matrix("fourier_rows", sc.p, sc.m,
-                              np.random.default_rng(sc.seed), cosets=sc.cosets)
+    rng = np.random.default_rng(sc.seed)
+    a_matrix = make_cs_matrix("fourier_rows", sc.p, sc.m, rng, cosets=sc.cosets)
     design = make_design(a_matrix, grid, W=multiband_shaping_bank(sc, grid), tol=tol)
 
-    rng = np.random.default_rng(sc.seed)
     slice_width = TWO_PI / (sc.m * sc.T)
     active: set[int] = set()
     band_edges = []

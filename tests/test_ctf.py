@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from si_subnyq import ctf
 from si_subnyq.ctf import (
     MMVProblem,
     compute_q,
@@ -27,6 +28,7 @@ from si_subnyq.sampling_design import (
 from si_subnyq.scenarios import MultibandScenario, build_multiband
 from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction
 from si_subnyq.sparse_model import SparsityProfile, synthesize
+from si_subnyq.tolerances import DEFAULT_TOLERANCES
 
 
 def planted_instance(seed, m=6, p=4, k=2, n=16, with_w=False, with_z=False,
@@ -158,10 +160,19 @@ def test_frame_rejects_indefinite_matrix():
     (np.array([[1.0, 0.5], [0.0, 1.0]]), InvalidInputError, "not Hermitian"),
     (np.ones((2, 3)), DimensionError, "must be square"),
     (np.zeros((0, 0)), DimensionError, "must be square and non-empty"),
+    (4.0 * np.array([[1.0, 1e-11], [0.0, 1.0]]), InvalidInputError, "not Hermitian"),
 ])
 def test_frame_rejects_non_hermitian_or_non_square_matrix(q, error, match):
     with pytest.raises(error, match=match):
         frame_from_q(q)
+
+
+def test_frame_hermitian_check_reads_tolerances():
+    # deviation 1e-11 * scale: above the default hermitian_tol, within 1e-10
+    q = 4.0 * np.array([[1.0, 1e-11], [0.0, 1.0]])
+    v, eigvals = frame_from_q(q, DEFAULT_TOLERANCES.with_overrides(hermitian_tol=1e-10))
+    assert v.shape == (2, 2)
+    np.testing.assert_allclose(eigvals, [4.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +221,31 @@ def test_exhaustive_combinatorial_guard():
         solve_mmv_exhaustive(MMVProblem(a_matrix, v, 12))
 
 
+@pytest.mark.parametrize("columns", [0, 1])
+def test_exhaustive_zero_measurements_answered_before_the_guard(columns):
+    # C(24, 12) exceeds the guard, but V = 0 has the empty support
+    prob = MMVProblem(np.ones((2, 24)), np.zeros((2, columns)), 12)
+    assert solve_mmv_exhaustive(prob) == frozenset()
+
+
+def test_recover_of_zero_signal_past_the_guard_is_empty():
+    design = make_design(np.ones((2, 24)), FrequencyGrid(4))
+    result = recover(MeasurementBank(np.zeros((2, 4))), design, 12)
+    assert result.support == frozenset()
+    assert result.diagnostics["rank_q"] == 0
+    assert np.all(result.coefficients.sequences == 0)
+
+
+def test_empty_frame_is_a_problem_every_solver_answers():
+    a_matrix = make_cs_matrix("gaussian", 3, 5, np.random.default_rng(58))
+    prob = MMVProblem(a_matrix, np.zeros((3, 0)), 2)
+    assert prob.V.shape == (3, 0)
+    assert solve_mmv_exhaustive(prob) == frozenset()
+    assert solve_mmv_somp(prob) == frozenset()
+    for solver in ("exhaustive", "somp"):
+        assert ctf._solve(prob, solver, DEFAULT_TOLERANCES) == (frozenset(), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # solve_mmv_somp
 # ---------------------------------------------------------------------------
@@ -245,6 +281,21 @@ def test_recover_support_of_zero_signal_is_empty():
     d0 = synthesize(SparsityProfile(design.m, 0, frozenset()), design.grid.n, seed=0)
     y = compressive_sample(d0, design)
     assert recover_support(y, design, k_max=2) == frozenset()
+
+
+@pytest.mark.parametrize("zero", [True, False], ids=["zero_y", "nonzero_y"])
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k_max": 2, "solver": "bogus"}, "unknown solver"),
+    ({"k_max": -3}, "k_max=-3 out of range"),
+    ({"k_max": 7}, "k_max=7 out of range"),
+], ids=["unknown_solver", "negative_k_max", "k_max_above_m"])
+@pytest.mark.parametrize("entry", [recover, recover_support], ids=lambda f: f.__name__)
+def test_argument_checks_do_not_depend_on_the_data(entry, kwargs, match, zero):
+    design, _, _, y = planted_instance(62)  # m=6, p=4, N=16
+    if zero:
+        y = MeasurementBank(np.zeros_like(y.sequences))
+    with pytest.raises(InvalidInputError, match=match):
+        entry(y, design, **kwargs)
 
 
 def test_recover_support_planted():

@@ -209,9 +209,32 @@ def test_screen_guard_counts_the_r_subsets_of_m(monkeypatch):
     a = make_cs_matrix("gaussian", 2, 24, rng)
     prob = MMVProblem(a, a[:, [0, 1]] @ rng.standard_normal((2, 2)), 12)
     monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 276)
-    assert ctf._screen(prob, DEFAULT_TOLERANCES) == frozenset({0, 1})
+    assert ctf._screen(prob, DEFAULT_TOLERANCES)[0] == frozenset({0, 1})
     monkeypatch.setattr(ctf, "EXHAUSTIVE_GUARD", 275)
     assert ctf._screen(prob, DEFAULT_TOLERANCES) is None
+
+
+def test_screened_support_costs_no_second_residual(monkeypatch):
+    # p = 3 and V spans columns 0 and 3; column 1 = 2 * column 0 is near
+    # span(V) too, so the screen tests (0, 1), which does not fit, then (0, 3)
+    rng = np.random.default_rng(11)
+    a = make_cs_matrix("gaussian", 3, 6, rng).copy()
+    a[:, 1] = 2.0 * a[:, 0]
+    prob = MMVProblem(a, a[:, [0, 3]] @ rng.standard_normal((2, 2)), 2)
+    calls = []
+    original = ctf._support_residual
+
+    def counting(A, v, support):
+        calls.append(tuple(support))
+        return original(A, v, support)
+    monkeypatch.setattr(ctf, "_support_residual", counting)
+    screened = ctf._screen(prob, DEFAULT_TOLERANCES)
+    tested = list(calls)
+    assert tested == [(0, 1), (0, 3)]
+    calls.clear()
+    assert ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES) == screened
+    assert calls == tested
+    assert screened == (frozenset({0, 3}), original(a, prob.V, (0, 3)))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e155])
