@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, SiSubnyqError
-from .experiments import SWEEP_VARS, load_config, run_experiment, run_sweep
+from .experiments import SWEEP_VARS, _write, load_config, run_experiment, run_sweep
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification
 
@@ -94,8 +94,7 @@ def _cmd_verify_to(out_dir: Path | None, as_json: bool, tol: Tolerances) -> int:
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
         print(text)
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "verify.json").write_text(text + "\n", encoding="utf-8")
+            _write(out_dir / "verify.json", text + "\n")
     else:
         for line in report.lines():
             print(line)

@@ -163,11 +163,18 @@ def solve_mmv_exhaustive(prob: MMVProblem,
     empty support before the guard, which refuses C(m, k_max) > 1e6.
 
     Recovery (``solver="exhaustive"``) runs the rank-aware ``_screen`` first,
-    which returns this function's answer, and calls this function for every
-    case the screen cannot settle.
+    which returns this function's answer, and runs this function's scan for
+    every case the screen cannot settle.
     """
+    return _exhaustive_scan(prob, tol)[0]
+
+
+def _exhaustive_scan(prob: MMVProblem,
+                     tol: Tolerances) -> tuple[frozenset[int], float]:
+    """``solve_mmv_exhaustive``'s answer and the ``_support_residual`` it was
+    accepted on (0.0 for an all-zero V)."""
     if not np.any(prob.V):
-        return frozenset()
+        return frozenset(), 0.0
     m = prob.A.shape[1]
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
         raise InvalidInputError(
@@ -178,7 +185,7 @@ def solve_mmv_exhaustive(prob: MMVProblem,
         for combo in itertools.combinations(range(m), size):
             res = _support_residual(prob.A, prob.V, combo)
             if res <= tol.mmv_residual_rel:
-                return frozenset(combo)
+                return frozenset(combo), res
             if res < best_res:
                 best_res = res
                 best_support = frozenset(combo)
@@ -225,7 +232,7 @@ def _screen(prob: MMVProblem,
     ``_support_residual`` call, so every fit decision is bit-identical. It
     returns None for every case it cannot settle: V = 0 or ||V||_F not
     finite, r = 0 or r > k_max, more than ``EXHAUSTIVE_GUARD`` r-subsets of M
-    to test, and no fitting r-subset of M. ``_solve`` then calls the oracle,
+    to test, and no fitting r-subset of M. ``_solve`` then runs the oracle,
     so the oracle's C(m, k_max) guard error, the empty support of V = 0 and
     the ``InfeasibleError`` with its ``best_residual`` and ``best_support``
     are the oracle's by construction. The argument above uses neither guard:
@@ -312,7 +319,8 @@ def _solve(prob: MMVProblem, solver: str,
     """(support, its ``_support_residual``) for the support ``solver`` finds.
 
     ``solver`` is checked first, whatever V holds; an empty V gives (empty
-    support, 0.0). A screened support comes with the residual it was accepted on.
+    support, 0.0). A screened or oracle support comes with the residual it was
+    accepted on.
 
     A SOMP support whose residual exceeds ``tol.mmv_residual_rel`` is a miss;
     it gives way to the screen's fitting support when the screen settles, and
@@ -327,11 +335,7 @@ def _solve(prob: MMVProblem, solver: str,
         if residual <= tol.mmv_residual_rel:
             return support, residual
         return _screen(prob, tol) or (support, residual)
-    screened = _screen(prob, tol)
-    if screened is not None:
-        return screened
-    support = solve_mmv_exhaustive(prob, tol)
-    return support, _support_residual(prob.A, prob.V, support)
+    return _screen(prob, tol) or _exhaustive_scan(prob, tol)
 
 
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,

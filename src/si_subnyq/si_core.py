@@ -403,7 +403,6 @@ def random_generator_set(m: int, grid: FrequencyGrid, period: float,
         spectra = rng.standard_normal((m, grid.n, len(alias_support))) \
             + 1j * rng.standard_normal((m, grid.n, len(alias_support)))
         gens = GeneratorSet(grid, period, alias_support, spectra)
-        gram = cross_spectrum_matrix(gens, gens)
-        if np.max(np.linalg.cond(gram.values)) <= 1e6:
+        if np.max(cross_spectrum_matrix(gens, gens).condition_numbers()) <= 1e6:
             return gens
     raise InvalidInputError("failed to draw a well-conditioned generator set")

@@ -1,7 +1,9 @@
 """Named invariant checks over the whole library, run by the CLI ``verify``.
 
-Every check is deterministic (fixed seeds), returns a CheckResult, and is
-registered under a dotted group name so failures are attributable. The
+Every check is deterministic (fixed seeds) and measures: it returns
+(passed, detail[, metric]). ``CHECKS`` names each check once, under a dotted
+group name so failures are attributable, and ``run_verification`` alone turns
+an outcome, or the ``SiSubnyqError`` a check raised, into a CheckResult. The
 checks re-derive expectations through independent routes (explicit loops,
 alternate domains, brute force) rather than re-calling the code under test
 with itself.
@@ -25,11 +27,6 @@ class CheckResult:
     passed: bool
     detail: str
     metric: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        if self.metric is not None:
-            object.__setattr__(self, "metric", float(self.metric))
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def _time_domain_filterbank(values: np.ndarray, sequences: np.ndarray) -> np.nda
 # si_core
 # ---------------------------------------------------------------------------
 
-def check_dft_consistency(tol: Tolerances) -> CheckResult:
+def check_dft_consistency(tol: Tolerances) -> tuple:
     rng, grid, gens = _random_setup(seed=101, m=3, n=8)
     m_aa = si_core.cross_spectrum_matrix(gens, gens)
     d = sparse_model.synthesize(
@@ -99,22 +96,20 @@ def check_dft_consistency(tol: Tolerances) -> CheckResult:
     fast = si_core.filterbank_sample(d, m_aa)
     slow = _time_domain_filterbank(m_aa.values, d.sequences)
     err = float(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
-    return CheckResult("si_core.dft_consistency", err <= tol.dual_path_tol,
-                       f"freq vs time realization rel err {err:.2e}", err)
+    return err <= tol.dual_path_tol, f"freq vs time realization rel err {err:.2e}", err
 
 
-def check_hermitian_psd(tol: Tolerances) -> CheckResult:
+def check_hermitian_psd(tol: Tolerances) -> tuple:
     _, _, gens = _random_setup(seed=102, m=4, n=8, n_alias=6)
     m_aa = si_core.cross_spectrum_matrix(gens, gens)
     herm = float(np.max(np.abs(m_aa.values - np.conj(np.swapaxes(m_aa.values, 1, 2)))))
     eigs = np.linalg.eigvalsh((m_aa.values + np.conj(np.swapaxes(m_aa.values, 1, 2))) / 2)
     min_eig = float(np.min(eigs))
     ok = herm <= tol.hermitian_tol and min_eig >= -tol.hermitian_tol
-    return CheckResult("si_core.hermitian_psd", ok,
-                       f"hermitian dev {herm:.2e}, min eigenvalue {min_eig:.2e}", min_eig)
+    return ok, f"hermitian dev {herm:.2e}, min eigenvalue {min_eig:.2e}", min_eig
 
 
-def check_round_trip(tol: Tolerances) -> CheckResult:
+def check_round_trip(tol: Tolerances) -> tuple:
     worst = 0.0
     for seed in (103, 104, 105):
         rng, grid, gens = _random_setup(seed=seed, m=3, n=16)
@@ -126,11 +121,10 @@ def check_round_trip(tol: Tolerances) -> CheckResult:
         err = float(np.max(np.abs(back.sequences - d.sequences))
                     / np.max(np.abs(d.sequences)))
         worst = max(worst, err)
-    return CheckResult("si_core.round_trip", worst <= tol.round_trip_tol,
-                       f"sample->reconstruct rel err {worst:.2e}", worst)
+    return worst <= tol.round_trip_tol, f"sample->reconstruct rel err {worst:.2e}", worst
 
 
-def check_scalar_reduction(tol: Tolerances) -> CheckResult:
+def check_scalar_reduction(tol: Tolerances) -> tuple:
     rng, grid, gens = _random_setup(seed=106, m=1, n=16, n_alias=3)
     phi = si_core.cross_spectrum(gens, gens)
     m_aa = si_core.cross_spectrum_matrix(gens, gens)
@@ -140,25 +134,23 @@ def check_scalar_reduction(tol: Tolerances) -> CheckResult:
     via_filter = np.fft.ifft(np.fft.fft(c[0]) / phi)  # single-channel inverse filter
     via_solve = si_core.reconstruct_subspace(c, m_aa, tol=tol).sequences[0]
     err = float(np.max(np.abs(via_filter - via_solve)) / np.max(np.abs(via_solve)))
-    return CheckResult("si_core.scalar_reduction", err <= tol.round_trip_tol,
-                       f"1/phi filter vs solver rel err {err:.2e}", err)
+    return err <= tol.round_trip_tol, f"1/phi filter vs solver rel err {err:.2e}", err
 
 
 # ---------------------------------------------------------------------------
 # sparse_model
 # ---------------------------------------------------------------------------
 
-def check_support_honesty(tol: Tolerances) -> CheckResult:
+def check_support_honesty(tol: Tolerances) -> tuple:
     profile = sparse_model.SparsityProfile(6, 2, frozenset({1, 4}))
     bank = sparse_model.synthesize(profile, 16, seed=7)
     off = sorted(set(range(6)) - profile.support)
     off_energy = float(np.sum(np.abs(bank.sequences[off]) ** 2))
     ok = off_energy == 0.0 and bank.support == profile.support
-    return CheckResult("sparse_model.support_honesty", ok,
-                       f"off-support energy {off_energy}", off_energy)
+    return ok, f"off-support energy {off_energy}", off_energy
 
 
-def check_spectrum_linearity(tol: Tolerances) -> CheckResult:
+def check_spectrum_linearity(tol: Tolerances) -> tuple:
     rng, grid, gens = _random_setup(seed=107, m=3, n=8)
     profile = sparse_model.SparsityProfile(3, 3, frozenset({0, 1, 2}))
     d1 = sparse_model.synthesize(profile, grid.n, rng)
@@ -178,32 +170,30 @@ def check_spectrum_linearity(tol: Tolerances) -> CheckResult:
                + alpha * sparse_model.signal_spectrum(sig2, omega))
         scale = max(abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
-    return CheckResult("sparse_model.linearity", worst <= 1e-12,
-                       f"max rel deviation {worst:.2e} over 10 frequencies", worst)
+    return worst <= 1e-12, f"max rel deviation {worst:.2e} over 10 frequencies", worst
 
 
-def check_synthesize_determinism(tol: Tolerances) -> CheckResult:
+def check_synthesize_determinism(tol: Tolerances) -> tuple:
     profile = sparse_model.SparsityProfile(5, 2, frozenset({0, 3}))
     a = sparse_model.synthesize(profile, 12, seed=42)
     b = sparse_model.synthesize(profile, 12, seed=42)
     ok = np.array_equal(a.sequences, b.sequences)
-    return CheckResult("sparse_model.determinism", ok,
-                       "same seed reproduces the bank bit-for-bit")
+    return ok, "same seed reproduces the bank bit-for-bit"
 
 
 # ---------------------------------------------------------------------------
 # sampling_design
 # ---------------------------------------------------------------------------
 
-def _random_design_with_generators(seed: int, m: int = 4, p: int = 2, n: int = 8):
-    rng, grid, gens = _random_setup(seed=seed, m=m, n=n, n_alias=m + 2)
-    a_matrix = sampling_design.make_cs_matrix("gaussian", p, m, rng)
-    w = sampling_design.random_invertible_w(p, grid, rng)
+def _random_design_with_generators(seed: int):
+    rng, grid, gens = _random_setup(seed=seed, m=4, n=8, n_alias=6)
+    a_matrix = sampling_design.make_cs_matrix("gaussian", 2, 4, rng)
+    w = sampling_design.random_invertible_w(2, grid, rng)
     design = sampling_design.make_design(a_matrix, grid, W=w)
     return rng, grid, gens, design
 
 
-def check_operator_identity(tol: Tolerances) -> CheckResult:
+def check_operator_identity(tol: Tolerances) -> tuple:
     worst = 0.0
     for seed in (201, 202, 203, 204, 205):
         rng, grid, gens, design = _random_design_with_generators(seed)
@@ -213,12 +203,11 @@ def check_operator_identity(tol: Tolerances) -> CheckResult:
         m_sa = si_core.cross_spectrum_matrix(filters, gens)
         target = design.W.values @ design.A
         worst = max(worst, float(np.max(np.abs(m_sa.values - target))))
-    return CheckResult("sampling_design.operator_identity",
-                       worst <= tol.operator_identity_tol,
-                       f"max |M_SA - W A| = {worst:.2e} over 5 designs", worst)
+    return (worst <= tol.operator_identity_tol,
+            f"max |M_SA - W A| = {worst:.2e} over 5 designs", worst)
 
 
-def check_biorthogonality(tol: Tolerances) -> CheckResult:
+def check_biorthogonality(tol: Tolerances) -> tuple:
     worst = 0.0
     for seed in (211, 212, 213):
         rng, grid, gens = _random_setup(seed=seed, m=4, n=8, n_alias=6)
@@ -226,11 +215,10 @@ def check_biorthogonality(tol: Tolerances) -> CheckResult:
         v = sampling_design.biorthogonalize(h, gens, tol)
         m_va = si_core.cross_spectrum_matrix(v, gens)
         worst = max(worst, float(np.max(np.abs(m_va.values - np.eye(4)))))
-    return CheckResult("sampling_design.biorthogonality", worst <= tol.biorth_tol,
-                       f"max |M_VA - I| = {worst:.2e}", worst)
+    return worst <= tol.biorth_tol, f"max |M_VA - I| = {worst:.2e}", worst
 
 
-def check_biorthogonal_uniqueness(tol: Tolerances) -> CheckResult:
+def check_biorthogonal_uniqueness(tol: Tolerances) -> tuple:
     rng, grid, gens = _random_setup(seed=214, m=3, n=8, n_alias=5)
     h = si_core.random_generator_set(3, grid, gens.period, gens.alias_support, rng)
     v1 = sampling_design.biorthogonalize(h, gens, tol)
@@ -240,12 +228,11 @@ def check_biorthogonal_uniqueness(tol: Tolerances) -> CheckResult:
                               np.einsum("qir,rqj->iqj", r.values, h.spectra))
     v2 = sampling_design.biorthogonalize(h2, gens, tol)
     dev = float(np.max(np.abs(v1.spectra - v2.spectra)))
-    return CheckResult("sampling_design.biorthogonal_uniqueness", dev <= 1e-9,
-                       f"biorthogonal sets from equivalent families differ by {dev:.2e}",
-                       dev)
+    return (dev <= 1e-9,
+            f"biorthogonal sets from equivalent families differ by {dev:.2e}", dev)
 
 
-def check_dual_path(tol: Tolerances) -> CheckResult:
+def check_dual_path(tol: Tolerances) -> tuple:
     rng = np.random.default_rng(215)
     grid = si_core.FrequencyGrid(8)
     m, p = 5, 3
@@ -259,24 +246,17 @@ def check_dual_path(tol: Tolerances) -> CheckResult:
     combined = sampling_design.combined_operator(design)
     via_bank = si_core.filterbank_sample(d, combined)
     err = float(np.max(np.abs(direct - via_bank)) / np.max(np.abs(direct)))
-    return CheckResult("sampling_design.dual_path", err <= tol.dual_path_tol,
-                       f"grid product vs filter bank rel err {err:.2e}", err)
+    return err <= tol.dual_path_tol, f"grid product vs filter bank rel err {err:.2e}", err
 
 
-def check_w_invertible(tol: Tolerances,
-                       design: sampling_design.MeasurementDesign | None = None) -> CheckResult:
-    if design is None:
-        _, _, _, design = _random_design_with_generators(seed=216)
-    try:
-        sampling_design.validate_design(design, tol)
-    except SiSubnyqError as exc:
-        return CheckResult("sampling_design.W_invertible", False, str(exc))
+def check_w_invertible(tol: Tolerances) -> tuple:
+    design = _random_design_with_generators(seed=216)[3]
+    sampling_design.validate_design(design, tol)
     worst = float(np.max(design.W.condition_numbers()))
-    return CheckResult("sampling_design.W_invertible", True,
-                       f"max cond(W) = {worst:.2e}", worst)
+    return True, f"max cond(W) = {worst:.2e}", worst
 
 
-def check_serialization(tol: Tolerances) -> CheckResult:
+def check_serialization(tol: Tolerances) -> tuple:
     rng = np.random.default_rng(217)
     grid = si_core.FrequencyGrid(6)
     a_matrix = sampling_design.make_cs_matrix("gaussian", 2, 4, rng)
@@ -289,8 +269,7 @@ def check_serialization(tol: Tolerances) -> CheckResult:
           and np.array_equal(loaded.W.values, design.W.values)
           and np.array_equal(loaded.Z.values, design.Z.values)
           and meta["seed"] == 217)
-    return CheckResult("sampling_design.serialization_round_trip", ok,
-                       "bit-exact JSON round trip" if ok else "round trip altered values")
+    return ok, "bit-exact JSON round trip" if ok else "round trip altered values"
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +284,7 @@ def _planted_instance(seed: int, filtered: bool = False):
     return design, d.support, d, sampling_design.compressive_sample(d, design)
 
 
-def check_rank_bound(tol: Tolerances) -> CheckResult:
+def check_rank_bound(tol: Tolerances) -> tuple:
     worst_ratio = 0.0
     for seed in (301, 302, 303):
         design, support, _, y = _planted_instance(seed)
@@ -315,12 +294,11 @@ def check_rank_bound(tol: Tolerances) -> CheckResult:
         k = len(support)
         if sv.shape[0] > k and sv[0] > 0:
             worst_ratio = max(worst_ratio, float(sv[k] / sv[0]))
-    return CheckResult("ctf.rank_bound", worst_ratio <= tol.rank_rel_tol,
-                       f"largest beyond-k singular value ratio {worst_ratio:.2e}",
-                       worst_ratio)
+    return (worst_ratio <= tol.rank_rel_tol,
+            f"largest beyond-k singular value ratio {worst_ratio:.2e}", worst_ratio)
 
 
-def check_q_domain_equivalence(tol: Tolerances) -> CheckResult:
+def check_q_domain_equivalence(tol: Tolerances) -> tuple:
     design, support, _, y = _planted_instance(304)
     y_tilde = ctf.demodulate(y, design)
     q_time = ctf.compute_q(y_tilde)
@@ -333,12 +311,10 @@ def check_q_domain_equivalence(tol: Tolerances) -> CheckResult:
                    "exhaustive", tol)[0]
         for q in (q_time, q_freq)]
     ok = scale_err <= 1e-12 and s_time == s_freq == support
-    return CheckResult("ctf.q_domain_equivalence", ok,
-                       f"Q_freq = N*Q_time rel err {scale_err:.2e}, supports match",
-                       scale_err)
+    return ok, f"Q_freq = N*Q_time rel err {scale_err:.2e}, supports match", scale_err
 
 
-def check_frame_independence(tol: Tolerances) -> CheckResult:
+def check_frame_independence(tol: Tolerances) -> tuple:
     rng = np.random.default_rng(305)
     agree = True
     for seed in (306, 307, 308):
@@ -350,11 +326,10 @@ def check_frame_independence(tol: Tolerances) -> CheckResult:
         s1 = ctf._solve(ctf.MMVProblem(design.A, v, len(support)), "exhaustive", tol)[0]
         s2 = ctf._solve(ctf.MMVProblem(design.A, v @ g, len(support)), "exhaustive", tol)[0]
         agree = agree and s1 == s2 == support
-    return CheckResult("ctf.frame_independence", agree,
-                       "recovery's support invariant under frame change V -> V G")
+    return agree, "recovery's support invariant under frame change V -> V G"
 
 
-def check_design_invariance(tol: Tolerances) -> CheckResult:
+def check_design_invariance(tol: Tolerances) -> tuple:
     rng = np.random.default_rng(309)
     worst = 0.0
     agree = True
@@ -372,11 +347,10 @@ def check_design_invariance(tol: Tolerances) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(
             result_plain.coefficients.sequences - result_wz.coefficients.sequences))) / scale)
     ok = agree and worst <= tol.recovery_rel_tol
-    return CheckResult("ctf.design_invariance", ok,
-                       f"support match and coefficient rel dev {worst:.2e}", worst)
+    return ok, f"support match and coefficient rel dev {worst:.2e}", worst
 
 
-def check_end_to_end_exact(tol: Tolerances) -> CheckResult:
+def check_end_to_end_exact(tol: Tolerances) -> tuple:
     worst = 0.0
     exact = True
     for seed in (312, 313, 314, 315):
@@ -387,11 +361,10 @@ def check_end_to_end_exact(tol: Tolerances) -> CheckResult:
                     / np.linalg.norm(d.sequences) ** 2)
         worst = max(worst, err)
     ok = exact and worst <= tol.recovery_rel_tol
-    return CheckResult("ctf.end_to_end_exact", ok,
-                       f"exact supports, worst NMSE {worst:.2e}", worst)
+    return ok, f"exact supports, worst NMSE {worst:.2e}", worst
 
 
-def check_uniqueness_brute_force(tol: Tolerances) -> CheckResult:
+def check_uniqueness_brute_force(tol: Tolerances) -> tuple:
     import itertools as it
     ok = True
     for seed in range(316, 336):
@@ -407,9 +380,9 @@ def check_uniqueness_brute_force(tol: Tolerances) -> CheckResult:
                     fitting.append(frozenset(combo))
         ok = (ok and fitting == [support]
               and ctf.recover_support(y, design, k, tol=tol) == support)
-    return CheckResult("ctf.uniqueness_brute_force", ok,
-                       "planted support is the unique fit among all of size <= k "
-                       "and recovery returns it")
+    return (ok,
+            "planted support is the unique fit among all of size <= k "
+            "and recovery returns it")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +396,7 @@ def _periodic_build(seed: int = 401):
     return scenarios.build_periodic_sparsity(sc)
 
 
-def check_periodic_block_pattern(tol: Tolerances) -> CheckResult:
+def check_periodic_block_pattern(tol: Tolerances) -> tuple:
     build = _periodic_build()
     flat = scenarios.flatten_block_coefficients(build.coefficients)
     idx = np.flatnonzero(flat != 0)
@@ -431,23 +404,22 @@ def check_periodic_block_pattern(tol: Tolerances) -> CheckResult:
     ok = residues <= set(build.scenario.s_pattern)
     baseline = scenarios.baseline_reference_samples(build)
     ok = ok and bool(np.max(np.abs(baseline - flat)) <= 1e-10 * np.max(np.abs(flat)))
-    return CheckResult("scenarios.periodic_block_pattern", ok,
-                       f"nonzero indexes fall in pattern {sorted(build.scenario.s_pattern)} "
-                       f"mod {build.scenario.m}; baseline path reproduces them")
+    return (ok,
+            f"nonzero indexes fall in pattern {sorted(build.scenario.s_pattern)} "
+            f"mod {build.scenario.m}; baseline path reproduces them")
 
 
-def check_periodic_rate_accounting(tol: Tolerances) -> CheckResult:
+def check_periodic_rate_accounting(tol: Tolerances) -> tuple:
     build = _periodic_build()
     sc = build.scenario
     factor = build.report["compression_factor"]
     ok = (factor == sc.p / sc.m
           and build.report["compressed_rate"] == sc.p / (sc.m * sc.base_period)
           and build.report["baseline_rate"] == 1.0 / sc.base_period)
-    return CheckResult("scenarios.periodic_rate_accounting", ok,
-                       f"compression factor {factor} = p/m")
+    return ok, f"compression factor {factor} = p/m"
 
 
-def check_periodic_waveform_quadrature(tol: Tolerances) -> CheckResult:
+def check_periodic_waveform_quadrature(tol: Tolerances) -> tuple:
     worst = 0.0
     for seed in (402, 403, 404):
         sc = scenarios.PeriodicSparsityScenario(
@@ -456,12 +428,11 @@ def check_periodic_waveform_quadrature(tol: Tolerances) -> CheckResult:
         build = scenarios.build_periodic_sparsity(sc)
         report = scenarios.piecewise_constant_waveform_check(build, tol=tol)
         worst = max(worst, report["max_relative_error"])
-    return CheckResult("scenarios.periodic_waveform_quadrature",
-                       worst <= tol.quadrature_rel_tol,
-                       f"integration vs filter bank rel err {worst:.2e}", worst)
+    return (worst <= tol.quadrature_rel_tol,
+            f"integration vs filter bank rel err {worst:.2e}", worst)
 
 
-def check_periodic_identities(tol: Tolerances) -> CheckResult:
+def check_periodic_identities(tol: Tolerances) -> tuple:
     """The two construction identities of the periodic reformulation, which
     do not depend on A: the biorthogonal set of the box generators gives
     M_VA = I, and the normalized box prefilter against the box generator has
@@ -475,10 +446,9 @@ def check_periodic_identities(tol: Tolerances) -> CheckResult:
         m_va_dev = max(m_va_dev, float(np.max(np.abs(m_va.values - np.eye(m)))))
         g = si_core.cross_spectrum(*scenarios._base_rate_box_pair(m, base_period, n_blocks))
         g_dev = max(g_dev, float(np.max(np.abs(g - 1.0))))
-    return CheckResult("scenarios.periodic_identities",
-                       m_va_dev <= tol.biorth_tol and g_dev <= 1e-12,
-                       f"max |M_VA - I| = {m_va_dev:.2e}, "
-                       f"max |prefilter product - 1| = {g_dev:.2e}", m_va_dev)
+    return (m_va_dev <= tol.biorth_tol and g_dev <= 1e-12,
+            f"max |M_VA - I| = {m_va_dev:.2e}, "
+            f"max |prefilter product - 1| = {g_dev:.2e}", m_va_dev)
 
 
 def _multiband_build(seed: int = 405):
@@ -488,15 +458,15 @@ def _multiband_build(seed: int = 405):
     return scenarios.build_multiband(sc)
 
 
-def check_multiband_delay_identity(tol: Tolerances) -> CheckResult:
+def check_multiband_delay_identity(tol: Tolerances) -> tuple:
     build = _multiband_build()
-    report = scenarios.delay_filter_equivalence_check(build, tol=tol)
-    return CheckResult("scenarios.multiband_delay_identity", report["passed"],
-                       f"max |G_i - delay| = {report['max_deviation']:.2e} "
-                       f"on {report['n_points']} frequencies", report["max_deviation"])
+    report = scenarios.delay_filter_equivalence_check(build)
+    dev = report["max_deviation"]
+    return (dev <= tol.delay_identity_tol,
+            f"max |G_i - delay| = {dev:.2e} on {report['n_points']} frequencies", dev)
 
 
-def check_multiband_fractional_delay(tol: Tolerances) -> CheckResult:
+def check_multiband_fractional_delay(tol: Tolerances) -> tuple:
     rng = np.random.default_rng(406)
     y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     worst = 0.0
@@ -504,12 +474,11 @@ def check_multiband_fractional_delay(tol: Tolerances) -> CheckResult:
         chain = scenarios.fractional_delay_demodulate(y, coset, m)
         direct = scenarios.fractional_delay_direct(y, coset, m)
         worst = max(worst, float(np.max(np.abs(chain - direct)) / np.max(np.abs(direct))))
-    return CheckResult("scenarios.multiband_fractional_delay",
-                       worst <= tol.frac_delay_rel_tol,
-                       f"time chain vs frequency multiply rel err {worst:.2e}", worst)
+    return (worst <= tol.frac_delay_rel_tol,
+            f"time chain vs frequency multiply rel err {worst:.2e}", worst)
 
 
-def check_multiband_end_to_end(tol: Tolerances) -> CheckResult:
+def check_multiband_end_to_end(tol: Tolerances) -> tuple:
     exact = True
     worst = 0.0
     for seed in (407, 408, 409):
@@ -521,11 +490,10 @@ def check_multiband_end_to_end(tol: Tolerances) -> CheckResult:
         worst = max(worst, float(np.linalg.norm(result.coefficients.sequences - d) ** 2
                                  / np.linalg.norm(d) ** 2))
     ok = exact and worst <= tol.recovery_rel_tol
-    return CheckResult("scenarios.multiband_end_to_end", ok,
-                       f"slice supports exact, worst NMSE {worst:.2e}", worst)
+    return ok, f"slice supports exact, worst NMSE {worst:.2e}", worst
 
 
-CHECKS: tuple[tuple[str, Callable[[Tolerances], CheckResult]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[Tolerances], tuple]], ...] = (
     ("si_core.dft_consistency", check_dft_consistency),
     ("si_core.hermitian_psd", check_hermitian_psd),
     ("si_core.round_trip", check_round_trip),
@@ -556,11 +524,14 @@ CHECKS: tuple[tuple[str, Callable[[Tolerances], CheckResult]], ...] = (
 
 
 def run_verification(tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-    """Run every check of the invariant suite."""
+    """Run every check of the invariant suite, labelling each outcome with
+    its ``CHECKS`` name; a check that raises ``SiSubnyqError`` fails."""
     results = []
     for name, fn in CHECKS:
         try:
-            results.append(fn(tol))
+            passed, detail, *metric = fn(tol)
         except SiSubnyqError as exc:
-            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+            passed, detail, metric = False, f"raised {type(exc).__name__}: {exc}", ()
+        results.append(CheckResult(name, bool(passed), detail,
+                                   float(metric[0]) if metric else None))
     return VerificationReport(tuple(results))

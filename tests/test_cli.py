@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from si_subnyq import cli
-from si_subnyq.errors import ConfigError
+from si_subnyq import verification
+from si_subnyq.errors import ConfigError, SingularOperatorError
 from si_subnyq.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -14,7 +15,7 @@ from si_subnyq.experiments import (
     trial_seed,
 )
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
-from si_subnyq.verification import check_w_invertible, run_verification
+from si_subnyq.verification import CHECKS, run_verification
 
 
 def write_config(path, **fields):
@@ -255,7 +256,14 @@ def test_verification_suite_passes_and_has_enough_groups():
     assert {"si_core", "sparse_model", "sampling_design", "ctf", "scenarios"} <= groups
 
 
-def test_tampered_w_fails_named_check():
+def _only_check(monkeypatch, name, fn=None):
+    """Restrict the suite to the check registered as ``name``, optionally
+    replacing its function."""
+    original = dict(CHECKS)[name]
+    monkeypatch.setattr(verification, "CHECKS", ((name, fn or original),))
+
+
+def test_tampered_w_fails_named_check(monkeypatch):
     from si_subnyq.sampling_design import MeasurementDesign
     from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction
 
@@ -264,9 +272,34 @@ def test_tampered_w_fails_named_check():
     values[2] = 0.0  # singular W at one grid point
     tampered = MeasurementDesign(A=np.ones((2, 3)),
                                  W=PeriodicMatrixFunction(grid, values), grid=grid)
-    result = check_w_invertible(DEFAULT_TOLERANCES, design=tampered)
+    monkeypatch.setattr(verification, "_random_design_with_generators",
+                        lambda seed: (None, grid, None, tampered))
+    _only_check(monkeypatch, "sampling_design.W_invertible")
+    (result,) = run_verification().results
     assert result.name == "sampling_design.W_invertible"
     assert not result.passed
+    assert result.detail.startswith("raised SingularOperatorError:")
+    assert result.metric is None
+
+
+def test_check_that_raises_is_reported_under_its_registered_name(monkeypatch):
+    def raising(tol):
+        raise SingularOperatorError("planted failure")
+    _only_check(monkeypatch, "ctf.rank_bound", raising)
+    report = run_verification()
+    (result,) = report.results
+    assert (result.name, result.passed, result.metric) == ("ctf.rank_bound", False, None)
+    assert result.detail == "raised SingularOperatorError: planted failure"
+    assert not report.passed
+
+
+def test_check_outcomes_are_coerced_once(monkeypatch):
+    # a check returns numpy scalars; the report holds a bool and a float
+    _only_check(monkeypatch, "ctf.rank_bound",
+                lambda tol: (np.bool_(True), "measured", np.float32(0.5)))
+    (result,) = run_verification().results
+    assert result.passed is True
+    assert type(result.metric) is float and result.metric == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +470,19 @@ def test_cli_run_verify_mode(tmp_path):
     code = cli.main(["run", "--config", config])
     assert code == 0
     assert (tmp_path / "out" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["generic", "verify"])
+def test_cli_run_output_under_a_file_exits_2(tmp_path, capsys, mode):
+    # verify mode writes verify.json through the same writer as trials.csv
+    (tmp_path / "blocker").write_text("a regular file\n", encoding="utf-8")
+    out_dir = tmp_path / "blocker" / "out"
+    config = write_config(tmp_path / "cfg.json", mode=mode, **(
+        dict(m=6, k=2, p=4, N=8, seed=3, trials=1) if mode == "generic" else {}))
+    assert cli.main(["run", "--config", config, "--out-dir", str(out_dir)]) == 2
+    name = "verify.json" if mode == "verify" else "trials.csv"
+    assert f"config error: cannot write output file {out_dir / name}" \
+        in capsys.readouterr().err
 
 
 def test_cli_run_verify_mode_uses_the_config_tolerances(tmp_path):

@@ -37,13 +37,15 @@ TOLS = (DEFAULT_TOLERANCES,
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Arguments of every call the code under test makes to the oracle."""
+    """Arguments of every run of the oracle's scan, which both
+    ``solve_mmv_exhaustive`` and recovery's fallback make."""
     calls = []
+    original = ctf._exhaustive_scan
 
-    def counting(prob, tol=DEFAULT_TOLERANCES):
+    def counting(prob, tol):
         calls.append(prob)
-        return solve_mmv_exhaustive(prob, tol)
-    monkeypatch.setattr(ctf, "solve_mmv_exhaustive", counting)
+        return original(prob, tol)
+    monkeypatch.setattr(ctf, "_exhaustive_scan", counting)
     return calls
 
 
@@ -164,13 +166,13 @@ def test_guard_error_reaches_recover_with_the_oracle_message(oracle_calls):
     design = make_design(np.ones((2, 24)), grid)
     rng = np.random.default_rng(0)
     y = MeasurementBank(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-    with pytest.raises(InvalidInputError) as direct:
-        solve_mmv_exhaustive(MMVProblem(design.A, np.eye(2), 12))
     with pytest.raises(InvalidInputError) as via_recover:
         recover(y, design, 12)
+    assert len(oracle_calls) == 1
+    with pytest.raises(InvalidInputError) as direct:
+        solve_mmv_exhaustive(MMVProblem(design.A, np.eye(2), 12))
     assert str(via_recover.value) == str(direct.value)
     assert "exceeds" in str(direct.value)
-    assert len(oracle_calls) == 1
 
 
 def test_screen_guard_bounds_only_the_subsets_it_scans(oracle_calls, monkeypatch):
@@ -235,6 +237,28 @@ def test_screened_support_costs_no_second_residual(monkeypatch):
     assert ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES) == screened
     assert calls == tested
     assert screened == (frozenset({0, 3}), original(a, prob.V, (0, 3)))
+
+
+def test_oracle_support_costs_no_second_residual(monkeypatch):
+    # V of rank 2 on the planted support {1, 3, 6}: no 2-subset fits, so the
+    # screen cannot settle and the oracle scans up to (1, 3, 6), its answer
+    rng = np.random.default_rng(5)
+    a = make_cs_matrix("gaussian", 4, 7, rng)
+    u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    prob = MMVProblem(a, (a[:, [1, 3, 6]] @ u)[:, :2], 3)
+    calls = []
+    original = ctf._support_residual
+
+    def counting(A, v, support):
+        calls.append(tuple(support))
+        return original(A, v, support)
+    monkeypatch.setattr(ctf, "_support_residual", counting)
+    support, residual = ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES)
+    assert support == frozenset({1, 3, 6})
+    assert residual == original(a, prob.V, (1, 3, 6))
+    assert len(calls) == 50
+    assert calls.count((1, 3, 6)) == 1
+    assert calls[-1] == (1, 3, 6)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e155])
