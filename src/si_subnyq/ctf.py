@@ -352,17 +352,20 @@ def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
 
     Per grid bin: d_S(w_q) = Z_S^{-1}(w_q) A_S^+ y_tilde(w_q); channels off
     the support are exactly zero. Exact whenever the support covers the truth
-    and A_S has full column rank.
+    and A_S has full column rank. W and Z are re-checked as in ``validate_design``.
     """
     return _coefficients(demodulate(y, design, tol), design, support, tol)
 
 
 def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
                   support, tol: Tolerances) -> CoefficientBank:
-    """``recover_coefficients`` on measurements already demodulated."""
+    """``recover_coefficients`` on measurements already demodulated; Z is
+    re-checked before it is divided by, as ``demodulate`` re-checks W."""
     support = sorted(int(i) for i in set(support))
     if any(i < 0 or i >= design.m for i in support):
         raise InvalidInputError(f"support {support} out of range for m={design.m}")
+    if design.Z is not None:
+        design.Z.require_conditioned(tol.cond_tol, "Z")
     n = design.grid.n
     if not support:
         return CoefficientBank.zeros(design.m, n)
@@ -383,9 +386,13 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
 def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
             solver: str = "exhaustive",
             tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
-    """Full pipeline with diagnostics: support, coefficients, Q spectrum."""
+    """Full pipeline with diagnostics: support, coefficients, Q spectrum.
+    Q is formed from y_tilde times its exact ``_pow2_scale`` (1 in range), so
+    it cannot over- or underflow; ``q_eigenvalues`` are this scaled Q's."""
     y_tilde = demodulate(y, design, tol)
-    v, eigvals = frame_from_q(compute_q(y_tilde), tol=tol)
+    scale = _pow2_scale(y_tilde.sequences)
+    q = compute_q(y_tilde if scale == 1.0 else MeasurementBank._owned(scale * y_tilde.sequences))
+    v, eigvals = frame_from_q(q, tol=tol)
     support, residual = _solve(MMVProblem(design.A, v, k_max), solver, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {

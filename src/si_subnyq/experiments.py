@@ -305,7 +305,7 @@ def _trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
     started = time.perf_counter()
     tol = cfg.tolerances
     design, bank, k_max, sigma = _INSTANCES[cfg.mode](cfg, seed)
-    y = compressive_sample(bank, design, tol)
+    y = compressive_sample(bank, design)
     result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
     nmse = _nmse(bank.sequences, result.coefficients.sequences, tol)
     return TrialRecord(

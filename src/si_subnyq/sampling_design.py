@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, SingularOperatorError
+from .errors import DimensionError, InvalidInputError
 from .si_core import (
     CoefficientBank,
     FrequencyGrid,
@@ -39,7 +39,8 @@ MATRIX_KINDS = ("gaussian", "gaussian_real", "bernoulli", "fourier_rows")
 
 @dataclass(frozen=True)
 class MeasurementDesign:
-    """Immutable measurement system (A, W, optional Z) on a frequency grid."""
+    """Immutable measurement system (A, W, optional Z) on a frequency grid; a Z
+    must be exactly diagonal and finite. ``validate_design`` judges conditioning."""
 
     A: np.ndarray = field(repr=False)
     W: PeriodicMatrixFunction
@@ -62,11 +63,9 @@ class MeasurementDesign:
                 raise DimensionError("Z lives on a different grid than the design")
             if self.Z.rows != m or self.Z.cols != m:
                 raise DimensionError(f"Z must be {m} x {m}, got {self.Z.rows} x {self.Z.cols}")
-            bad_z = np.flatnonzero(~np.all(np.isfinite(self.Z.diagonal()), axis=1))
-            if bad_z.size:
-                raise InvalidInputError(f"Z has a NaN or infinite entry at grid point {bad_z[0]}")
             if not self.Z.is_diagonal():
                 raise InvalidInputError("Z must be exactly diagonal")
+            self.Z.require_conditioned(math.inf, "Z")
         a.setflags(write=False)
         object.__setattr__(self, "A", a)
 
@@ -122,25 +121,19 @@ def _require_finite(A: np.ndarray) -> None:
 
 def validate_design(design: MeasurementDesign,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Enforce the design invariants: every entry of A finite,
-    cond(W(w_q)) <= cond_tol at every grid point, and every Z diagonal entry
-    bounded away from zero.
+    """Enforce the design invariants: every entry of A finite, and cond(W(w_q))
+    and cond(Z(w_q)) at most cond_tol at every grid point, as
+    ``PeriodicMatrixFunction.require_conditioned`` judges them; a Z of any
+    uniform scale has condition number 1 and is accepted.
 
-    The per-bin condition numbers come from ``W.condition_numbers()``, which
-    is computed once per W object and cached on it (W is immutable, so the
-    cache cannot go stale); ``demodulate`` reads the same array, so a
-    validated design pays for its conditioning check once.
+    Each condition number is computed once per W or Z object and cached on it
+    (both are immutable); ``demodulate`` and ``ctf``'s coefficient step
+    re-check the same arrays, so a validated design pays for them once.
     """
     _require_finite(design.A)
     design.W.require_conditioned(tol.cond_tol, "W")
     if design.Z is not None:
-        diag = design.Z.diagonal()
-        scale = max(float(np.max(np.abs(diag))), 1.0)
-        bad_z = np.flatnonzero(np.min(np.abs(diag), axis=1) < scale / tol.cond_tol)
-        if bad_z.size:
-            q = int(bad_z[0])
-            raise SingularOperatorError(
-                f"Z has a near-zero diagonal entry at grid point {q}", grid_index=q)
+        design.Z.require_conditioned(tol.cond_tol, "Z")
 
 
 def make_design(A: np.ndarray, grid: FrequencyGrid,
@@ -192,8 +185,7 @@ def build_sampling_filters(design: MeasurementDesign, v: GeneratorSet) -> Genera
     return GeneratorSet(v.grid, v.period, v.alias_support, spectra)
 
 
-def compressive_sample(d: CoefficientBank, design: MeasurementDesign,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBank:
+def compressive_sample(d: CoefficientBank, design: MeasurementDesign) -> MeasurementBank:
     """Produce the compressed measurements y(w_q) = W(w_q) A Z(w_q) d(w_q).
 
     This is the direct per-bin product; it coincides with pushing d through
@@ -539,8 +531,8 @@ def design_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES
 
     Text that is not a JSON object, or a field of the wrong type or length,
     raises InvalidInputError naming the field. The design is built by
-    ``make_design``, so a W that is singular at some bin, or a Z with a
-    near-zero entry, raises SingularOperatorError naming the grid point.
+    ``make_design``, so a W or a Z whose condition number exceeds cond_tol at
+    some bin raises SingularOperatorError naming the grid point.
     """
     try:
         doc = json.loads(text)

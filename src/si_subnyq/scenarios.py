@@ -166,8 +166,7 @@ def baseline_reference_samples(build: ScenarioBuild) -> np.ndarray:
     return filterbank_sample(d_flat, m_qa)[0]
 
 
-def piecewise_constant_waveform_check(build: ScenarioBuild,
-                                      tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+def piecewise_constant_waveform_check(build: ScenarioBuild) -> dict:
     """Integrate the modulated true waveform and compare with the filter-bank
     samples.
 
@@ -189,7 +188,7 @@ def piecewise_constant_waveform_check(build: ScenarioBuild,
     modulator = build.design.A / sc.base_period  # conj(s_i) values per base cell
     y_quad = np.einsum("il,nl->in", modulator, base_cell_integrals)
 
-    y_fb = compressive_sample(build.coefficients, build.design, tol).sequences
+    y_fb = compressive_sample(build.coefficients, build.design).sequences
     scale = float(np.max(np.abs(y_fb)))
     max_err = float(np.max(np.abs(y_quad - y_fb)))
     rel_err = max_err / scale if scale > 0 else max_err

@@ -63,8 +63,8 @@ class GeneratorSet:
     spectra: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise InvalidInputError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise InvalidInputError(f"period must be finite and positive, got {self.period}")
         support = tuple(int(j) for j in self.alias_support)
         if len(support) == 0:
             raise InvalidInputError("alias_support must be non-empty")

@@ -426,7 +426,7 @@ def check_periodic_waveform_quadrature(tol: Tolerances) -> tuple:
             m=4, k=1, s_pattern=frozenset({2}), base_period=1.0,
             n_blocks=8, seed=seed, p=3)
         build = scenarios.build_periodic_sparsity(sc)
-        report = scenarios.piecewise_constant_waveform_check(build, tol=tol)
+        report = scenarios.piecewise_constant_waveform_check(build)
         worst = max(worst, report["max_relative_error"])
     return (worst <= tol.quadrature_rel_tol,
             f"integration vs filter bank rel err {worst:.2e}", worst)

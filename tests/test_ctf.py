@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from si_subnyq import ctf
+from si_subnyq import ctf, experiments
 from si_subnyq.ctf import (
     MMVProblem,
     compute_q,
@@ -15,9 +16,16 @@ from si_subnyq.ctf import (
     solve_mmv_exhaustive,
     solve_mmv_somp,
 )
-from si_subnyq.errors import DimensionError, InfeasibleError, InvalidInputError
+from si_subnyq.errors import (
+    DimensionError,
+    InfeasibleError,
+    InvalidInputError,
+    SingularOperatorError,
+)
+from si_subnyq.experiments import ExperimentConfig
 from si_subnyq.sampling_design import (
     MeasurementBank,
+    MeasurementDesign,
     compressive_sample,
     kruskal_rank,
     make_cs_matrix,
@@ -362,7 +370,7 @@ def _multiband_instance():
                            cosets=(0, 1, 3, 6), seed=71, n_samples=32)
     build = build_multiband(sc)
     y = compressive_sample(build.coefficients, build.design)
-    return build.design, y, build.report["k_max"]
+    return build.design, y, build.report["k_max"], build.coefficients
 
 
 @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
@@ -370,7 +378,7 @@ def test_recover_coefficients_match_standalone_call(kind):
     # recover() demodulates once and reuses y_tilde for the coefficients; the
     # result must be bit-identical to demodulating again in the public call
     if kind == "diagonal":
-        design, y, k_max = _multiband_instance()
+        design, y, k_max, _ = _multiband_instance()
         assert design.W.is_diagonal() and not np.allclose(design.W.values[1], np.eye(4))
     else:
         design, support, _, y = planted_instance(72, with_w=kind == "dense",
@@ -381,6 +389,70 @@ def test_recover_coefficients_match_standalone_call(kind):
     standalone = recover_coefficients(y, design, result.support)
     assert np.array_equal(result.coefficients.sequences, standalone.sequences)
     assert result.coefficients.support == standalone.support
+
+
+def _scale_instance(kind):
+    """(design, y, k_max, true bank): ``_multiband_instance``, or the README
+    configuration (m=6 k=2 p=4 N=16) at seed 5, support {0, 3}."""
+    if kind == "multiband":
+        return _multiband_instance()
+    design, d, k_max, _ = experiments._sparse_instance(ExperimentConfig(), 5)
+    return design, compressive_sample(d, design), k_max, d
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [-600, -540, 540, 600])
+@pytest.mark.parametrize("kind", ["generic", "multiband"])
+def test_recovery_is_exact_at_any_scale_of_the_measurements(kind, exponent):
+    # Q of y scaled by 2^-540 underflows to the empty frame, and by 2^515 it
+    # overflows; recover forms Q from y_tilde times an exact power of two
+    design, y, k_max, d = _scale_instance(kind)
+    scaled = MeasurementBank(math.ldexp(1.0, exponent) * y.sequences)
+    result = recover(scaled, design, k_max=k_max, solver="somp" if kind == "multiband"
+                     else "exhaustive")
+    assert result.support == d.support
+    unscaled = math.ldexp(1.0, -exponent) * result.coefficients.sequences
+    err = np.linalg.norm(unscaled - d.sequences) / np.linalg.norm(d.sequences)
+    assert err <= DEFAULT_TOLERANCES.recovery_rel_tol
+
+
+def test_q_eigenvalues_of_an_in_range_bank_are_unscaled():
+    design, y, k_max, _ = _scale_instance("generic")
+    result = recover(y, design, k_max=k_max)
+    expected = np.linalg.eigvalsh(compute_q(y))[::-1]
+    assert np.allclose(result.diagnostics["q_eigenvalues"], expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", ["recover", "recover_coefficients"])
+def test_recovery_rejects_singular_z_of_a_raw_design(entry):
+    # a design built without make_design: Z is re-checked before it is
+    # divided by, as W is before demodulate solves
+    design, support, d, _ = planted_instance(73, require_sigma=4)
+    z = np.array(random_diagonal_z(design.m, design.grid, np.random.default_rng(74)).values)
+    z[5, sorted(support)[0], sorted(support)[0]] = 0.0
+    raw = MeasurementDesign(A=design.A, W=design.W, grid=design.grid,
+                            Z=PeriodicMatrixFunction(design.grid, z))
+    y = compressive_sample(d, raw)
+    with pytest.raises(SingularOperatorError, match="Z singular at grid point 5") as err:
+        if entry == "recover":
+            recover(y, raw, k_max=len(support))
+        else:
+            recover_coefficients(y, raw, set())
+    assert err.value.grid_index == 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniformly_small_z_is_accepted_and_recovered_exactly():
+    # cond(1e-9 I) = 1 at every bin: the per-bin rule accepts any uniform scale
+    design, support, d, _ = planted_instance(75, require_sigma=4)
+    z = PeriodicMatrixFunction(
+        design.grid, np.broadcast_to(1e-9 * np.eye(design.m), (design.grid.n, design.m, design.m)))
+    small = make_design(design.A, design.grid, Z=z)
+    result = recover(compressive_sample(d, small), small, k_max=len(support))
+    assert result.support == support
+    err = np.linalg.norm(result.coefficients.sequences - d.sequences) / np.linalg.norm(d.sequences)
+    assert err <= DEFAULT_TOLERANCES.recovery_rel_tol
 
 
 def test_frame_independence_of_support():

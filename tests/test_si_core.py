@@ -74,6 +74,13 @@ def test_generator_set_sorts_a_non_ascending_support_with_its_spectra():
     assert np.array_equal(gens.spectra, spectra[:, :, [1, 2, 0]])
 
 
+@pytest.mark.parametrize("period", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_generator_set_rejects_a_period_not_finite_and_positive(period):
+    # NaN compares False with everything, so "period <= 0" let it through
+    with pytest.raises(InvalidInputError, match="period must be finite and positive"):
+        GeneratorSet(FrequencyGrid(4), period, (0, 1), np.ones((1, 4, 2)))
+
+
 @pytest.mark.parametrize("support", [(-1, 0, 1), (1, -1, 0)])
 def test_generator_set_keeps_its_own_read_only_spectra(support):
     spectra = np.ones((1, 4, 3), dtype=np.complex128)

@@ -205,7 +205,7 @@ def test_trial_with_structured_w_equals_trial_with_dense_twin(shape, seed):
     assert design.W.is_diagonal()
 
     def sample_and_recover(d):
-        y = compressive_sample(bank, d, cfg.tolerances)
+        y = compressive_sample(bank, d)
         return ctf.recover(y, d, k_max=k_max, solver=cfg.solver, tol=cfg.tolerances)
 
     fast = sample_and_recover(design)
