@@ -124,12 +124,20 @@ def frame_from_q(q: np.ndarray,
 
 
 def _pow2_scale(x: np.ndarray) -> float:
-    """1 when max |x| lies in [2^-400, 2^400], where norms taken on x neither
-    overflow nor lose its largest entries to underflow; else the power of two
-    s with max |s x| in [1/2, 1). Multiplying by a power of two is exact, so
-    ||s y|| = s ||y|| bit for bit wherever ||y|| is computed without over- or
-    underflow."""
-    peak = float(np.max(np.abs(x), initial=0.0))
+    """1 when the peak of x lies in [2^-400, 2^400], where norms taken on x
+    neither overflow nor lose its largest entries to underflow; else the
+    power of two s with the peak of s x in [1/2, 1). Multiplying by a power
+    of two is exact, so ||s y|| = s ||y|| bit for bit wherever ||y|| is
+    computed without over- or underflow.
+
+    For complex x the peak is max(|re|, |im|), read from a float64 view (of
+    a copy only if x is not contiguous), and max |x| / sqrt(2) <= peak <=
+    max |x|. So an in-range peak puts max |x| in [2^-400, 2^400.5], which
+    the window's distance from the float64 limits absorbs, and an
+    out-of-range one still gives max |s x| < sqrt(2)."""
+    if np.iscomplexobj(x):
+        x = x.ravel(order="K").view(np.float64)
+    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
     if 2.0 ** -400 <= peak <= 2.0 ** 400:
         return 1.0
     return math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))

@@ -399,6 +399,10 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
         raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}, got {var!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        # a second run of one value would overwrite the first one's directory
+        raise ConfigError(f"sweep value {repeated} is given more than once")
     out = Path(out_dir)
     rows = []
     summaries = []

@@ -350,6 +350,17 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "out" / "p_5" / "trials.csv").exists()
 
 
+def test_cli_sweep_repeated_value_exits_2(tmp_path, capsys):
+    # a second p_4/ run would overwrite the first one's outputs
+    config = write_config(tmp_path / "cfg.json", mode="generic", m=6, k=2, p=4,
+                          N=8, seed=3, trials=3)
+    code = cli.main(["sweep", "--config", config, "--var", "p",
+                     "--values", "4,5,4", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: sweep value 4 is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", mode="generic", m=4, p=6)
     assert cli.main(["run", "--config", config]) == 2
