@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"compute_sigma needs m <= {KRUSKAL_MAX_COLUMNS}, got m={self.m}")
         if self.s_pattern is not None:
             pattern = tuple(sorted(int(i) for i in self.s_pattern))
+            repeated = next((i for i, j in zip(pattern, pattern[1:]) if i == j), None)
+            if repeated is not None:
+                raise ConfigError(f"s_pattern entry {repeated} is given more than once")
             if len(pattern) != self.k:
                 raise ConfigError(
                     f"s_pattern has {len(pattern)} entries but k={self.k}")
@@ -403,11 +406,12 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
     if repeated is not None:
         # a second run of one value would overwrite the first one's directory
         raise ConfigError(f"sweep value {repeated} is given more than once")
+    # every value is checked before the first run writes anything
+    configs = [replace(cfg, **{var: int(value)}) for value in values]
     out = Path(out_dir)
     rows = []
     summaries = []
-    for value in values:
-        sub_cfg = replace(cfg, **{var: int(value)})
+    for value, sub_cfg in zip(values, configs):
         summary = run_experiment(sub_cfg, out / f"{var}_{value}")
         summaries.append(summary)
         rows.append(",".join([

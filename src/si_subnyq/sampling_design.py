@@ -12,6 +12,7 @@ cross-spectrum matrix with the generators equals W(w_q) A exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -136,14 +137,22 @@ def validate_design(design: MeasurementDesign,
         design.Z.require_conditioned(tol.cond_tol, "Z")
 
 
+@functools.lru_cache(maxsize=1)
+def _identity_w(grid: FrequencyGrid, p: int) -> PeriodicMatrixFunction:
+    """The p x p identity bank on ``grid``, made once: it is immutable, so
+    every design of that shape can share it and its cached checks."""
+    return PeriodicMatrixFunction.identity(grid, p)
+
+
 def make_design(A: np.ndarray, grid: FrequencyGrid,
                 W: PeriodicMatrixFunction | None = None,
                 Z: PeriodicMatrixFunction | None = None,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementDesign:
-    """Validated constructor; W defaults to the identity bank."""
+    """Validated constructor; W defaults to the identity bank, one shared
+    object per (grid, p)."""
     A = np.asarray(A, dtype=np.complex128)
     if W is None:
-        W = PeriodicMatrixFunction.identity(grid, A.shape[0])
+        W = _identity_w(grid, A.shape[0])
     design = MeasurementDesign(A=A, W=W, grid=grid, Z=Z)
     validate_design(design, tol)
     return design
@@ -190,12 +199,18 @@ def compressive_sample(d: CoefficientBank, design: MeasurementDesign) -> Measure
 
     This is the direct per-bin product; it coincides with pushing d through
     the combined operator via the filter-bank path (circular convolution).
+
+    Only the support's rows are transformed; the rest stay zero. Z, A and W
+    act on all m rows, as ``A[:, S] @ X_S`` rounds differently from ``A @ X``
+    (tests/test_active_channels.py checks the bits against a whole-bank FFT).
     """
     if d.m != design.m:
         raise DimensionError(f"bank has {d.m} channels but A has {design.m} columns")
     if d.length != design.grid.n:
         raise DimensionError(f"sequence length {d.length} != grid length {design.grid.n}")
-    spectra = np.fft.fft(d.sequences, axis=1)
+    rows = sorted(d.support)
+    spectra = np.zeros((d.m, d.length), dtype=np.complex128)
+    spectra[rows] = np.fft.fft(d.sequences[rows], axis=1)
     if design.Z is not None:
         spectra = design.Z.apply(spectra)
     return MeasurementBank._owned(np.fft.ifft(design.W.apply(design.A @ spectra), axis=1))

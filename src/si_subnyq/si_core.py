@@ -128,11 +128,19 @@ class PeriodicMatrixFunction:
         return func
 
     def _columns(self, cols) -> "PeriodicMatrixFunction":
-        """The diagonal function of columns ``cols``, with their reciprocals;
-        every entry of this diagonal must be finite and nonzero."""
+        """The diagonal function of columns ``cols``, with their reciprocals
+        and all-ones flags; every entry of this diagonal must be finite and
+        nonzero."""
         func = self._from_diagonal(self.grid, self._diagonal[:, cols])
         object.__setattr__(func, "_r", _as_complex_readonly(self._reciprocal()[:, cols]))
+        object.__setattr__(func, "_unit", np.take(self._unit_columns(), cols))
         return func
+
+    def _unit_columns(self) -> np.ndarray:
+        """(n,) flags of the diagonal's all-ones columns, tested once and kept."""
+        if "_unit" not in self.__dict__:
+            object.__setattr__(self, "_unit", np.all(self._diagonal == 1, axis=0))
+        return self._unit
 
     def _reciprocal(self) -> np.ndarray:
         """(N, n) LAPACK solutions of d x = 1, kept. Only for a diagonal whose
@@ -225,12 +233,13 @@ class PeriodicMatrixFunction:
         Each route gives the dense einsum's bits: an all-ones diagonal returns
         ``spectra`` itself and any other diagonal takes the einsum
         ``"qi,iq->iq"`` (``d.T * spectra`` rounds differently), so a diagonal
-        function never builds its dense ``values``.
+        function never builds its dense ``values``. The all-ones test is made
+        once per function (``_unit_columns``).
         """
         d = self._diagonal
         if d is None:
             return np.einsum("qir,rq->iq", self._values, spectra)
-        if np.all(d == 1):
+        if self._unit_columns().all():
             return spectra
         return np.einsum("qi,iq->iq", d, spectra)
 
@@ -251,10 +260,9 @@ class PeriodicMatrixFunction:
         """
         self.require_conditioned(cond_tol, label)
         spectra = np.fft.fft(sequences, axis=1)
-        d = self._diagonal
-        if d is None:
+        if self._diagonal is None:
             solved = np.linalg.solve(self._values, spectra.T[:, :, None])[:, :, 0].T
-        elif np.all(d == 1):
+        elif self._unit_columns().all():
             solved = spectra
         else:
             solved = self._reciprocal().T * spectra
@@ -263,10 +271,14 @@ class PeriodicMatrixFunction:
 
 def _require_zero_off_support(seq: np.ndarray, support: frozenset[int]) -> None:
     """Every row of ``seq`` outside ``support`` is exactly zero (-0.0 is, NaN
-    is not); tested row by row, so no off-support copy is made."""
-    for i in range(seq.shape[0]):
-        if i not in support and np.any(seq[i]):
-            raise InvalidInputError("channels outside the declared support must be exactly zero")
+    is not). One reduction finds the nonzero rows, with no copy: over the real
+    view of a C-contiguous complex array (a complex entry is zero exactly when
+    both its parts are), else over ``seq`` itself."""
+    view = seq
+    if np.iscomplexobj(seq) and seq.flags.c_contiguous:
+        view = seq.view(seq.real.dtype)
+    if not support.issuperset(np.flatnonzero(np.any(view, axis=1)).tolist()):
+        raise InvalidInputError("channels outside the declared support must be exactly zero")
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,13 @@ def test_config_invalid_solver_named():
         config_from_json({"solver": "magic"})
 
 
+@pytest.mark.parametrize("pattern, entry", [([1, 1], 1), ([4, 1, 4], 4)])
+def test_config_rejects_a_repeated_s_pattern_entry(pattern, entry):
+    with pytest.raises(ConfigError, match=f"s_pattern entry {entry} is given more than once"):
+        config_from_json({"mode": "periodic_sparsity", "m": 7, "k": len(pattern), "p": 6,
+                          "N": 8, "s_pattern": pattern})
+
+
 def test_config_tolerance_overrides():
     cfg = config_from_json({"tolerances": {"recovery_rel_tol": 1e-6}})
     assert cfg.tolerances.recovery_rel_tol == 1e-6
@@ -358,6 +365,17 @@ def test_cli_sweep_repeated_value_exits_2(tmp_path, capsys):
                      "--values", "4,5,4", "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "config error: sweep value 4 is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_bad_later_value_writes_nothing(tmp_path, capsys):
+    # k=7 exceeds m=6: refused before k_1/ is run and written
+    config = write_config(tmp_path / "cfg.json", mode="generic", m=6, k=2, p=4,
+                          N=8, seed=3, trials=3)
+    code = cli.main(["sweep", "--config", config, "--var", "k",
+                     "--values", "1,7", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: k=7 must satisfy" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

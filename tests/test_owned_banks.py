@@ -131,3 +131,33 @@ def test_negative_zero_off_support_is_accepted():
     assert CoefficientBank(seq, frozenset({1})).support == frozenset({1})
     assert CoefficientBank(seq.real, frozenset({1})).support == frozenset({1})
     assert CoefficientBank._owned(seq, frozenset({1})).support == frozenset({1})
+
+
+@pytest.mark.parametrize("layout", [lambda a: a[:, ::2], np.asfortranarray])
+def test_off_support_check_reads_a_non_contiguous_complex_array(layout):
+    seq = np.zeros((3, 8), dtype=np.complex128)
+    seq[1] = 1.0
+    seq[0, 2] = complex(-0.0, -0.0)
+    seq[2, 2] = -0.0
+    assert not layout(seq).flags.c_contiguous
+    assert CoefficientBank(layout(seq), frozenset({1})).support == frozenset({1})
+    seq[2, 4] = 1j  # imaginary part only
+    with pytest.raises(InvalidInputError, match="outside the declared support"):
+        CoefficientBank(layout(seq), frozenset({1}))
+
+
+def test_off_support_check_skips_the_columns_a_view_leaves_out():
+    seq = np.zeros((3, 8), dtype=np.complex128)
+    seq[1] = 1.0
+    seq[2, 3] = 5.0
+    assert CoefficientBank(seq[:, ::2], frozenset({1})).support == frozenset({1})
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_off_support_check_reads_real_and_int_arrays(dtype):
+    seq = np.zeros((3, 4), dtype=dtype)
+    seq[1] = 2
+    assert CoefficientBank(seq, frozenset({1})).support == frozenset({1})
+    seq[0, 3] = -1
+    with pytest.raises(InvalidInputError, match="outside the declared support"):
+        CoefficientBank(seq, frozenset({1}))

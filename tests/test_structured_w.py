@@ -112,6 +112,37 @@ def test_structured_filterbank_sample_matches_dense_twin_bit_for_bit(name):
     assert np.array_equal(sampled, filterbank_sample(bank, dense_twin(w)))
 
 
+def test_default_w_is_one_shared_identity_that_apply_passes_through():
+    rng = np.random.default_rng(8)
+    w = make_design(make_cs_matrix("gaussian", 4, 6, rng), FrequencyGrid(16)).W
+    assert make_design(make_cs_matrix("gaussian", 4, 7, rng), FrequencyGrid(16)).W is w
+    assert np.array_equal(w.diagonal(), np.ones((16, 4)))
+    spectra = random_complex(rng, (4, 16))
+    assert w.apply(spectra) is spectra
+    assert make_design(make_cs_matrix("gaussian", 3, 6, rng), FrequencyGrid(16)).W.cols == 3
+
+
+@pytest.mark.parametrize("values, ones", [(np.ones((8, 3)), True),
+                                          (np.full((8, 3), 1 + 1e-16j), False),
+                                          (np.eye(8, 3) + 1, False)])
+def test_diagonal_apply_passes_through_only_an_all_ones_diagonal(values, ones):
+    w = PeriodicMatrixFunction._from_diagonal(FrequencyGrid(8), values)
+    spectra = random_complex(np.random.default_rng(9), (3, 8))
+    assert (w.apply(spectra) is spectra) == ones
+    assert np.array_equal(w.apply(spectra), dense_twin(w).apply(spectra))
+
+
+@pytest.mark.parametrize("cosets, ones", [((0,), True), ((8,), False), ((0, 3), False)])
+def test_table_columns_carry_the_all_ones_answer(cosets, ones):
+    # coset 0 with T = 1 gives the column exp(0) / 1 = 1 at every bin
+    grid = FrequencyGrid(16)
+    w = multiband_shaping_bank(scenario(8, 1.0, cosets, 16), grid)
+    fresh = PeriodicMatrixFunction._from_diagonal(grid, w.diagonal())
+    spectra = random_complex(np.random.default_rng(10), (len(cosets), 16))
+    assert (w.apply(spectra) is spectra) == ones
+    assert (fresh.apply(spectra) is spectra) == ones
+
+
 def per_coset_exp_loop(sc, grid):
     """multiband_shaping_bank's diagonal as the per-trial loop built it
     before the cached coset table, verbatim."""
