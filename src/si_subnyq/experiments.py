@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ctf, scenarios
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError
 from .sampling_design import (
     KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
@@ -32,8 +32,8 @@ from .sampling_design import (
     make_cs_matrix,
     make_design,
 )
-from .si_core import FrequencyGrid
-from .sparse_model import SparsityProfile, synthesize
+from .si_core import TWO_PI, FrequencyGrid
+from .sparse_model import SparsityProfile, _choose, synthesize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MODES = ("generic", "periodic_sparsity", "multiband", "verify")
@@ -87,6 +87,10 @@ class ExperimentConfig:
             raise ConfigError(f"solver must be one of {ctf.SOLVERS}, got {self.solver!r}")
         if self.compute_sigma and self.m > KRUSKAL_MAX_COLUMNS:
             raise ConfigError(f"compute_sigma needs m <= {KRUSKAL_MAX_COLUMNS}, got m={self.m}")
+        for name in ("base_period", "T", "band_width"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.s_pattern is not None:
             pattern = tuple(sorted(int(i) for i in self.s_pattern))
             repeated = next((i for i, j in zip(pattern, pattern[1:]) if i == j), None)
@@ -95,18 +99,28 @@ class ExperimentConfig:
             if len(pattern) != self.k:
                 raise ConfigError(
                     f"s_pattern has {len(pattern)} entries but k={self.k}")
+            if pattern and not 0 <= pattern[0] <= pattern[-1] < self.m:
+                raise ConfigError(f"s_pattern {list(pattern)} out of range 0..{self.m - 1}")
             object.__setattr__(self, "s_pattern", pattern)
         if self.cosets is not None:
             cosets = tuple(int(c) for c in self.cosets)
             if len(cosets) != self.p:
                 raise ConfigError(f"cosets has {len(cosets)} entries but p={self.p}")
+            if any(not 0 <= c <= self.m for c in cosets):
+                raise ConfigError(f"cosets {cosets} must lie in 0..m={self.m}")
+            if len({c % self.m for c in cosets}) != len(cosets):
+                raise ConfigError(f"cosets {cosets} must be distinct mod m={self.m}")
             object.__setattr__(self, "cosets", cosets)
-        if self.mode in ("periodic_sparsity", "multiband"):
-            # The scenario dataclass holds the rules; build it once to apply them.
-            try:
-                _scenario(self, np.random.default_rng(self.seed), self.seed)
-            except InvalidInputError as exc:
-                raise ConfigError(f"{self.mode} scenario: {exc}") from exc
+        if (self.band_width is not None
+                and self.m * self.band_width * self.T > TWO_PI * (1 + 1e-12)):
+            raise ConfigError(
+                f"band_width={self.band_width:.6g} too wide for m={self.m} slices: need "
+                f"m <= 2*pi/(band_width*T) = {TWO_PI / (self.band_width * self.T):.3f} "
+                f"so each band spans <= 2 slices")
+        if self.mode == "multiband" and not 1 <= self.n_bands <= self.m // 2:
+            # k_max = 2*n_bands slices must fit among the m
+            raise ConfigError(
+                f"n_bands={self.n_bands} must satisfy 1 <= n_bands and 2*n_bands <= m={self.m}")
 
 
 _CONFIG_FIELDS = {
@@ -245,27 +259,6 @@ def _draw_a(cfg: ExperimentConfig, rng_for) -> tuple[np.ndarray, int | None, np.
     return a_matrix, sigma, rng
 
 
-def _choose(rng: np.random.Generator, n: int, size: int) -> tuple[int, ...]:
-    return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
-
-
-def _scenario(cfg: ExperimentConfig, rng: np.random.Generator, seed: int):
-    """The mode's scenario dataclass with scenario seed ``seed``; an
-    ``s_pattern`` or ``cosets`` the config leaves open is drawn from ``rng``."""
-    if cfg.mode == "periodic_sparsity":
-        pattern = cfg.s_pattern if cfg.s_pattern is not None else _choose(rng, cfg.m, cfg.k)
-        return scenarios.PeriodicSparsityScenario(
-            m=cfg.m, k=cfg.k, s_pattern=frozenset(pattern), base_period=cfg.base_period,
-            n_blocks=cfg.N, seed=seed, p=cfg.p, matrix_kind=cfg.matrix_kind)
-    band_width = cfg.band_width
-    if band_width is None and cfg.T > 0:  # the scenario rejects T <= 0
-        band_width = 2 * np.pi / (cfg.m * cfg.T)
-    cosets = cfg.cosets if cfg.cosets is not None else _choose(rng, cfg.m, cfg.p)
-    return scenarios.MultibandScenario(
-        n_bands=cfg.n_bands, band_width=band_width, m=cfg.m, T=cfg.T,
-        cosets=cosets, seed=seed, n_samples=cfg.N)
-
-
 # One instance per mode: (design, planted coefficient bank, k_max, sigma).
 
 def _sparse_instance(cfg: ExperimentConfig, seed: int):
@@ -290,8 +283,7 @@ def _sparse_instance(cfg: ExperimentConfig, seed: int):
 
 
 def _multiband_instance(cfg: ExperimentConfig, seed: int):
-    sc = _scenario(cfg, np.random.default_rng(seed), seed)
-    build = scenarios.build_multiband(sc, cfg.tolerances)
+    build = scenarios.build_multiband(cfg, seed, cfg.tolerances)
     return (build.design, build.coefficients, build.report["k_max"],
             _sigma(cfg, build.design.A))
 
@@ -402,6 +394,9 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
         raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}, got {var!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if var == "k" and cfg.mode == "multiband":
+        # a multiband trial reads k_max = 2*n_bands, never k
+        raise ConfigError("field 'k' is not read in mode 'multiband'")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
         # a second run of one value would overwrite the first one's directory

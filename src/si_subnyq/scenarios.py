@@ -1,10 +1,13 @@
 """End-to-end scenario builders: periodic coefficient sparsity and multiband.
 
-Both scenario builds emit a ``ScenarioBuild``: the design (A, W), the planted
-coefficient bank and a report. That is the finite problem y(w) = W(w) A d(w)
-the generic sampling/recovery pipeline solves; no scenario-specific recovery
-code exists. The analog objects that justify it, the generator sets and their
-biorthogonal sets, come from their own functions (``shifted_box_generators``,
+A scenario is described once, by an ``experiments.ExperimentConfig`` in mode
+``periodic_sparsity`` or ``multiband``, which validates its fields. Both
+builders read such a config and a scenario seed, and emit a ``ScenarioBuild``:
+the config, the design (A, W), the planted coefficient bank and a report. That
+is the finite problem y(w) = W(w) A d(w) the generic sampling/recovery
+pipeline solves; no scenario-specific recovery code exists. The analog
+objects that justify it, the generator sets and their biorthogonal sets, come
+from their own functions (``shifted_box_generators``,
 ``multiband_slice_generators``), which no build calls.
 
 Generator representation note: the frequency-domain generator sets declared
@@ -19,12 +22,12 @@ true piecewise-constant waveform directly.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError
 from .sampling_design import (
     MeasurementDesign,
     compressive_sample,
@@ -40,49 +43,16 @@ from .si_core import (
     cross_spectrum_matrix,
     filterbank_sample,
 )
-from .sparse_model import SparsityProfile, synthesize
+from .sparse_model import SparsityProfile, _choose, synthesize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
 # Periodic sparsity of a single-generator signal
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PeriodicSparsityScenario:
-    """Single-generator signal whose coefficients are block-sparse.
-
-    Out of each consecutive group of m coefficients at base period T', at
-    most k are nonzero, in the fixed 0-based pattern ``s_pattern``. The
-    reindexed system has m generators with period m*T' and p compressed
-    output sequences.
-    """
-
-    m: int
-    k: int
-    s_pattern: frozenset[int]
-    base_period: float
-    n_blocks: int
-    seed: int
-    p: int
-    matrix_kind: str = "gaussian"
-
-    def __post_init__(self):
-        pattern = frozenset(int(i) for i in self.s_pattern)
-        if len(pattern) != self.k:
-            raise InvalidInputError(
-                f"s_pattern {sorted(pattern)} has {len(pattern)} entries, expected k={self.k}")
-        if any(i < 0 or i >= self.m for i in pattern):
-            raise InvalidInputError(f"s_pattern {sorted(pattern)} out of range 0..{self.m - 1}")
-        if not 1 <= self.p <= self.m:
-            raise InvalidInputError(f"p={self.p} must satisfy 1 <= p <= m={self.m}")
-        if not 0 < self.base_period < math.inf:
-            raise InvalidInputError(
-                f"base_period must be finite and positive, got {self.base_period}")
-        if self.n_blocks < 1:
-            raise InvalidInputError("n_blocks must be >= 1")
-        object.__setattr__(self, "s_pattern", pattern)
-
 
 def shifted_box_generators(m: int, base_period: float,
                            grid: FrequencyGrid) -> GeneratorSet:
@@ -117,37 +87,44 @@ def _base_rate_box_pair(m: int, base_period: float,
 @dataclass(frozen=True)
 class ScenarioBuild:
     """What a Monte Carlo trial reads from a scenario: the design, the planted
-    coefficient bank and a report (rates, or the active slices and k_max)."""
+    coefficient bank and a report (rates, or the cosets, active slices and
+    k_max), with the config they were built from."""
 
-    scenario: PeriodicSparsityScenario | MultibandScenario
+    config: ExperimentConfig
     design: MeasurementDesign
     coefficients: CoefficientBank
     report: dict = field(repr=False)
 
 
-def build_periodic_sparsity(sc: PeriodicSparsityScenario,
+def build_periodic_sparsity(cfg: ExperimentConfig, seed: int,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
-    """Assemble the m-generator reformulation's design (A drawn from the seed,
-    W = I) and a block-sparse coefficient bank.
+    """Assemble the m-generator reformulation of a ``periodic_sparsity``
+    config, a single-generator signal at base period T' of which only the k
+    coefficients in ``s_pattern`` of each group of m are nonzero: the design
+    (A drawn from ``default_rng(seed)``, W = I) and a block-sparse coefficient
+    bank of N blocks, which the same generator draws. An ``s_pattern`` the config leaves open is drawn as a periodic trial draws
+    it, by ``_choose(default_rng(seed), m, k)``.
 
     The box generators and their biorthogonal set do not enter the design, so
     the build makes neither; the ``scenarios.periodic_identities`` check of
     ``verify`` builds them and checks the two construction identities.
     """
-    grid = FrequencyGrid(sc.n_blocks)
-    rng = np.random.default_rng(sc.seed)
-    a_matrix = make_cs_matrix(sc.matrix_kind, sc.p, sc.m, rng)
+    grid = FrequencyGrid(cfg.N)
+    pattern = (cfg.s_pattern if cfg.s_pattern is not None
+               else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
+    rng = np.random.default_rng(seed)
+    a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
     design = make_design(a_matrix, grid, tol=tol)  # W = I
 
-    profile = SparsityProfile(sc.m, sc.k, sc.s_pattern)
-    coefficients = synthesize(profile, sc.n_blocks, rng)
+    profile = SparsityProfile(cfg.m, cfg.k, frozenset(pattern))
+    coefficients = synthesize(profile, cfg.N, rng)
 
     report = {
-        "baseline_rate": 1.0 / sc.base_period,
-        "compressed_rate": sc.p / (sc.m * sc.base_period),
-        "compression_factor": sc.p / sc.m,
+        "baseline_rate": 1.0 / cfg.base_period,
+        "compressed_rate": cfg.p / (cfg.m * cfg.base_period),
+        "compression_factor": cfg.p / cfg.m,
     }
-    return ScenarioBuild(sc, design, coefficients, report)
+    return ScenarioBuild(cfg, design, coefficients, report)
 
 
 def flatten_block_coefficients(bank: CoefficientBank) -> np.ndarray:
@@ -159,8 +136,8 @@ def flatten_block_coefficients(bank: CoefficientBank) -> np.ndarray:
 def baseline_reference_samples(build: ScenarioBuild) -> np.ndarray:
     """The uncompressed reference path: one sequence at the base rate whose
     samples equal the flat coefficients (prefilter-then-sample, m = 1)."""
-    sc = build.scenario
-    m_qa = cross_spectrum_matrix(*_base_rate_box_pair(sc.m, sc.base_period, sc.n_blocks))
+    cfg = build.config
+    m_qa = cross_spectrum_matrix(*_base_rate_box_pair(cfg.m, cfg.base_period, cfg.N))
     flat = flatten_block_coefficients(build.coefficients)
     d_flat = CoefficientBank.from_sequences(flat[None, :])
     return filterbank_sample(d_flat, m_qa)[0]
@@ -178,14 +155,14 @@ def piecewise_constant_waveform_check(build: ScenarioBuild) -> dict:
     which ``verify`` judges the returned error against, covers float
     accumulation only.
     """
-    sc = build.scenario
+    cfg = build.config
     resolution = 64
-    h = sc.base_period / resolution
+    h = cfg.base_period / resolution
     # the true waveform on the fine cells, as (blocks, base cell, fine cell)
     flat = flatten_block_coefficients(build.coefficients)
-    cells = np.repeat(flat, resolution).reshape(sc.n_blocks, sc.m, resolution)
+    cells = np.repeat(flat, resolution).reshape(cfg.N, cfg.m, resolution)
     base_cell_integrals = cells.sum(axis=2) * h  # (blocks, m)
-    modulator = build.design.A / sc.base_period  # conj(s_i) values per base cell
+    modulator = build.design.A / cfg.base_period  # conj(s_i) values per base cell
     y_quad = np.einsum("il,nl->in", modulator, base_cell_integrals)
 
     y_fb = compressive_sample(build.coefficients, build.design).sequences
@@ -202,49 +179,6 @@ def piecewise_constant_waveform_check(build: ScenarioBuild) -> dict:
 # ---------------------------------------------------------------------------
 # Multiband sampling via coset delays
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultibandScenario:
-    """Complex multiband signal observed through delayed sub-grid sampling.
-
-    The band-limited range [0, 2*pi/T) is split into m equal slices; a signal
-    with n_bands bands of width <= band_width occupies at most 2*n_bands
-    slices. Sampling uses p distinct integer coset offsets c_i.
-    """
-
-    n_bands: int
-    band_width: float
-    m: int
-    T: float
-    cosets: tuple[int, ...]
-    seed: int
-    n_samples: int = 32
-
-    def __post_init__(self):
-        if self.n_bands < 1:
-            raise InvalidInputError("n_bands must be >= 1")
-        for name in ("T", "band_width"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidInputError(
-                    f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.m * self.band_width * self.T > TWO_PI * (1 + 1e-12):
-            raise InvalidInputError(
-                f"band_width={self.band_width:.6g} too wide for m={self.m} slices: need "
-                f"m <= 2*pi/(band_width*T) = {TWO_PI / (self.band_width * self.T):.3f} "
-                f"so each band spans <= 2 slices")
-        cosets = tuple(int(c) for c in self.cosets)
-        if any(c < 0 or c > self.m for c in cosets):
-            raise InvalidInputError(f"cosets {cosets} must lie in 0..m={self.m}")
-        if len(set(c % self.m for c in cosets)) != len(cosets):
-            raise InvalidInputError(f"cosets {cosets} must be distinct mod m")
-        if self.n_samples < 1:
-            raise InvalidInputError("n_samples must be >= 1")
-        object.__setattr__(self, "cosets", cosets)
-
-    @property
-    def p(self) -> int:
-        return len(self.cosets)
-
 
 def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> GeneratorSet:
     """m orthonormal brick-wall slice generators covering [0, 2*pi/T).
@@ -263,7 +197,7 @@ def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> Generat
 @functools.lru_cache(maxsize=1)
 def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal function with column c = exp(1j*c*w_q/m)/sqrt(T) for each coset
-    c in 0..m. For the finite positive T a scenario holds, every entry is
+    c in 0..m. For the finite positive T a config holds, every entry is
     finite and nonzero."""
     w = grid.points
     diag = np.empty((grid.n, m + 1), dtype=np.complex128)
@@ -272,43 +206,56 @@ def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatri
     return PeriodicMatrixFunction._from_diagonal(grid, diag)
 
 
-def multiband_shaping_bank(sc: MultibandScenario,
+def multiband_shaping_bank(m: int, T: float, cosets: tuple[int, ...],
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T), read with
     their reciprocals from the cached coset table, which computes both once
     per (m, T, grid): a trial makes no exp and no LAPACK call."""
-    return _coset_shaping_table(sc.m, sc.T, grid)._columns(sc.cosets)
+    return _coset_shaping_table(m, T, grid)._columns(cosets)
 
 
-def build_multiband(sc: MultibandScenario,
+def build_multiband(cfg: ExperimentConfig, seed: int,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
     """Construct the coset-row mixing matrix, the diagonal shaping bank and a
-    sparse multiband coefficient bank occupying <= 2*n_bands slices."""
-    grid = FrequencyGrid(sc.n_samples)
-    rng = np.random.default_rng(sc.seed)
-    a_matrix = make_cs_matrix("fourier_rows", sc.p, sc.m, rng, cosets=sc.cosets)
-    design = make_design(a_matrix, grid, W=multiband_shaping_bank(sc, grid), tol=tol)
+    sparse multiband coefficient bank of a ``multiband`` config: [0, 2*pi/T)
+    is split into m equal slices, and n_bands bands of width ``band_width``
+    occupy <= 2*n_bands of them. The p cosets are distinct integer offsets.
 
-    slice_width = TWO_PI / (sc.m * sc.T)
+    A ``band_width`` the config leaves open is one slice, 2*pi/(m*T). Cosets
+    it leaves open are drawn by ``_choose(default_rng(seed), m, p)``; the
+    bands and coefficients are then drawn from a fresh ``default_rng(seed)``.
+    The report records the cosets used.
+    """
+    grid = FrequencyGrid(cfg.N)
+    band_width = cfg.band_width if cfg.band_width is not None else TWO_PI / (cfg.m * cfg.T)
+    cosets = (cfg.cosets if cfg.cosets is not None
+              else _choose(np.random.default_rng(seed), cfg.m, cfg.p))
+    rng = np.random.default_rng(seed)
+    a_matrix = make_cs_matrix("fourier_rows", cfg.p, cfg.m, rng, cosets=cosets)
+    design = make_design(a_matrix, grid, W=multiband_shaping_bank(cfg.m, cfg.T, cosets, grid),
+                         tol=tol)
+
+    slice_width = TWO_PI / (cfg.m * cfg.T)
     active: set[int] = set()
     band_edges = []
-    for _ in range(sc.n_bands):
-        start = rng.uniform(0.0, TWO_PI / sc.T - sc.band_width)
-        stop = start + sc.band_width
+    for _ in range(cfg.n_bands):
+        start = rng.uniform(0.0, TWO_PI / cfg.T - band_width)
+        stop = start + band_width
         first = int(start // slice_width)
         last = int((stop * (1 - 1e-12)) // slice_width)
-        active.update(range(first, min(last, sc.m - 1) + 1))
+        active.update(range(first, min(last, cfg.m - 1) + 1))
         band_edges.append((float(start), float(stop)))
 
-    profile = SparsityProfile(sc.m, len(active), frozenset(active))
-    coefficients = synthesize(profile, sc.n_samples, rng)
+    profile = SparsityProfile(cfg.m, len(active), frozenset(active))
+    coefficients = synthesize(profile, cfg.N, rng)
 
     report = {
+        "cosets": cosets,
         "active_slices": sorted(active),
         "band_edges": band_edges,
-        "k_max": 2 * sc.n_bands,
+        "k_max": 2 * cfg.n_bands,
     }
-    return ScenarioBuild(sc, design, coefficients, report)
+    return ScenarioBuild(cfg, design, coefficients, report)
 
 
 def delay_filter_equivalence_check(build: ScenarioBuild) -> dict:
@@ -318,18 +265,18 @@ def delay_filter_equivalence_check(build: ScenarioBuild) -> dict:
     dense grid of 512 points inside [0, 2*pi/T) and returns its largest
     deviation from exp(-1j*c_i*w*T) over all branches.
     """
-    sc = build.scenario
+    m, T = build.config.m, build.config.T
     n_points = 512
-    omega = np.arange(n_points) * (TWO_PI / sc.T) / n_points
-    slice_width = TWO_PI / (sc.m * sc.T)
-    ell = np.minimum((omega // slice_width).astype(int), sc.m - 1)
-    wrapped = omega * sc.m * sc.T - TWO_PI * ell  # w*m*T reduced to [0, 2*pi)
+    omega = np.arange(n_points) * (TWO_PI / T) / n_points
+    slice_width = TWO_PI / (m * T)
+    ell = np.minimum((omega // slice_width).astype(int), m - 1)
+    wrapped = omega * m * T - TWO_PI * ell  # w*m*T reduced to [0, 2*pi)
     max_dev = 0.0
-    for i, c in enumerate(sc.cosets):
-        w_conj = np.exp(-1j * c * wrapped / sc.m) / np.sqrt(sc.T)
-        slice_sum = np.sqrt(sc.m * sc.T) * np.conj(build.design.A[i, ell])
+    for i, c in enumerate(build.report["cosets"]):
+        w_conj = np.exp(-1j * c * wrapped / m) / np.sqrt(T)
+        slice_sum = np.sqrt(m * T) * np.conj(build.design.A[i, ell])
         g = w_conj * slice_sum
-        target = np.exp(-1j * c * omega * sc.T)
+        target = np.exp(-1j * c * omega * T)
         max_dev = max(max_dev, float(np.max(np.abs(g - target))))
     return {"max_deviation": max_dev, "n_points": n_points}
 

@@ -269,16 +269,21 @@ class PeriodicMatrixFunction:
         return np.fft.ifft(solved, axis=1)
 
 
-def _require_zero_off_support(seq: np.ndarray, support: frozenset[int]) -> None:
-    """Every row of ``seq`` outside ``support`` is exactly zero (-0.0 is, NaN
-    is not). One reduction finds the nonzero rows, with no copy: over the real
-    view of a C-contiguous complex array (a complex entry is zero exactly when
-    both its parts are), else over ``seq`` itself."""
+def _checked_support(seq: np.ndarray, support: frozenset[int] | None) -> frozenset[int]:
+    """``support`` once every row of ``seq`` outside it is found exactly zero
+    (-0.0 is, NaN is not); with ``support`` None, the rows that are not. One
+    reduction finds the nonzero rows, with no copy: over the real view of a
+    C-contiguous complex array (a complex entry is zero exactly when both its
+    parts are), else over ``seq`` itself."""
     view = seq
     if np.iscomplexobj(seq) and seq.flags.c_contiguous:
         view = seq.view(seq.real.dtype)
-    if not support.issuperset(np.flatnonzero(np.any(view, axis=1)).tolist()):
+    nonzero = frozenset(np.flatnonzero(np.any(view, axis=1)).tolist())
+    if support is None:
+        return nonzero
+    if not support.issuperset(nonzero):
         raise InvalidInputError("channels outside the declared support must be exactly zero")
+    return support
 
 
 @dataclass(frozen=True)
@@ -290,9 +295,9 @@ class CoefficientBank:
 
     The constructor keeps a read-only complex copy. ``_owned`` keeps the
     array it is given: only the pipeline's producers (``synthesize``,
-    ``zeros``, ``ctf``'s coefficient step) call it, each on a complex (m, N)
-    array it has just made, to spare a trial's megabyte banks a second copy.
-    Both routes run the off-support zero check.
+    ``zeros``, ``from_sequences``, ``ctf``'s coefficient step) call it, each
+    on a complex (m, N) array it has just made, to spare a trial's megabyte
+    banks a second copy. Both routes run the off-support zero check.
     """
 
     sequences: np.ndarray = field(repr=False)
@@ -305,14 +310,16 @@ class CoefficientBank:
         support = frozenset(int(i) for i in self.support)
         if any(i < 0 or i >= seq.shape[0] for i in support):
             raise InvalidInputError(f"support {sorted(support)} out of range for m={seq.shape[0]}")
-        _require_zero_off_support(seq, support)
+        _checked_support(seq, support)
         object.__setattr__(self, "sequences", _as_complex_readonly(seq))
         object.__setattr__(self, "support", support)
 
     @classmethod
-    def _owned(cls, sequences: np.ndarray, support: frozenset[int]) -> "CoefficientBank":
-        """The bank of a fresh complex (m, N) array, made read-only and kept."""
-        _require_zero_off_support(sequences, support)
+    def _owned(cls, sequences: np.ndarray,
+               support: frozenset[int] | None = None) -> "CoefficientBank":
+        """The bank of a fresh complex (m, N) array, made read-only and kept;
+        a support left None is inferred from the exact nonzeros."""
+        support = _checked_support(sequences, support)
         sequences.setflags(write=False)
         bank = cls.__new__(cls)
         object.__setattr__(bank, "sequences", sequences)
@@ -321,9 +328,12 @@ class CoefficientBank:
 
     @classmethod
     def from_sequences(cls, sequences: np.ndarray) -> "CoefficientBank":
-        """Build a bank whose support is inferred from exact nonzeros."""
-        seq = np.asarray(sequences, dtype=np.complex128)
-        return cls(seq, frozenset(int(i) for i in range(seq.shape[0]) if np.any(seq[i] != 0)))
+        """Build a bank of a complex copy of ``sequences`` whose support is
+        inferred from exact nonzeros."""
+        seq = _as_complex_readonly(sequences)
+        if seq.ndim != 2:
+            raise DimensionError(f"sequences must be (m, N), got shape {seq.shape}")
+        return cls._owned(seq)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "CoefficientBank":

@@ -50,6 +50,11 @@ class SparseSISignal:
                 f"generator set has {self.generators.m}")
 
 
+def _choose(rng: np.random.Generator, n: int, size: int) -> tuple[int, ...]:
+    """``size`` distinct indexes of 0..n-1, in the order ``rng`` draws them."""
+    return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+
+
 def synthesize(profile: SparsityProfile, n_samples: int,
                seed: int | np.random.Generator) -> CoefficientBank:
     """Seeded random coefficient bank honoring the sparsity profile.

@@ -390,42 +390,41 @@ def check_uniqueness_brute_force(tol: Tolerances) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _periodic_build(seed: int = 401):
-    sc = scenarios.PeriodicSparsityScenario(
-        m=7, k=2, s_pattern=frozenset({1, 4}), base_period=1.0,
-        n_blocks=8, seed=seed, p=5)
-    return scenarios.build_periodic_sparsity(sc)
+    cfg = experiments.ExperimentConfig(mode="periodic_sparsity", m=7, k=2, p=5, N=8,
+                                       s_pattern=(1, 4))
+    return scenarios.build_periodic_sparsity(cfg, seed)
 
 
 def check_periodic_block_pattern(tol: Tolerances) -> tuple:
     build = _periodic_build()
     flat = scenarios.flatten_block_coefficients(build.coefficients)
     idx = np.flatnonzero(flat != 0)
-    residues = set(int(i) % build.scenario.m for i in idx)
-    ok = residues <= set(build.scenario.s_pattern)
+    cfg = build.config
+    residues = set(int(i) % cfg.m for i in idx)
+    ok = residues <= set(cfg.s_pattern)
     baseline = scenarios.baseline_reference_samples(build)
     ok = ok and bool(np.max(np.abs(baseline - flat)) <= 1e-10 * np.max(np.abs(flat)))
     return (ok,
-            f"nonzero indexes fall in pattern {sorted(build.scenario.s_pattern)} "
-            f"mod {build.scenario.m}; baseline path reproduces them")
+            f"nonzero indexes fall in pattern {sorted(cfg.s_pattern)} "
+            f"mod {cfg.m}; baseline path reproduces them")
 
 
 def check_periodic_rate_accounting(tol: Tolerances) -> tuple:
     build = _periodic_build()
-    sc = build.scenario
+    cfg = build.config
     factor = build.report["compression_factor"]
-    ok = (factor == sc.p / sc.m
-          and build.report["compressed_rate"] == sc.p / (sc.m * sc.base_period)
-          and build.report["baseline_rate"] == 1.0 / sc.base_period)
+    ok = (factor == cfg.p / cfg.m
+          and build.report["compressed_rate"] == cfg.p / (cfg.m * cfg.base_period)
+          and build.report["baseline_rate"] == 1.0 / cfg.base_period)
     return ok, f"compression factor {factor} = p/m"
 
 
 def check_periodic_waveform_quadrature(tol: Tolerances) -> tuple:
     worst = 0.0
+    cfg = experiments.ExperimentConfig(mode="periodic_sparsity", m=4, k=1, p=3, N=8,
+                                       s_pattern=(2,))
     for seed in (402, 403, 404):
-        sc = scenarios.PeriodicSparsityScenario(
-            m=4, k=1, s_pattern=frozenset({2}), base_period=1.0,
-            n_blocks=8, seed=seed, p=3)
-        build = scenarios.build_periodic_sparsity(sc)
+        build = scenarios.build_periodic_sparsity(cfg, seed)
         report = scenarios.piecewise_constant_waveform_check(build)
         worst = max(worst, report["max_relative_error"])
     return (worst <= tol.quadrature_rel_tol,
@@ -452,10 +451,9 @@ def check_periodic_identities(tol: Tolerances) -> tuple:
 
 
 def _multiband_build(seed: int = 405):
-    sc = scenarios.MultibandScenario(
-        n_bands=1, band_width=2 * np.pi / 8, m=7, T=1.0,
-        cosets=(0, 2, 3, 5), seed=seed, n_samples=32)
-    return scenarios.build_multiband(sc)
+    cfg = experiments.ExperimentConfig(mode="multiband", m=7, p=4, N=32, n_bands=1,
+                                       band_width=2 * np.pi / 8, cosets=(0, 2, 3, 5))
+    return scenarios.build_multiband(cfg, seed)
 
 
 def check_multiband_delay_identity(tol: Tolerances) -> tuple:

@@ -20,6 +20,7 @@ from si_subnyq.ctf import (
     solve_mmv_somp,
 )
 from si_subnyq.errors import InfeasibleError
+from si_subnyq.experiments import ExperimentConfig
 from si_subnyq.sampling_design import (
     biorthogonalize,
     build_sampling_filters,
@@ -31,8 +32,6 @@ from si_subnyq.sampling_design import (
     random_invertible_w,
 )
 from si_subnyq.scenarios import (
-    MultibandScenario,
-    PeriodicSparsityScenario,
     build_multiband,
     build_periodic_sparsity,
     delay_filter_equivalence_check,
@@ -196,9 +195,8 @@ def test_criterion_5_minimal_rate_boundary():
 def test_criterion_6_multiband_example():
     started = time.perf_counter()
     # delay-filter identity on a 512-point grid and the fractional-delay chain
-    build0 = build_multiband(MultibandScenario(
-        n_bands=1, band_width=2 * np.pi / 8, m=7, T=1.0,
-        cosets=(0, 2, 3, 5), seed=0, n_samples=32))
+    multiband = dict(mode="multiband", n_bands=1, band_width=2 * np.pi / 8, m=7, T=1.0, N=32)
+    build0 = build_multiband(ExperimentConfig(p=4, cosets=(0, 2, 3, 5), **multiband), 0)
     delay_report = delay_filter_equivalence_check(build0)
     delay_ok = delay_report["max_deviation"] <= 1e-9
 
@@ -218,9 +216,8 @@ def test_criterion_6_multiband_example():
     for seed in range(50):
         rng_s = np.random.default_rng(3000 + seed)
         cosets = tuple(int(c) for c in rng_s.choice(7, size=4 * n_bands, replace=False))
-        build = build_multiband(MultibandScenario(
-            n_bands=n_bands, band_width=2 * np.pi / 8, m=7, T=1.0,
-            cosets=cosets, seed=seed, n_samples=32))
+        build = build_multiband(ExperimentConfig(p=len(cosets), cosets=cosets, **multiband),
+                                seed)
         assert kruskal_rank(build.design.A) >= 2 * build.report["k_max"]  # per draw
         y = compressive_sample(build.coefficients, build.design)
         result = recover(y, build.design, k_max=build.report["k_max"])
@@ -238,19 +235,19 @@ def test_criterion_6_multiband_example():
 def test_criterion_7_periodic_sparsity_example():
     started = time.perf_counter()
     quad_worst = 0.0
+    quad_cfg = ExperimentConfig(mode="periodic_sparsity", m=4, k=1, s_pattern=(2,),
+                                base_period=1.0, N=8, p=3)
     for seed in range(20):
-        sc = PeriodicSparsityScenario(m=4, k=1, s_pattern=frozenset({2}),
-                                      base_period=1.0, n_blocks=8, seed=seed, p=3)
-        build = build_periodic_sparsity(sc)
+        build = build_periodic_sparsity(quad_cfg, seed)
         quad = piecewise_constant_waveform_check(build)
         quad_worst = max(quad_worst, quad["max_relative_error"])
     quad_ok = quad_worst <= 1e-6
 
     pattern_ok = True
+    pattern_cfg = ExperimentConfig(mode="periodic_sparsity", m=7, k=2, s_pattern=(1, 4),
+                                   base_period=1.0, N=8, p=5)
     for seed in range(20):
-        sc = PeriodicSparsityScenario(m=7, k=2, s_pattern=frozenset({1, 4}),
-                                      base_period=1.0, n_blocks=8, seed=seed, p=5)
-        build = build_periodic_sparsity(sc)
+        build = build_periodic_sparsity(pattern_cfg, seed)
         y = compressive_sample(build.coefficients, build.design)
         result = recover(y, build.design, k_max=2)
         flat = flatten_block_coefficients(result.coefficients)

@@ -379,6 +379,37 @@ def test_cli_sweep_bad_later_value_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_multiband_sweep_of_k_exits_2(tmp_path, capsys):
+    # a multiband trial reads k_max = 2*n_bands, never k: every run would be equal
+    config = write_config(tmp_path / "cfg.json", mode="multiband", m=8, k=2, p=4,
+                          N=16, seed=3, trials=2, solver="somp")
+    code = cli.main(["sweep", "--config", config, "--var", "k",
+                     "--values", "1,2,3", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: field 'k' is not read in mode 'multiband'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the config itself, which sets k, is valid, and so is a sweep of p
+    code = cli.main(["sweep", "--config", config, "--var", "p",
+                     "--values", "4,5", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "p_5" / "trials.csv").exists()
+
+
+def test_cli_multiband_bands_past_the_slices_exit_2(tmp_path, capsys):
+    # k_max = 2*n_bands = 10 slices of m = 8: refused when the config is read,
+    # not at trial 0
+    config = write_config(tmp_path / "cfg.json", mode="multiband", m=8, p=4, N=16,
+                          seed=1, trials=2, n_bands=5)
+    assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: n_bands=5 must satisfy" in err and "m=8" in err
+    assert not (tmp_path / "out").exists()
+    for n_bands in (0, -1):
+        with pytest.raises(ConfigError, match="n_bands"):
+            config_from_json(dict(mode="multiband", m=8, p=4, n_bands=n_bands))
+    assert config_from_json(dict(mode="multiband", m=8, p=4, n_bands=4)).n_bands == 4
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", mode="generic", m=4, p=6)
     assert cli.main(["run", "--config", config]) == 2

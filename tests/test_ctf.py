@@ -33,7 +33,8 @@ from si_subnyq.sampling_design import (
     random_diagonal_z,
     random_invertible_w,
 )
-from si_subnyq.scenarios import MultibandScenario, build_multiband
+from si_subnyq.experiments import ExperimentConfig
+from si_subnyq.scenarios import build_multiband
 from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction
 from si_subnyq.sparse_model import SparsityProfile, synthesize
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
@@ -366,9 +367,9 @@ def test_recover_coefficients_rejects_dependent_columns():
 
 
 def _multiband_instance():
-    sc = MultibandScenario(n_bands=1, band_width=2 * np.pi / 8, m=8, T=1.0,
-                           cosets=(0, 1, 3, 6), seed=71, n_samples=32)
-    build = build_multiband(sc)
+    cfg = ExperimentConfig(mode="multiband", n_bands=1, band_width=2 * np.pi / 8, m=8,
+                           T=1.0, p=4, cosets=(0, 1, 3, 6), N=32)
+    build = build_multiband(cfg, 71)
     y = compressive_sample(build.coefficients, build.design)
     return build.design, y, build.report["k_max"], build.coefficients
 

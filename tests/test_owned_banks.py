@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from si_subnyq import ctf
-from si_subnyq.errors import InvalidInputError
+from si_subnyq.errors import DimensionError, InvalidInputError
 from si_subnyq.sampling_design import (
     MeasurementBank,
     compressive_sample,
@@ -20,7 +20,7 @@ from si_subnyq.sampling_design import (
     make_design,
     random_diagonal_z,
 )
-from si_subnyq.scenarios import MultibandScenario, multiband_shaping_bank
+from si_subnyq.scenarios import multiband_shaping_bank
 from si_subnyq.si_core import CoefficientBank, FrequencyGrid, PeriodicMatrixFunction
 from si_subnyq.sparse_model import SparsityProfile, synthesize
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
@@ -37,11 +37,9 @@ def _designs():
     yield "identity", make_design(a, grid)
     yield "dense", make_design(a, grid, PeriodicMatrixFunction(grid, dense),
                                random_diagonal_z(M, grid, rng))
-    sc = MultibandScenario(n_bands=2, band_width=2 * np.pi / 32, m=32, T=1.0,
-                           cosets=tuple(range(0, 32, 2)), seed=3, n_samples=64)
     grid = FrequencyGrid(64)
     yield "multiband", make_design(make_cs_matrix("gaussian", 16, 32, rng), grid,
-                                   multiband_shaping_bank(sc, grid))
+                                   multiband_shaping_bank(32, 1.0, tuple(range(0, 32, 2)), grid))
 
 
 DESIGNS = dict(_designs())
@@ -161,3 +159,45 @@ def test_off_support_check_reads_real_and_int_arrays(dtype):
     seq[0, 3] = -1
     with pytest.raises(InvalidInputError, match="outside the declared support"):
         CoefficientBank(seq, frozenset({1}))
+
+
+def row_by_row_support(sequences):
+    """The support rule ``from_sequences`` applied before it shared the
+    constructor's one-pass reduction: a row at a time."""
+    seq = np.asarray(sequences, dtype=np.complex128)
+    return frozenset(i for i in range(seq.shape[0]) if np.any(seq[i] != 0))
+
+
+def _support_cases():
+    seq = np.zeros((5, 8), dtype=np.complex128)
+    seq[1] = 1.0
+    seq[0] = complex(-0.0, -0.0)
+    seq[2, 3] = -0.0
+    seq[3, 5] = np.nan
+    seq[4, 6] = 1j  # imaginary part only
+    yield "complex", seq
+    yield "nan_imaginary", np.where(np.arange(8) == 7, complex(0.0, np.nan), 0j)[None, :]
+    yield "real", seq.real.copy()
+    yield "int", np.array([[0, 0, 0], [0, -3, 0], [0, 0, 0], [2, 0, 0]])
+    yield "strided", seq[:, ::2]
+    yield "fortran", np.asfortranarray(seq)
+    yield "all_zero", np.zeros((3, 4))
+
+
+@pytest.mark.parametrize("name, sequences", list(_support_cases()),
+                         ids=[name for name, _ in _support_cases()])
+def test_from_sequences_infers_the_row_by_row_support(name, sequences):
+    before = np.array(sequences)
+    bank = CoefficientBank.from_sequences(sequences)
+    assert bank.support == row_by_row_support(sequences)
+    assert np.array_equal(bank.sequences, np.asarray(sequences, dtype=np.complex128),
+                          equal_nan=True)
+    assert bank.sequences.dtype == np.complex128
+    assert not bank.sequences.flags.writeable
+    assert not np.shares_memory(bank.sequences, sequences)
+    assert np.array_equal(sequences, before, equal_nan=True)
+
+
+def test_from_sequences_rejects_a_single_sequence():
+    with pytest.raises(DimensionError, match=r"\(m, N\)"):
+        CoefficientBank.from_sequences(np.ones(4))

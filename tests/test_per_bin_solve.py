@@ -15,7 +15,8 @@ from si_subnyq.sampling_design import (
     make_design,
     random_invertible_w,
 )
-from si_subnyq.scenarios import MultibandScenario, build_multiband
+from si_subnyq.experiments import ExperimentConfig
+from si_subnyq.scenarios import build_multiband
 from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction, reconstruct_subspace
 from si_subnyq.sparse_model import SparsityProfile, synthesize
 
@@ -32,9 +33,9 @@ def reference_solve(values, sequences):
 
 def shaped_instance(kind):
     if kind == "diagonal":
-        sc = MultibandScenario(n_bands=1, band_width=2 * np.pi / 8, m=8, T=1.0,
-                               cosets=(0, 1, 3, 6), seed=71, n_samples=32)
-        build = build_multiband(sc)
+        cfg = ExperimentConfig(mode="multiband", n_bands=1, band_width=2 * np.pi / 8, m=8,
+                               T=1.0, p=4, cosets=(0, 1, 3, 6), N=32)
+        build = build_multiband(cfg, 71)
         return build.design, compressive_sample(build.coefficients, build.design)
     rng = np.random.default_rng(90)
     grid = FrequencyGrid(16)

@@ -1,7 +1,10 @@
 """A periodic_sparsity trial draws its instance in ``experiments`` alone: A is
 drawn once per attempt, and the accepted attempt's generator goes on to draw
 the coefficients. The reference below is the route of building the scenario
-at the accepted attempt's seed, assembled from public pieces."""
+at the accepted attempt's seed, assembled from public pieces. A multiband
+trial is the scenario build at the trial seed."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from si_subnyq import experiments, scenarios
 from si_subnyq.experiments import config_from_json, trial_seed
 from si_subnyq.sampling_design import kruskal_rank, make_cs_matrix
-from si_subnyq.scenarios import PeriodicSparsityScenario, build_periodic_sparsity
+from si_subnyq.scenarios import build_multiband, build_periodic_sparsity
 
 PERIODIC_CONFIGS = {
     # Bernoulli columns collide, so most trials redraw A
@@ -42,11 +45,8 @@ def reference_build(cfg, seed, attempt):
     pattern = cfg.s_pattern
     if pattern is None:
         pattern = np.random.default_rng(seed).choice(cfg.m, size=cfg.k, replace=False)
-    sc = PeriodicSparsityScenario(
-        m=cfg.m, k=cfg.k, s_pattern=frozenset(int(i) for i in pattern),
-        base_period=cfg.base_period, n_blocks=cfg.N, seed=trial_seed(seed, attempt),
-        p=cfg.p, matrix_kind=cfg.matrix_kind)
-    return build_periodic_sparsity(sc, cfg.tolerances)
+    return build_periodic_sparsity(replace(cfg, s_pattern=tuple(int(i) for i in pattern)),
+                                   trial_seed(seed, attempt), cfg.tolerances)
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC_CONFIGS))
@@ -92,3 +92,36 @@ def test_periodic_trial_draws_a_once_per_attempt_and_builds_no_scenario(monkeypa
     assert expected > cfg.trials  # some trial redrew A
     assert len(draws) == expected
     assert builds == []
+
+
+MULTIBAND_CONFIGS = {
+    # the multiband_long workload's shape, cut to a short grid
+    "open_cosets": dict(m=32, k=4, p=16, N=64, n_bands=2, solver="somp"),
+    "open_cosets_and_width": dict(m=8, p=4, N=16, T=0.5),
+    "fixed_cosets": dict(m=7, p=4, N=32, cosets=[0, 2, 3, 5], band_width=0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIBAND_CONFIGS))
+def test_multiband_instance_is_the_build_of_cosets_drawn_from_the_trial_seed(name):
+    """A multiband trial with ``cosets`` unset draws them from a generator of
+    its own seed, then builds from a fresh one; with ``cosets`` set it builds
+    from them."""
+    cfg = config_from_json(dict(mode="multiband", seed=5, trials=4,
+                                **MULTIBAND_CONFIGS[name]))
+    for t in range(cfg.trials):
+        seed = trial_seed(cfg.seed, t)
+        cosets = cfg.cosets
+        if cosets is None:
+            cosets = np.random.default_rng(seed).choice(cfg.m, size=cfg.p, replace=False)
+        reference = build_multiband(replace(cfg, cosets=tuple(int(c) for c in cosets)),
+                                    seed, cfg.tolerances)
+        design, bank, k_max, sigma = experiments._multiband_instance(cfg, seed)
+        assert np.array_equal(design.A, reference.design.A)
+        assert np.array_equal(design.W.diagonal(), reference.design.W.diagonal())
+        assert np.array_equal(bank.sequences, reference.coefficients.sequences)
+        assert bank.support == reference.coefficients.support
+        assert k_max == reference.report["k_max"] == 2 * cfg.n_bands
+        assert sigma == (kruskal_rank(design.A) if cfg.m <= experiments._SIGMA_AUTO_MAX_M
+                         else None)
+        assert scenarios.build_multiband(cfg, seed).report["cosets"] == tuple(cosets)

@@ -11,21 +11,20 @@ tests compare with ``np.array_equal`` on whatever build runs them.
 """
 
 import dataclasses
-import types
 
 import numpy as np
 import pytest
 
 from si_subnyq import ctf, experiments
-from si_subnyq.errors import InvalidInputError, SingularOperatorError
-from si_subnyq.experiments import ExperimentConfig
+from si_subnyq.errors import ConfigError, InvalidInputError, SingularOperatorError
+from si_subnyq.experiments import ExperimentConfig, config_from_json
 from si_subnyq.sampling_design import (
     compressive_sample,
     make_cs_matrix,
     make_design,
     random_diagonal_z,
 )
-from si_subnyq.scenarios import MultibandScenario, multiband_shaping_bank
+from si_subnyq.scenarios import multiband_shaping_bank
 from si_subnyq.si_core import (
     CoefficientBank,
     FrequencyGrid,
@@ -47,9 +46,7 @@ def random_complex(rng, shape):
 
 
 def multiband_w():
-    sc = MultibandScenario(n_bands=2, band_width=2 * np.pi / 32, m=32, T=1.0,
-                           cosets=tuple(range(0, 32, 2)), seed=3, n_samples=2048)
-    return multiband_shaping_bank(sc, FrequencyGrid(2048))
+    return multiband_shaping_bank(32, 1.0, tuple(range(0, 32, 2)), FrequencyGrid(2048))
 
 
 def random_diagonal(n, p, seed):
@@ -136,26 +133,21 @@ def test_diagonal_apply_passes_through_only_an_all_ones_diagonal(values, ones):
 def test_table_columns_carry_the_all_ones_answer(cosets, ones):
     # coset 0 with T = 1 gives the column exp(0) / 1 = 1 at every bin
     grid = FrequencyGrid(16)
-    w = multiband_shaping_bank(scenario(8, 1.0, cosets, 16), grid)
+    w = multiband_shaping_bank(8, 1.0, cosets, grid)
     fresh = PeriodicMatrixFunction._from_diagonal(grid, w.diagonal())
     spectra = random_complex(np.random.default_rng(10), (len(cosets), 16))
     assert (w.apply(spectra) is spectra) == ones
     assert (fresh.apply(spectra) is spectra) == ones
 
 
-def per_coset_exp_loop(sc, grid):
+def per_coset_exp_loop(m, T, cosets, grid):
     """multiband_shaping_bank's diagonal as the per-trial loop built it
     before the cached coset table, verbatim."""
     w = grid.points
-    diag = np.empty((grid.n, sc.p), dtype=np.complex128)
-    for i, c in enumerate(sc.cosets):
-        diag[:, i] = np.exp(1j * c * w / sc.m) / np.sqrt(sc.T)
+    diag = np.empty((grid.n, len(cosets)), dtype=np.complex128)
+    for i, c in enumerate(cosets):
+        diag[:, i] = np.exp(1j * c * w / m) / np.sqrt(T)
     return diag
-
-
-def scenario(m, T, cosets, n):
-    return MultibandScenario(n_bands=1, band_width=2 * np.pi / (m * T), m=m, T=T,
-                             cosets=cosets, seed=0, n_samples=n)
 
 
 # Cosets may include both ends 0 and m (each alone: they are equal mod m).
@@ -166,21 +158,20 @@ TABLE_CASES = [(32, 1.0, tuple(range(0, 32, 2))), (8, 0.37, (8, 3, 5, 1)),
 @pytest.mark.parametrize("n", [1, 64, 2048])
 @pytest.mark.parametrize("m, T, cosets", TABLE_CASES)
 def test_table_shaping_bank_equals_the_per_coset_exp_loop(n, m, T, cosets):
-    sc = scenario(m, T, cosets, n)
     grid = FrequencyGrid(n)
-    w = multiband_shaping_bank(sc, grid)
-    assert np.array_equal(w.diagonal(), per_coset_exp_loop(sc, grid))
+    w = multiband_shaping_bank(m, T, cosets, grid)
+    assert np.array_equal(w.diagonal(), per_coset_exp_loop(m, T, cosets, grid))
     assert w._values is None and not w.diagonal().flags.writeable
 
 
 @pytest.mark.parametrize("m, T, cosets", TABLE_CASES)
 def test_table_shaping_bank_solves_as_a_fresh_diagonal_and_its_dense_twin(m, T, cosets):
-    sc = scenario(m, T, cosets, 256)
-    w = multiband_shaping_bank(sc, FrequencyGrid(256))
+    w = multiband_shaping_bank(m, T, cosets, FrequencyGrid(256))
     assert "_r" in w.__dict__  # the table's reciprocals came with the columns
-    fresh = PeriodicMatrixFunction._from_diagonal(w.grid, per_coset_exp_loop(sc, w.grid))
+    fresh = PeriodicMatrixFunction._from_diagonal(
+        w.grid, per_coset_exp_loop(m, T, cosets, w.grid))
     rng = np.random.default_rng(m)
-    sequences = random_complex(rng, (sc.p, 256)) * 1e30
+    sequences = random_complex(rng, (len(cosets), 256)) * 1e30
     solved = w.solve(sequences, COND_TOL, "W")
     assert np.array_equal(solved, fresh.solve(sequences, COND_TOL, "W"))
     assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
@@ -200,15 +191,15 @@ def test_bad_diagonal_fails_the_conditioning_check_before_any_lapack_call(bad, e
 
 
 def test_shaping_bank_of_a_nan_period_fails_the_conditioning_check():
-    # The scenario rejects the NaN period by name, so no table is built from it.
-    sc = scenario(8, 1.0, (0, 3, 5), 16)
-    with pytest.raises(InvalidInputError, match="T must be finite"):
-        dataclasses.replace(sc, T=np.nan)
+    # The config rejects the NaN period by name, so no table is built from it.
+    with pytest.raises(ConfigError, match="T must be finite"):
+        config_from_json(dict(mode="multiband", m=8, p=3, N=16, T=float("nan"),
+                              cosets=[0, 3, 5]))
     # The bank the coset expression gives for it still fails the check in solve.
     grid = FrequencyGrid(16)
-    nan_period = types.SimpleNamespace(m=8, T=np.nan, cosets=sc.cosets, p=sc.p)
     with np.errstate(invalid="ignore"):  # the exp expression itself warns on 1/sqrt(nan)
-        w = PeriodicMatrixFunction._from_diagonal(grid, per_coset_exp_loop(nan_period, grid))
+        w = PeriodicMatrixFunction._from_diagonal(
+            grid, per_coset_exp_loop(8, np.nan, (0, 3, 5), grid))
     with pytest.raises(InvalidInputError, match="grid point 0"):
         w.solve(np.ones((3, 16)), COND_TOL, "W")
     assert "_r" not in w.__dict__
