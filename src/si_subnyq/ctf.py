@@ -296,12 +296,20 @@ def solve_mmv_somp(prob: MMVProblem,
     ``_pow2_scale``, so no norm or score overflows or underflows; every
     pick reads only ratios, and an in-range problem is not touched.
     """
+    return _somp(prob, tol)[0]
+
+
+def _somp(prob: MMVProblem, tol: Tolerances) -> tuple[frozenset[int], float | None]:
+    """``solve_mmv_somp``'s support and, when it picked a column and neither
+    A nor V was scaled, its ``_support_residual``: the last fit projects the
+    same V onto the same columns A[:, sorted(support)] by the same calls, so
+    its relative residual is that value bit for bit. Otherwise None."""
     a_scale, v_scale = _pow2_scale(prob.A), _pow2_scale(prob.V)
     A = prob.A if a_scale == 1.0 else a_scale * prob.A
     v = prob.V if v_scale == 1.0 else v_scale * prob.V
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
-        return frozenset()
+        return frozenset(), None
     col_norms = np.linalg.norm(A, axis=0)
     selected: list[int] = []
     residual = v
@@ -319,7 +327,10 @@ def solve_mmv_somp(prob: MMVProblem,
         a_s = A[:, sorted(selected)]
         coef, *_ = np.linalg.lstsq(a_s, v, rcond=None)
         residual = v - a_s @ coef
-    return frozenset(selected)
+    fit = None
+    if selected and a_scale == v_scale == 1.0:
+        fit = float(np.linalg.norm(residual)) / norm_v
+    return frozenset(selected), fit
 
 
 def _solve(prob: MMVProblem, solver: str,
@@ -338,8 +349,9 @@ def _solve(prob: MMVProblem, solver: str,
     if solver not in SOLVERS:
         raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "somp":
-        support = solve_mmv_somp(prob, tol)
-        residual = _support_residual(prob.A, prob.V, support)
+        support, residual = _somp(prob, tol)
+        if residual is None:
+            residual = _support_residual(prob.A, prob.V, support)
         if residual <= tol.mmv_residual_rel:
             return support, residual
         return _screen(prob, tol) or (support, residual)

@@ -7,9 +7,11 @@ derive from it via ``numpy.random.SeedSequence(master, spawn_key=(trial,))``
 and are recorded in each row, so any single trial can be reproduced in
 isolation.
 
-Determinism note: all output bytes are reproducible for a fixed seed and
-platform except the measured ``wall_time_s`` column (and the ``timing``
-block of the summary), which report real elapsed time.
+Determinism note: all output bytes are reproducible for a fixed seed,
+platform and BLAS thread count except the measured ``wall_time_s`` column
+(and the ``timing`` block of the summary), which report real elapsed time.
+The norms in ``_nmse`` go through the BLAS, whose threads split a large
+bank's sum, so its last digits can follow the thread count.
 """
 
 from __future__ import annotations

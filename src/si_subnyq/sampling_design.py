@@ -259,38 +259,92 @@ class _Block(NamedTuple):
     up: np.ndarray
 
 
-def _children(b: _Block, counts: np.ndarray, first: np.ndarray, q: int,
-              gdiag: np.ndarray, clear: float) -> _Block:
-    """The (q+1)-subsets S + {j'}, j' > j, of the q-subsets S = P + {j} of b,
-    in lexicographic order; subset i of b has counts[i] = m - 1 - j children,
-    the first at first[i]. Forms the rows of b: x[t] = K_P[j, j'] for child
-    t, whose sibling P + {j'} sits j' - j places after S and owns K_P[j', j'],
-    so one elimination step gives the pivot of the child. A zero pivot in b
-    divides by zero here, under the caller's errstate."""
+class _Links(NamedTuple):
+    """Where the children of a piece b of level q read b: child t extends
+    subset par[t] of b, sib[t] is its sibling P + {j'} in b and row[t] the
+    place of K_P'[j, j'] in b.up. Like ``_Shape``, independent of A."""
+
+    par: np.ndarray
+    sib: np.ndarray
+    row: np.ndarray
+
+
+class _Shape(NamedTuple):
+    """The fields of a ``_Block`` that do not depend on A."""
+
+    last: np.ndarray
+    mask: np.ndarray
+    src: np.ndarray
+
+
+def _links(b, counts: np.ndarray, first: np.ndarray) -> tuple[_Links, _Shape]:
+    """The layout of the (q+1)-subsets S + {j'}, j' > j, of the q-subsets
+    S = P + {j} of b (a ``_Block`` or ``_Shape``), in lexicographic order;
+    subset i of b has counts[i] = m - 1 - j children, the first at first[i].
+    Child t's sibling P + {j'} sits j' - j places after S."""
     par = np.repeat(np.arange(counts.size), counts)
     gap = np.arange(1, par.size + 1) - first[par]  # j' - j
     last = b.last[par] + gap
     sib = par + gap  # P + {j'}
-    x = b.up[b.src[par] + gap]  # K_P'[j, j']
+    return (_Links(par, sib, b.src[par] + gap),
+            _Shape(last, b.mask[par] | (1 << last), (first - 1)[sib]))
+
+
+def _children(b: _Block, links: _Links, shape: _Shape, q: int,
+              gdiag: np.ndarray, clear: float) -> _Block:
+    """The children of b laid out by ``_links``. Forms the rows of b:
+    x[t] = K_P[j, j'] for child t, whose sibling owns K_P[j', j'], so one
+    elimination step gives the pivot of the child. A zero pivot in b divides
+    by zero here, under the caller's errstate."""
+    par, sib = links.par, links.sib
+    x = b.up[links.row]  # K_P'[j, j']
     x -= b.mult[par] * b.x[sib]  # K_P[j, j'] = K_P'[j, j'] - mult K_P'[j_P, j']
     mult = x.conj() / b.piv[par]
     piv = b.piv[sib] - (mult * x).real
     trp = b.tr[par]
-    tr = trp + gdiag[last]
+    tr = trp + gdiag[shape.last]
     nd = b.nd[par] * (trp / tr) ** q * (piv / tr)
     ok = b.ok[par] & (nd > clear / float(q ** q))
-    return _Block(last, b.mask[par] | (1 << last), piv, tr, nd, ok, mult, x,
-                  (first - 1)[sib], x)
+    return _Block(shape.last, shape.mask, piv, tr, nd, ok, mult, x, shape.src, x)
 
 
-def _pieces(b: _Block, m: int):
-    """b cut between sibling groups into runs of at most _KRUSKAL_BLOCK
-    children each, or of one group where a group alone has more; each with
-    the children of each of its subsets and the index of the first."""
+# At most 300 levels (m <= 24) per block size: 11.2 MiB with every m in use
+# at the default one, 3 MiB of it at m = 16.
+@functools.lru_cache(maxsize=None)
+def _whole_level(m: int, q: int, block: int) -> tuple[_Links | None, _Shape] | None:
+    """The read-only (links, shape) of level q of the subset tree of m
+    columns (no links at q = 1) if every level up to q is grown whole, that
+    is C(m, q') <= block for 2 <= q' <= q; else None. Laid out by ``_links``
+    as a level grown per call is, once per process."""
+    if q == 1:
+        cols = np.arange(m)
+        level = (None, _Shape(cols, 1 << cols, cols * (m + 1)))  # level 1 reads G
+    else:
+        up = _whole_level(m, q - 1, block) if math.comb(m, q) <= block else None
+        if up is None:
+            return None
+        counts = m - 1 - up[1].last
+        level = _links(up[1], counts, np.cumsum(counts) - counts)
+    for part in filter(None, level):
+        for field in part:
+            field.flags.writeable = False
+    return level
+
+
+def _pieces(b: _Block, q: int, m: int):
+    """b, a block of level q, cut between sibling groups into runs of at most
+    _KRUSKAL_BLOCK children each, or of one group where a group alone has
+    more; each with the ``_links`` of its children. A level grown whole
+    (every block of level q is then all of it) reads them from
+    ``_whole_level``."""
+    whole = _whole_level(m, q + 1, _KRUSKAL_BLOCK)
+    if whole is not None:
+        yield b, *whole
+        return
     counts = m - 1 - b.last
     ends = np.cumsum(counts)
     if ends[-1] <= _KRUSKAL_BLOCK:
-        yield b, counts, ends - counts
+        yield b, *_links(b, counts, ends - counts)
         return
     parent = b.mask ^ (1 << b.last)
     cuts = np.flatnonzero(np.diff(parent, prepend=-1, append=-1))  # group starts, end
@@ -301,15 +355,15 @@ def _pieces(b: _Block, m: int):
         k = max(k, i + 1)
         lo, hi = cuts[i], cuts[k]
         piece = _Block(*(field[lo:hi] for field in b[:-1]), b.up)
-        yield piece, counts[lo:hi], ends[lo:hi] - counts[lo:hi] - before[i]
+        yield piece, *_links(piece, counts[lo:hi], ends[lo:hi] - counts[lo:hi] - before[i])
         i = k
 
 
 def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float):
     """The blocks of level ``target`` that descend from ``blocks`` of level q."""
     for b in blocks:
-        for piece, counts, first in _pieces(b, m):
-            child = _children(piece, counts, first, q, gdiag, clear)
+        for piece, links, shape in _pieces(b, q, m):
+            child = _children(piece, links, shape, q, gdiag, clear)
             if not child.ok.size:
                 continue
             if q + 1 == target:
@@ -355,9 +409,12 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     contiguous lexicographic range. A level of at most _KRUSKAL_KEEP subsets
     is kept whole for the next level to grow from; deeper levels are regrown
     block by block from the last kept one, so memory stays bounded up to 24
-    columns. The children of a subset that only the SVD test passed are
-    never cleared, so a zero or negative pivot only ever feeds subsets that
-    go to the SVD test.
+    columns. Which subset extends which (``_links``) depends on m alone: the
+    levels grown in one block are laid out once per m and held for the
+    process (``_whole_level``), so a call does only the arithmetic on them.
+    The children of a subset that only the SVD test passed are never
+    cleared, so a zero or negative pivot only ever feeds subsets that go to
+    the SVD test.
 
     Error bound. Each entry of each K_P comes from the computed G by one
     elimination step per column of P, in column order, each step on the
@@ -404,16 +461,16 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     gram = A.real.T @ A.real if not np.any(A.imag) else A.conj().T @ A
     clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
     gdiag = gram.diagonal().real
-    cols = np.arange(m)
+    cols, masks, src = _whole_level(m, 1, _KRUSKAL_BLOCK)[1]
     top = min(p, m)
     # A zero pivot or trace makes NaN or inf only in subsets the screen does
     # not clear; those go to the SVD test.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nd = gdiag / gdiag  # b = det(H) = 1 for one column
         zero = np.zeros(m, gram.dtype)
-        kept = (_Block(cols, 1 << cols, gdiag, gdiag, nd,
+        kept = (_Block(cols, masks, gdiag, gdiag, nd,
                        (nd > clear) & (gdiag >= np.finfo(np.float64).tiny),
-                       zero, zero, cols * (m + 1), gram.reshape(-1)),)
+                       zero, zero, src, gram.reshape(-1)),)
         kept_q = 1
         for q in range(1, top + 1):
             level = kept if q == kept_q else _grow(kept, kept_q, q, m, gdiag, clear)

@@ -325,6 +325,63 @@ def test_somp_miss_without_a_screen_keeps_somp_support(oracle_calls):
     assert len(oracle_calls) == 1
 
 
+def _multiband_frames(count):
+    """(A, frame V, k_max) of the first trials of a multiband_long run."""
+    cfg = experiments.ExperimentConfig(mode="multiband", m=32, k=4, p=16, N=2048,
+                                       n_bands=2, solver="somp", seed=7, trials=count)
+    problems = []
+    for trial in range(count):
+        design, bank, k_max, _ = experiments._multiband_instance(
+            cfg, experiments.trial_seed(7, trial))
+        y_tilde = ctf.demodulate(compressive_sample(bank, design), design, cfg.tolerances)
+        v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde), tol=cfg.tolerances)
+        problems.append(MMVProblem(design.A, v, k_max))
+    return problems
+
+
+def test_somp_last_fit_is_the_support_residual(monkeypatch):
+    # unscaled, SOMP's last fit projects the same V on the same columns by
+    # the same calls, so its residual is _support_residual's to the bit; a
+    # rescaled A or V, V = 0 or an empty pick leave it to _support_residual
+    frames = _multiband_frames(6)
+    a, v, k_max = frames[0].A, frames[0].V, frames[0].k_max
+    edges = [MMVProblem(2.0 ** 600 * a, v, k_max), MMVProblem(a, 2.0 ** -600 * v, k_max),
+             MMVProblem(a, np.zeros_like(v), k_max), MMVProblem(a, v, 0),
+             MMVProblem(np.zeros_like(a), v, k_max)]
+    rng = np.random.default_rng(911)
+    problems = [_random_problem(rng, index)[0] for index in range(600)]
+    seen = {"fit": 0, "scaled": 0, "empty": 0}
+    for prob in frames + problems + edges:
+        support, fit = ctf._somp(prob, DEFAULT_TOLERANCES)
+        assert support == solve_mmv_somp(prob)
+        residual = ctf._support_residual(prob.A, prob.V, support)
+        if not support:
+            seen["empty"] += 1
+            assert fit is None
+        elif ctf._pow2_scale(prob.A) != 1.0 or ctf._pow2_scale(prob.V) != 1.0:
+            seen["scaled"] += 1
+            assert fit is None
+        else:
+            seen["fit"] += 1
+            assert np.float64(fit).tobytes() == np.float64(residual).tobytes()
+    assert min(seen.values()) >= 20, seen
+
+    calls = []
+    counted = ctf._support_residual
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+    monkeypatch.setattr(ctf, "_support_residual", counting)
+    for prob, fits in ((frames[0], 0), (edges[0], 1), (edges[1], 1), (edges[2], 1)):
+        calls.clear()
+        support, residual = ctf._solve(prob, "somp", DEFAULT_TOLERANCES)
+        assert residual <= DEFAULT_TOLERANCES.mmv_residual_rel
+        assert len(calls) == fits
+        assert (np.float64(residual).tobytes()
+                == np.float64(counted(prob.A, prob.V, support)).tobytes())
+
+
 @pytest.mark.parametrize("seed, trials, truth", [
     (29000438, 1, (17, 18, 19, 20)),
     (57000183, 2, (2, 3, 4, 5)),

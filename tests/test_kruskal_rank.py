@@ -163,6 +163,99 @@ def test_blocked_levels_match_svd_scan(monkeypatch):
         assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == sigma, attempt
 
 
+def test_a_second_call_of_the_same_m_builds_no_level(monkeypatch):
+    built = []
+    links = sampling_design._links
+
+    def recording(b, counts, first):
+        built.append(counts.size)
+        return links(b, counts, first)
+
+    sampling_design._whole_level.cache_clear()
+    monkeypatch.setattr(sampling_design, "_links", recording)
+    # sigma 7: the scan grows levels 2..8, each laid out once, from its parent
+    assert kruskal_rank(_periodic_draw(471)) == 7
+    assert built == [math.comb(16, q) for q in range(1, 8)]
+    built.clear()
+    for attempt in (471, 153, 0):
+        assert kruskal_rank(_periodic_draw(attempt)) == svd_scan_kruskal_rank(
+            _periodic_draw(attempt))
+    assert built == []
+
+
+def _family(m, count, rng):
+    """Seeded p x m draws of every kind, half with column m - 1 a
+    combination of two others."""
+    p = min(m, 10)
+    cases = []
+    for index in range(count):
+        a = make_cs_matrix(MATRIX_KINDS[index % len(MATRIX_KINDS)], p, m, rng).copy()
+        if index % 2:
+            a[:, m - 1] = a[:, 0] - 0.5 * a[:, index % (m - 1)]
+        cases.append(a)
+    return cases
+
+
+def test_interleaved_m_match_svd_scan_cold_and_warm():
+    rng = np.random.default_rng(616)
+    family = [(m, _family(m, 3, rng)) for m in (6, 16, 12, 6, 16)]
+    expected = [[svd_scan_kruskal_rank(a) for a in cases] for _, cases in family]
+    sampling_design._whole_level.cache_clear()
+    for _ in ("cold", "warm"):
+        for (m, cases), sigmas in zip(family, expected):
+            assert [kruskal_rank(a) for a in cases] == sigmas, m
+
+
+def test_blocked_levels_after_a_warm_tree_match_svd_scan(monkeypatch):
+    # the tree laid out at the default block size is not read once blocks
+    # are cut
+    draws = [_periodic_draw(attempt) for attempt in (153, 471)]
+    rng = np.random.default_rng(17)
+    cases = [_random_case(rng, index) for index in range(40)]
+    for a in draws + cases:
+        kruskal_rank(a)
+    calls = []
+    whole_level = sampling_design._whole_level
+
+    def recording(m, q, block):
+        level = whole_level(m, q, block)
+        calls.append((m, q, block, level is not None))
+        return level
+
+    monkeypatch.setattr(sampling_design, "_KRUSKAL_BLOCK", 7)
+    monkeypatch.setattr(sampling_design, "_KRUSKAL_KEEP", 20)
+    monkeypatch.setattr(sampling_design, "_whole_level", recording)
+    for a in draws + cases:
+        assert kruskal_rank(a) == svd_scan_kruskal_rank(a)
+    # a level is read from the tree only if it and every level before it
+    # has at most 7 subsets
+    assert {block for _, _, block, _ in calls} == {7}
+    assert all(whole == all(math.comb(m, r) <= 7 for r in range(2, q + 1))
+               for m, q, _, whole in calls)
+    assert {whole for *_, whole in calls} == {True, False}
+
+
+# Bytes the tree keeps per subset of a level it keeps: six int64 fields
+# (_Links and _Shape).
+_KEPT_BYTES_PER_SUBSET = 48
+
+
+@pytest.mark.parametrize("m, whole, budget_mib", [(16, 16, 3.0), (24, 4, 0.6)])
+def test_kept_tree_stays_under_its_budget(m, whole, budget_mib):
+    # the tree keeps the levels grown whole, C(m, q) <= _KRUSKAL_BLOCK up to
+    # the first that is cut, and no other
+    block = sampling_design._KRUSKAL_BLOCK
+    levels = [sampling_design._whole_level(m, q, block) for q in range(1, m + 1)]
+    assert [level is not None for level in levels] == [q <= whole for q in range(1, m + 1)]
+    kept = sum(field.nbytes for level in levels[:whole] for part in level
+               if part is not None for field in part)
+    assert kept <= _KEPT_BYTES_PER_SUBSET * sum(math.comb(m, q) for q in range(1, whole + 1))
+    assert kept <= budget_mib * 2 ** 20
+    # a full-spark A reads every kept level
+    a = np.random.default_rng(m).standard_normal((min(m, whole + 1), m))
+    assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == min(m, whole + 1)
+
+
 @pytest.mark.parametrize("case", ["complex 5x8", "bernoulli 10x16"])
 def test_level_rows_are_the_schur_complement_entries(monkeypatch, case):
     # every row entry the level pass forms is K_P[j, c] for its child
