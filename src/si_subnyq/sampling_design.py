@@ -230,9 +230,9 @@ class _Block(NamedTuple):
 
     Subset i is S = P + {j}, j = last[i], whose columns are the set bits of
     mask[i]. K_P is the Schur complement of G_P in the Gram matrix G;
-    piv[i] = K_P[j, j] = det(G_S) / det(G_P); tr[i] = tr(G_S);
-    nd[i] = det(G_S) / tr(G_S)^q; ok[i] says the screen cleared S and every
-    prefix of S.
+    piv[i] = K_P[j, j] = det(G_S) / det(G_P); det[i] = D_S = u^q det(G_S)
+    (see ``kruskal_rank``); ok[i] says the screen cleared S and every prefix
+    of S.
 
     Rows. The row of S is K_P[j, c] for c > j, one entry per child S + {c},
     so a level has C(m, q + 1) row entries. It is formed only when the
@@ -250,8 +250,7 @@ class _Block(NamedTuple):
     last: np.ndarray
     mask: np.ndarray
     piv: np.ndarray
-    tr: np.ndarray
-    nd: np.ndarray
+    det: np.ndarray
     ok: np.ndarray
     mult: np.ndarray
     x: np.ndarray
@@ -290,8 +289,8 @@ def _links(b, counts: np.ndarray, first: np.ndarray) -> tuple[_Links, _Shape]:
             _Shape(last, b.mask[par] | (1 << last), (first - 1)[sib]))
 
 
-def _children(b: _Block, links: _Links, shape: _Shape, q: int,
-              gdiag: np.ndarray, clear: float) -> _Block:
+def _children(b: _Block, links: _Links, shape: _Shape, q: int, u: float,
+              clear: float, real: bool) -> _Block:
     """The children of b laid out by ``_links``. Forms the rows of b:
     x[t] = K_P[j, j'] for child t, whose sibling owns K_P[j', j'], so one
     elimination step gives the pivot of the child. A zero pivot in b divides
@@ -299,13 +298,11 @@ def _children(b: _Block, links: _Links, shape: _Shape, q: int,
     par, sib = links.par, links.sib
     x = b.up[links.row]  # K_P'[j, j']
     x -= b.mult[par] * b.x[sib]  # K_P[j, j'] = K_P'[j, j'] - mult K_P'[j_P, j']
-    mult = x.conj() / b.piv[par]
+    mult = (x if real else x.conj()) / b.piv[par]  # a real G's x is its own conjugate
     piv = b.piv[sib] - (mult * x).real
-    trp = b.tr[par]
-    tr = trp + gdiag[shape.last]
-    nd = b.nd[par] * (trp / tr) ** q * (piv / tr)
-    ok = b.ok[par] & (nd > clear / float(q ** q))
-    return _Block(shape.last, shape.mask, piv, tr, nd, ok, mult, x, shape.src, x)
+    det = b.det[par] * (piv * u)
+    ok = b.ok[par] & (det > clear * (q + 1) ** (q + 1) / q ** q)
+    return _Block(shape.last, shape.mask, piv, det, ok, mult, x, shape.src, x)
 
 
 # At most 300 levels (m <= 24) per block size: 11.2 MiB with every m in use
@@ -359,17 +356,17 @@ def _pieces(b: _Block, q: int, m: int):
         i = k
 
 
-def _grow(blocks, q: int, target: int, m: int, gdiag: np.ndarray, clear: float):
+def _grow(blocks, q: int, target: int, m: int, u: float, clear: float, real: bool):
     """The blocks of level ``target`` that descend from ``blocks`` of level q."""
     for b in blocks:
         for piece, links, shape in _pieces(b, q, m):
-            child = _children(piece, links, shape, q, gdiag, clear)
+            child = _children(piece, links, shape, q, u, clear, real)
             if not child.ok.size:
                 continue
             if q + 1 == target:
                 yield child
             else:
-                yield from _grow((child,), q + 1, target, m, gdiag, clear)
+                yield from _grow((child,), q + 1, target, m, u, clear, real)
 
 
 def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -386,25 +383,26 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     Let H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1.
     H is positive semidefinite, so by AM-GM on the other q - 1 eigenvalues
     det(H) <= l_1 * (1 / (q - 1))^(q - 1), and l_q <= 1; hence
-    l_1 / l_q >= l_1 >= b = det(H) * (q - 1)^(q - 1). S is cleared as full
-    rank when b > clear = max(rel_tol, 1e4 * eps), tr(G_S) is at least the
+    l_1 / l_q >= l_1 >= b = det(H) * (q - 1)^(q - 1). Let u be the power of
+    two that puts max_j G_jj in [1/2, 1) (at most 2^1023; 1 for G = 0, 0 for
+    an overflowed G). As tr(G_S) <= q / u, D_S = u^q det(G_S) has the
+    statistic D_S (q - 1)^(q - 1) / q^q <= b. S is cleared as full rank when
+    it exceeds clear = max(rel_tol, 1e4 * eps), tr(G_S) is at least the
     smallest normal double (below it G carries underflow error) and every
     prefix of S (its first i columns, i < q) was cleared; a trace never falls
     from prefix to subset, so the trace test is made on single columns and
     the prefix rule carries it. Every other subset, including each one where
-    b is NaN, goes through the SVD test on the complex column slices, so
+    D_S is NaN, goes through the SVD test on the complex column slices, so
     every decision the screen does not make is exactly the SVD test's.
 
     Level pass. det(G_S) comes from symmetric Gaussian elimination (LDL^H)
     of G_S in column order, shared along the subset tree (see ``_Block`` and
     ``_children``): a child S + {j'} of S = P + {j} has the pivot
     K_S[j', j'] = K_P[j', j'] - |K_P[j, j']|^2 / K_P[j, j], so
-    det(G_child) = det(G_S) * pivot and
-    nd_child = nd_S * (tr_S / tr_child)^q * (pivot / tr_child). Growing
-    level q + 1 costs a few numpy operations over its C(m, q + 1) subsets,
-    each with one entry of the rows of level q, and no LAPACK call. The rows
-    of a level are formed only when the next level is grown from it, so the
-    level where the scan stops forms none.
+    D_child = D_S * (u * pivot). Growing level q + 1 costs a few numpy
+    operations over its C(m, q + 1) subsets, each with one entry of the rows
+    of level q, and no LAPACK call. A level forms its rows only when the next
+    level is grown from it, so the level where the scan stops forms none.
     Blocks hold whole sibling groups, so the children of a block are one
     contiguous lexicographic range. A level of at most _KRUSKAL_KEEP subsets
     is kept whole for the next level to grow from; deeper levels are regrown
@@ -428,11 +426,13 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     ||E||_2 <= delta = c (p + q + 4) eps tr(G_S), c = 2, which covers
     complex arithmetic and, with tr(G_S) at least the smallest normal
     double, underflow. The bound needs every pivot but the last to be
-    positive, which the prefix rule guarantees. The nd recurrence
-    adds a relative error of order q^2 eps. For p + q <= 400, which every
-    design (p <= m <= 24) meets, delta / tr <= 1e3 eps, and:
+    positive, which the prefix rule guarantees. Each u * pivot is at most
+    about 1, so a D_S above clear stayed normal, where scaling by u is exact,
+    and tr(M) <= q / u + q delta: the statistic is at most b(M) up to a
+    relative q eps + q^2 delta / tr. For p + q <= 400 (every design),
+    delta / tr <= 1e3 eps, and:
     - A dependent S: M has an eigenvalue in [-delta, delta] and the others
-      sum in absolute value to at most tr(M) + 2 q delta, so the computed b
+      sum in absolute value to at most tr(M) + 2 q delta, so the statistic
       is at most about delta / tr <= 1e3 eps, under the 1e4 * eps floor: S
       is never cleared.
     - A cleared S: b(M) > clear up to that rounding, so M is positive
@@ -440,10 +440,9 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
       (delta / tr)^2) and l_1 of A_S^H A_S is at least
       clear - 2 delta / tr >= 0.8 clear. So sigma_min / sigma_max of A_S is
       at least sqrt(0.8 clear), 1.3e-6 when the eps floor sets clear, far
-      above such a rel_tol. When rel_tol sets clear, one column has
-      b = g / g = 1 exactly and ratio 1 > rel_tol, and for q >= 2
-      b <= max_l l (1 - l)^(q - 1) <= 1 / 4, so clearing needs
-      rel_tol < 1 / 4 and leaves a ratio of at least
+      above such a rel_tol. When rel_tol sets clear, one column has ratio
+      1 > rel_tol, and for q >= 2 b <= max_l l (1 - l)^(q - 1) <= 1 / 4, so
+      clearing needs rel_tol < 1 / 4 and leaves a ratio of at least
       sqrt(0.8 rel_tol) >= 1.7 rel_tol. The SVD test's own rounding does
       not close that margin, so every cleared subset passes it and sigma is
       what the SVD scan gives.
@@ -458,28 +457,29 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
             f"kruskal_rank refuses m={m} columns: exhaustive subset search is "
             f"limited to {KRUSKAL_MAX_COLUMNS} columns")
     _require_finite(A)
-    gram = A.real.T @ A.real if not np.any(A.imag) else A.conj().T @ A
+    real = not np.any(A.imag)
     clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
-    gdiag = gram.diagonal().real
     cols, masks, src = _whole_level(m, 1, _KRUSKAL_BLOCK)[1]
-    top = min(p, m)
-    # A zero pivot or trace makes NaN or inf only in subsets the screen does
-    # not clear; those go to the SVD test.
+    # An overflowed G or a zero pivot makes NaN or inf only in subsets the
+    # screen does not clear; those go to the SVD test.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nd = gdiag / gdiag  # b = det(H) = 1 for one column
+        gram = A.real.T @ A.real if real else A.conj().T @ A
+        gdiag = gram.diagonal().real
+        peak = float(gdiag.max(initial=0.0))
+        u = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023)) if peak < math.inf else 0.0
+        det = gdiag * u
         zero = np.zeros(m, gram.dtype)
-        kept = (_Block(cols, masks, gdiag, gdiag, nd,
-                       (nd > clear) & (gdiag >= np.finfo(np.float64).tiny),
+        kept = (_Block(cols, masks, gdiag, det,
+                       (det > clear) & (gdiag >= np.finfo(np.float64).tiny),
                        zero, zero, src, gram.reshape(-1)),)
         kept_q = 1
-        for q in range(1, top + 1):
-            level = kept if q == kept_q else _grow(kept, kept_q, q, m, gdiag, clear)
+        for q in range(1, min(p, m) + 1):
+            level = kept if q == kept_q else _grow(kept, kept_q, q, m, u, clear, real)
             keep = [] if math.comb(m, q) <= _KRUSKAL_KEEP else None
             for b in level:
-                left = b.mask[~b.ok]
-                if left.size:
+                if not b.ok.all():
                     # the set bits of each mask, ascending: the subset's columns
-                    in_set = (left[:, None] >> cols) & 1
+                    in_set = (b.mask[~b.ok][:, None] >> cols) & 1
                     subs = np.moveaxis(A[:, np.nonzero(in_set)[1].reshape(-1, q)], 1, 0)
                     sv = np.linalg.svd(subs, compute_uv=False)  # (batch, min(p, q))
                     if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
@@ -488,7 +488,7 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
                     keep.append(b)
             if keep is not None:
                 kept, kept_q = keep, q
-    return top
+    return min(p, m)
 
 
 # ---------------------------------------------------------------------------

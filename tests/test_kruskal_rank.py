@@ -293,6 +293,132 @@ def test_level_rows_are_the_schur_complement_entries(monkeypatch, case):
     assert formed == {q: math.comb(m, q + 1) for q in range(1, last_scanned)}
 
 
+def _scaled_case(rng, index):
+    """A ``_random_case`` aimed at the screen's power-of-two scale u: its
+    columns scaled over 2^+-40, the whole matrix at 1e+-150, a subnormal
+    Gram (1e-160), a Gram whose diagonal overflows (1e155), zero columns, or
+    column scales and a zero column together."""
+    a = _random_case(rng, index)
+    m = a.shape[1]
+    spread = 2.0 ** rng.integers(-40, 41, size=m)
+    variant = index // 16 % 6
+    if variant == 0:
+        a = a * spread
+    elif variant == 1:
+        a = a * 10.0 ** (150 if index % 2 else -150)
+    elif variant == 2:
+        a = a * 1e-160
+    elif variant == 3:
+        a = a * 1e155
+    elif variant == 4:
+        a[:, rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = 0.0
+    else:
+        a = a * spread
+        a[:, rng.integers(m)] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_shared_scale_matches_svd_scan(monkeypatch, block):
+    # D_S = u^q det(G_S) with one u per call: column norms that share no
+    # binade, Grams at the ends of the float range and zero columns, at every
+    # rel_tol; block 7 cuts every level past the first between sibling groups
+    if block is not None:
+        monkeypatch.setattr(sampling_design, "_KRUSKAL_BLOCK", block)
+        monkeypatch.setattr(sampling_design, "_KRUSKAL_KEEP", 20)
+    rng = np.random.default_rng(2028)
+    for index in range(480 if block is None else 192):
+        a = _scaled_case(rng, index)
+        rel_tol = REL_TOLS[index % len(REL_TOLS)]
+        assert (kruskal_rank(a, _rank_tol(rel_tol))
+                == svd_scan_kruskal_rank(a, rel_tol)), (index, a.shape, rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_overflowed_gram_clears_nothing(rel_tol):
+    # column 0's squared norm overflows to inf and column 1 is a tiny
+    # multiple of it: rounding reads the pair's pivot as column 1's own
+    # norm, so with a finite u the pair would look independent
+    a = np.ones((3, 4)) * np.array([1e155, 1e-160, 1.0, -2.0])
+    a[:, 2:] += np.random.default_rng(3).standard_normal((3, 2))
+    with np.errstate(over="ignore"):
+        assert np.isinf((a.T @ a)[0, 0])
+    assert (kruskal_rank(a, _rank_tol(rel_tol)) == svd_scan_kruskal_rank(a, rel_tol)
+            == (rel_tol < 1))
+
+
+def test_threshold_carries_the_level_factor():
+    # two columns of squared norm 0.99 (u = 1) at every angle: D_S =
+    # 0.99^2 sin^2 alone passes 0.5 from about 46 degrees, where the SVD
+    # ratio tan(theta / 2) is still 0.42, so the screen must hold D_S to
+    # clear q^q / (q - 1)^(q - 1) = 4 clear
+    for theta in np.linspace(0.0, np.pi / 2, 91):
+        a = np.sqrt(0.99) * np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
+        for rel_tol in REL_TOLS:
+            assert (kruskal_rank(a, _rank_tol(rel_tol))
+                    == svd_scan_kruskal_rank(a, rel_tol)), (theta, rel_tol)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 0), (0, 3)])
+def test_empty_a_has_rank_zero(shape):
+    assert kruskal_rank(np.zeros(shape)) == 0
+
+
+# Subsets that reached the SVD test before the screen read D_S (the trace
+# chain nd = det(G_S) / tr(G_S)^q), measured on the same draws: a sound but
+# weaker screen must not turn into more SVD work.
+_SVD_SUBSETS_PERIODIC = 186  # the 106 draws of 40 periodic_redraw trials, seed 7
+_SVD_SUBSETS_GAUSSIAN = 0  # 300 gaussian 4 x 6 draws
+
+
+def test_screen_sends_no_more_subsets_to_the_svd_test(monkeypatch):
+    subsets = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        subsets.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    cfg = experiments.config_from_json(dict(
+        mode="periodic_sparsity", m=16, k=2, p=10, N=128, matrix_kind="bernoulli",
+        solver="exhaustive", seed=7, trials=40))
+    draws = []
+    for t in range(cfg.trials):
+        seed = trial_seed(cfg.seed, t)
+        experiments._draw_a(cfg, lambda attempt: draws.append(attempt)
+                            or np.random.default_rng(trial_seed(seed, attempt)))
+    assert len(draws) == 106
+    assert sum(subsets) <= _SVD_SUBSETS_PERIODIC
+    subsets.clear()
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        kruskal_rank(make_cs_matrix("gaussian", 4, 6, rng))
+    assert sum(subsets) <= _SVD_SUBSETS_GAUSSIAN
+
+
+def _without_wall_time(csv):
+    return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+
+
+@pytest.mark.parametrize("config", [
+    dict(mode="periodic_sparsity", m=16, k=2, p=10, N=128, matrix_kind="bernoulli",
+         solver="exhaustive", trials=40),
+    dict(mode="generic", m=6, k=2, p=4, N=16, matrix_kind="gaussian",
+         solver="exhaustive", trials=200),
+], ids=["periodic_redraw", "mc_small"])
+def test_trials_are_byte_identical_with_the_svd_scan(monkeypatch, config):
+    # every sigma decides which A a trial keeps, so the whole trials.csv
+    # (wall time aside) must not move when the SVD scan gives sigma
+    cfg = experiments.config_from_json(dict(config, seed=7))
+    fast = experiments.records_to_csv(experiments.run_trials(cfg))
+    monkeypatch.setattr(experiments, "kruskal_rank",
+                        lambda a, tol: svd_scan_kruskal_rank(a, tol.rank_rel_tol))
+    slow = experiments.records_to_csv(experiments.run_trials(cfg))
+    assert _without_wall_time(fast) == _without_wall_time(slow)
+    assert len(slow.splitlines()) == cfg.trials + 1
+
+
 def test_widest_a_matches_svd_scan():
     # m = KRUSKAL_MAX_COLUMNS: 3 x 24 DFT rows, where consecutive rows are a
     # Vandermonde matrix and scan all C(24, 3) subsets, and a duplicated
