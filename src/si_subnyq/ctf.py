@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, InvalidInputError
-from .sampling_design import MeasurementBank, MeasurementDesign
-from .si_core import CoefficientBank
+from .sampling_design import MeasurementBank, MeasurementDesign, _require_finite
+from .si_core import CoefficientBank, _require_int
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 EXHAUSTIVE_GUARD = 10 ** 6
@@ -49,9 +49,9 @@ class MMVProblem:
             raise DimensionError("A and V must be 2-D")
         if v.shape[0] != a.shape[0]:
             raise DimensionError(f"V has {v.shape[0]} rows but A has {a.shape[0]}")
-        for name, arr in (("A", a), ("V", v)):
-            if not np.isfinite(arr).all():
-                raise InvalidInputError(f"{name} has a NaN or infinite entry")
+        _require_finite(a, "A")
+        _require_finite(v, "V")
+        _require_int(self.k_max, "k_max")
         if not 0 <= self.k_max <= a.shape[1]:
             raise InvalidInputError(f"k_max={self.k_max} out of range 0..{a.shape[1]}")
         object.__setattr__(self, "A", a)
@@ -104,8 +104,7 @@ def frame_from_q(q: np.ndarray,
     q = np.asarray(q, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise DimensionError(f"Q must be square and non-empty, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise InvalidInputError("Q has a NaN or infinite entry")
+    _require_finite(q, "Q")
     herm_dev = float(np.max(np.abs(q - q.conj().T)))
     scale = max(float(np.max(np.abs(q))), 1.0)
     if herm_dev > tol.hermitian_tol * scale:
@@ -166,23 +165,16 @@ def solve_mmv_exhaustive(prob: MMVProblem,
     """Exact minimum-support search: the reference oracle.
 
     Scans supports by increasing size (lexicographic within a size) and
-    returns the first one whose projection residual is within
+    returns the first one whose ``_support_residual`` is within
     ``tol.mmv_residual_rel``. An all-zero V (no columns included) gets the
     empty support before the guard, which refuses C(m, k_max) > 1e6.
 
     Recovery (``solver="exhaustive"``) runs the rank-aware ``_screen`` first,
-    which returns this function's answer, and runs this function's scan for
-    every case the screen cannot settle.
+    which returns this function's answer, and calls this function for every
+    case the screen cannot settle.
     """
-    return _exhaustive_scan(prob, tol)[0]
-
-
-def _exhaustive_scan(prob: MMVProblem,
-                     tol: Tolerances) -> tuple[frozenset[int], float]:
-    """``solve_mmv_exhaustive``'s answer and the ``_support_residual`` it was
-    accepted on (0.0 for an all-zero V)."""
     if not np.any(prob.V):
-        return frozenset(), 0.0
+        return frozenset()
     m = prob.A.shape[1]
     if math.comb(m, prob.k_max) > EXHAUSTIVE_GUARD:
         raise InvalidInputError(
@@ -193,7 +185,7 @@ def _exhaustive_scan(prob: MMVProblem,
         for combo in itertools.combinations(range(m), size):
             res = _support_residual(prob.A, prob.V, combo)
             if res <= tol.mmv_residual_rel:
-                return frozenset(combo), res
+                return frozenset(combo)
             if res < best_res:
                 best_res = res
                 best_support = frozenset(combo)
@@ -290,26 +282,18 @@ def solve_mmv_somp(prob: MMVProblem,
     the current residual matrix, then re-projects V onto the selected
     columns. Stops at k_max atoms or when the relative residual drops below
     ``tol.mmv_residual_rel``. Ties break to the lowest index. The returned
-    support is not verified; ``_solve`` checks its residual.
+    support is not verified; ``_solve`` fits it by ``_support_residual``.
 
     A and V are each brought into range by the power of two of
     ``_pow2_scale``, so no norm or score overflows or underflows; every
     pick reads only ratios, and an in-range problem is not touched.
     """
-    return _somp(prob, tol)[0]
-
-
-def _somp(prob: MMVProblem, tol: Tolerances) -> tuple[frozenset[int], float | None]:
-    """``solve_mmv_somp``'s support and, when it picked a column and neither
-    A nor V was scaled, its ``_support_residual``: the last fit projects the
-    same V onto the same columns A[:, sorted(support)] by the same calls, so
-    its relative residual is that value bit for bit. Otherwise None."""
     a_scale, v_scale = _pow2_scale(prob.A), _pow2_scale(prob.V)
     A = prob.A if a_scale == 1.0 else a_scale * prob.A
     v = prob.V if v_scale == 1.0 else v_scale * prob.V
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
-        return frozenset(), None
+        return frozenset()
     col_norms = np.linalg.norm(A, axis=0)
     selected: list[int] = []
     residual = v
@@ -327,10 +311,7 @@ def _somp(prob: MMVProblem, tol: Tolerances) -> tuple[frozenset[int], float | No
         a_s = A[:, sorted(selected)]
         coef, *_ = np.linalg.lstsq(a_s, v, rcond=None)
         residual = v - a_s @ coef
-    fit = None
-    if selected and a_scale == v_scale == 1.0:
-        fit = float(np.linalg.norm(residual)) / norm_v
-    return frozenset(selected), fit
+    return frozenset(selected)
 
 
 def _solve(prob: MMVProblem, solver: str,
@@ -338,8 +319,9 @@ def _solve(prob: MMVProblem, solver: str,
     """(support, its ``_support_residual``) for the support ``solver`` finds.
 
     ``solver`` is checked first, whatever V holds; an empty V gives (empty
-    support, 0.0). A screened or oracle support comes with the residual it was
-    accepted on.
+    support, 0.0). A screened support comes with the residual it was
+    accepted on, a SOMP or oracle support with one ``_support_residual``
+    call (for the oracle's, the call it was accepted on, repeated).
 
     A SOMP support whose residual exceeds ``tol.mmv_residual_rel`` is a miss;
     it gives way to the screen's fitting support when the screen settles, and
@@ -349,13 +331,16 @@ def _solve(prob: MMVProblem, solver: str,
     if solver not in SOLVERS:
         raise InvalidInputError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "somp":
-        support, residual = _somp(prob, tol)
-        if residual is None:
-            residual = _support_residual(prob.A, prob.V, support)
-        if residual <= tol.mmv_residual_rel:
-            return support, residual
-        return _screen(prob, tol) or (support, residual)
-    return _screen(prob, tol) or _exhaustive_scan(prob, tol)
+        support = solve_mmv_somp(prob, tol)
+    else:
+        screened = _screen(prob, tol)
+        if screened is not None:
+            return screened
+        support = solve_mmv_exhaustive(prob, tol)  # fits, or raises
+    residual = _support_residual(prob.A, prob.V, support)
+    if residual <= tol.mmv_residual_rel:
+        return support, residual
+    return _screen(prob, tol) or (support, residual)
 
 
 def recover_support(y: MeasurementBank, design: MeasurementDesign, k_max: int,
@@ -386,9 +371,8 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
         raise InvalidInputError(f"support {support} out of range for m={design.m}")
     if design.Z is not None:
         design.Z.require_conditioned(tol.cond_tol, "Z")
-    n = design.grid.n
     if not support:
-        return CoefficientBank.zeros(design.m, n)
+        return CoefficientBank.zeros(design.m, design.grid.n)
     a_s = design.A[:, support]
     sv = np.linalg.svd(a_s, compute_uv=False)
     if sv[-1] <= tol.rank_rel_tol * sv[0]:
@@ -398,7 +382,7 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
     x = np.linalg.pinv(a_s) @ spectra  # (|S|, N)
     if design.Z is not None:
         x = x / design.Z.diagonal()[:, support].T
-    sequences = np.zeros((design.m, n), dtype=np.complex128)
+    sequences = np.zeros((design.m, design.grid.n), dtype=np.complex128)
     sequences[support] = np.fft.ifft(x, axis=1)
     return CoefficientBank._owned(sequences, frozenset(support))
 

@@ -26,6 +26,7 @@ from .si_core import (
     FrequencyGrid,
     GeneratorSet,
     PeriodicMatrixFunction,
+    _as_complex_readonly,
     cross_spectrum_matrix,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -49,7 +50,7 @@ class MeasurementDesign:
     Z: PeriodicMatrixFunction | None = None
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=np.complex128)
+        a = _as_complex_readonly(self.A)
         if a.ndim != 2 or 0 in a.shape:
             raise DimensionError(f"A must be 2-D with a row and a column, got shape {a.shape}")
         p, m = a.shape
@@ -67,7 +68,6 @@ class MeasurementDesign:
             if not self.Z.is_diagonal():
                 raise InvalidInputError("Z must be exactly diagonal")
             self.Z.require_conditioned(math.inf, "Z")
-        a.setflags(write=False)
         object.__setattr__(self, "A", a)
 
     @property
@@ -92,10 +92,9 @@ class MeasurementBank:
     sequences: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        seq = np.array(self.sequences, dtype=np.complex128)
+        seq = _as_complex_readonly(self.sequences)
         if seq.ndim != 2:
             raise DimensionError(f"sequences must be (p, N), got shape {seq.shape}")
-        seq.setflags(write=False)
         object.__setattr__(self, "sequences", seq)
 
     @classmethod
@@ -115,9 +114,9 @@ class MeasurementBank:
         return self.sequences.shape[1]
 
 
-def _require_finite(A: np.ndarray) -> None:
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("A has a NaN or infinite entry")
+def _require_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} has a NaN or infinite entry")
 
 
 def validate_design(design: MeasurementDesign,
@@ -131,7 +130,7 @@ def validate_design(design: MeasurementDesign,
     (both are immutable); ``demodulate`` and ``ctf``'s coefficient step
     re-check the same arrays, so a validated design pays for them once.
     """
-    _require_finite(design.A)
+    _require_finite(design.A, "A")
     design.W.require_conditioned(tol.cond_tol, "W")
     if design.Z is not None:
         design.Z.require_conditioned(tol.cond_tol, "Z")
@@ -330,19 +329,16 @@ def _whole_level(m: int, q: int, block: int) -> tuple[_Links | None, _Shape] | N
 
 def _pieces(b: _Block, q: int, m: int):
     """b, a block of level q, cut between sibling groups into runs of at most
-    _KRUSKAL_BLOCK children each, or of one group where a group alone has
-    more; each with the ``_links`` of its children. A level grown whole
-    (every block of level q is then all of it) reads them from
-    ``_whole_level``."""
+    _KRUSKAL_BLOCK children each (one run if b has no more), or of one group
+    where a group alone has more; each with the ``_links`` of its children.
+    A level grown whole (every block of level q is then all of it) reads
+    them from ``_whole_level``."""
     whole = _whole_level(m, q + 1, _KRUSKAL_BLOCK)
     if whole is not None:
         yield b, *whole
         return
     counts = m - 1 - b.last
     ends = np.cumsum(counts)
-    if ends[-1] <= _KRUSKAL_BLOCK:
-        yield b, *_links(b, counts, ends - counts)
-        return
     parent = b.mask ^ (1 << b.last)
     cuts = np.flatnonzero(np.diff(parent, prepend=-1, append=-1))  # group starts, end
     before = np.concatenate(([0], ends))[cuts]  # children before each cut
@@ -456,7 +452,7 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
         raise InvalidInputError(
             f"kruskal_rank refuses m={m} columns: exhaustive subset search is "
             f"limited to {KRUSKAL_MAX_COLUMNS} columns")
-    _require_finite(A)
+    _require_finite(A, "A")
     real = not np.any(A.imag)
     clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
     cols, masks, src = _whole_level(m, 1, _KRUSKAL_BLOCK)[1]

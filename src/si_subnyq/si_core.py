@@ -33,12 +33,18 @@ class FrequencyGrid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        _require_int(self.n, "grid size")
+        if self.n < 1:
             raise InvalidInputError(f"grid size must be a positive integer, got {self.n!r}")
 
     @property
     def points(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
+
+
+def _require_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_complex_readonly(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .si_core import TWO_PI, CoefficientBank, GeneratorSet
+from .si_core import TWO_PI, CoefficientBank, GeneratorSet, _require_int
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ def synthesize(profile: SparsityProfile, n_samples: int,
     Active channels, in ascending order, get i.i.d. unit-variance complex
     normal values; inactive channels are exactly zero.
     """
+    _require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)

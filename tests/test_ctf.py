@@ -307,6 +307,32 @@ def test_argument_checks_do_not_depend_on_the_data(entry, kwargs, match, zero):
         entry(y, design, **kwargs)
 
 
+_GAUSSIAN_4X6 = make_cs_matrix("gaussian", 4, 6, np.random.default_rng(0))
+_PROFILE = SparsityProfile(6, 2, frozenset({1, 4}))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda n: MMVProblem(_GAUSSIAN_4X6, _GAUSSIAN_4X6[:, :2], n), "k_max"),
+    (lambda n: synthesize(_PROFILE, n, 0), "n_samples"),
+    (FrequencyGrid, "grid size"),
+], ids=["MMVProblem", "synthesize", "FrequencyGrid"])
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True, False, np.bool_(True),
+                                   "2", None])
+def test_integer_arguments_refuse_bools_and_non_integers(build, name, value):
+    # unchecked, k_max=2.5 lets SOMP pick three columns and the oracle raise a
+    # raw TypeError, and True passes for 1
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.int32(2), np.uint8(2)])
+def test_integer_arguments_take_numpy_integers(value):
+    prob = MMVProblem(_GAUSSIAN_4X6, _GAUSSIAN_4X6[:, [1, 4]], value)
+    assert solve_mmv_exhaustive(prob) == solve_mmv_somp(prob) == frozenset({1, 4})
+    assert synthesize(_PROFILE, value, 0).length == 2
+    assert FrequencyGrid(value).n == 2
+
+
 def test_recover_support_planted():
     rng = np.random.default_rng(63)
     grid = FrequencyGrid(16)

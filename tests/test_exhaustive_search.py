@@ -37,15 +37,15 @@ TOLS = (DEFAULT_TOLERANCES,
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Arguments of every run of the oracle's scan, which both
-    ``solve_mmv_exhaustive`` and recovery's fallback make."""
+    """Arguments of every call of the oracle ``ctf.solve_mmv_exhaustive``
+    by module name, as recovery's fallback makes it."""
     calls = []
-    original = ctf._exhaustive_scan
+    original = ctf.solve_mmv_exhaustive
 
-    def counting(prob, tol):
+    def counting(prob, tol=DEFAULT_TOLERANCES):
         calls.append(prob)
         return original(prob, tol)
-    monkeypatch.setattr(ctf, "_exhaustive_scan", counting)
+    monkeypatch.setattr(ctf, "solve_mmv_exhaustive", counting)
     return calls
 
 
@@ -239,9 +239,10 @@ def test_screened_support_costs_no_second_residual(monkeypatch):
     assert screened == (frozenset({0, 3}), original(a, prob.V, (0, 3)))
 
 
-def test_oracle_support_costs_no_second_residual(monkeypatch):
+def test_oracle_support_costs_one_more_residual(monkeypatch):
     # V of rank 2 on the planted support {1, 3, 6}: no 2-subset fits, so the
-    # screen cannot settle and the oracle scans up to (1, 3, 6), its answer
+    # screen cannot settle and the oracle scans up to (1, 3, 6), its answer;
+    # _solve then fits that answer once more
     rng = np.random.default_rng(5)
     a = make_cs_matrix("gaussian", 4, 7, rng)
     u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -256,9 +257,9 @@ def test_oracle_support_costs_no_second_residual(monkeypatch):
     support, residual = ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES)
     assert support == frozenset({1, 3, 6})
     assert residual == original(a, prob.V, (1, 3, 6))
-    assert len(calls) == 50
-    assert calls.count((1, 3, 6)) == 1
-    assert calls[-1] == (1, 3, 6)
+    assert len(calls) == 51
+    assert calls.count((1, 3, 6)) == 2
+    assert calls[-2:] == [(1, 3, 6)] * 2
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e155])
@@ -339,10 +340,11 @@ def _multiband_frames(count):
     return problems
 
 
-def test_somp_last_fit_is_the_support_residual(monkeypatch):
-    # unscaled, SOMP's last fit projects the same V on the same columns by
-    # the same calls, so its residual is _support_residual's to the bit; a
-    # rescaled A or V, V = 0 or an empty pick leave it to _support_residual
+def test_fitting_somp_support_costs_one_residual(monkeypatch):
+    # _solve runs SOMP as ctf.solve_mmv_somp, so the tracer sees it, and keeps
+    # a support that fits with the residual of one _support_residual call on
+    # it, rescaled A or V and V = 0 included; among the edges, k_max = 0 and
+    # A = 0 leave SOMP a miss
     frames = _multiband_frames(6)
     a, v, k_max = frames[0].A, frames[0].V, frames[0].k_max
     edges = [MMVProblem(2.0 ** 600 * a, v, k_max), MMVProblem(a, 2.0 ** -600 * v, k_max),
@@ -350,22 +352,6 @@ def test_somp_last_fit_is_the_support_residual(monkeypatch):
              MMVProblem(np.zeros_like(a), v, k_max)]
     rng = np.random.default_rng(911)
     problems = [_random_problem(rng, index)[0] for index in range(600)]
-    seen = {"fit": 0, "scaled": 0, "empty": 0}
-    for prob in frames + problems + edges:
-        support, fit = ctf._somp(prob, DEFAULT_TOLERANCES)
-        assert support == solve_mmv_somp(prob)
-        residual = ctf._support_residual(prob.A, prob.V, support)
-        if not support:
-            seen["empty"] += 1
-            assert fit is None
-        elif ctf._pow2_scale(prob.A) != 1.0 or ctf._pow2_scale(prob.V) != 1.0:
-            seen["scaled"] += 1
-            assert fit is None
-        else:
-            seen["fit"] += 1
-            assert np.float64(fit).tobytes() == np.float64(residual).tobytes()
-    assert min(seen.values()) >= 20, seen
-
     calls = []
     counted = ctf._support_residual
 
@@ -373,13 +359,33 @@ def test_somp_last_fit_is_the_support_residual(monkeypatch):
         calls.append(args)
         return counted(*args)
     monkeypatch.setattr(ctf, "_support_residual", counting)
-    for prob, fits in ((frames[0], 0), (edges[0], 1), (edges[1], 1), (edges[2], 1)):
+    greedy = []
+
+    def greedy_counting(prob, tol=DEFAULT_TOLERANCES):
+        greedy.append(prob)
+        return solve_mmv_somp(prob, tol)
+    monkeypatch.setattr(ctf, "solve_mmv_somp", greedy_counting)
+    seen = {"fit": 0, "scaled": 0, "missed": 0}
+    fits = []
+    for prob in frames + problems + edges:
+        support = solve_mmv_somp(prob)
+        residual = counted(prob.A, prob.V, support)
+        fits.append(residual <= DEFAULT_TOLERANCES.mmv_residual_rel)
         calls.clear()
-        support, residual = ctf._solve(prob, "somp", DEFAULT_TOLERANCES)
-        assert residual <= DEFAULT_TOLERANCES.mmv_residual_rel
-        assert len(calls) == fits
-        assert (np.float64(residual).tobytes()
-                == np.float64(counted(prob.A, prob.V, support)).tobytes())
+        greedy.clear()
+        found, found_residual = ctf._solve(prob, "somp", DEFAULT_TOLERANCES)
+        assert len(greedy) == 1 and greedy[0] is prob
+        if not fits[-1]:
+            seen["missed"] += 1
+            continue
+        assert found == support
+        assert len(calls) == 1
+        assert np.float64(found_residual).tobytes() == np.float64(residual).tobytes()
+        scaled = ctf._pow2_scale(prob.A) != 1.0 or ctf._pow2_scale(prob.V) != 1.0
+        seen["scaled" if scaled else "fit"] += 1
+    assert min(seen.values()) >= 20, seen
+    assert fits[:len(frames)] == [True] * len(frames)
+    assert fits[-len(edges):] == [True, True, True, False, False]
 
 
 @pytest.mark.parametrize("seed, trials, truth", [
@@ -395,6 +401,27 @@ def test_multiband_somp_misses_become_exact(seed, trials, truth):
     assert record.support_true == truth
     assert record.support_found == truth
     assert record.exact
+
+
+@pytest.mark.parametrize("config", [
+    dict(mode="generic", m=6, k=2, p=4, N=16, trials=200),
+    dict(mode="generic", m=12, k=5, p=10, N=256, compute_sigma=False, trials=12),
+    dict(mode="multiband", m=8, p=4, N=16, n_bands=1, trials=40),
+    dict(mode="periodic_sparsity", m=16, k=2, p=10, N=32, matrix_kind="bernoulli",
+         trials=20),
+], ids=["mc_small", "wide_exhaustive", "multiband", "periodic_bernoulli"])
+def test_trials_are_byte_identical_with_the_oracle_forced(oracle_calls, monkeypatch, config):
+    # with the screen settling nothing, every recovery takes the oracle's
+    # support; trials.csv (wall time aside) must not move
+    cfg = experiments.config_from_json(dict(config, seed=7))
+    fast = experiments.records_to_csv(experiments.run_trials(cfg))
+    assert oracle_calls == []
+    monkeypatch.setattr(ctf, "_screen", lambda prob, tol: None)
+    slow = experiments.records_to_csv(experiments.run_trials(cfg))
+    assert len(oracle_calls) == cfg.trials
+    assert ([line.rsplit(",", 1)[0] for line in fast.splitlines()]
+            == [line.rsplit(",", 1)[0] for line in slow.splitlines()])
+    assert len(slow.splitlines()) == cfg.trials + 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

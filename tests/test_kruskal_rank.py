@@ -163,6 +163,31 @@ def test_blocked_levels_match_svd_scan(monkeypatch):
         assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == sigma, attempt
 
 
+@pytest.mark.parametrize("case, cut", [("gaussian_9x17", 2), ("planted_9x18", 1)])
+def test_cut_levels_at_the_default_block_match_svd_scan(monkeypatch, case, cut):
+    # past m = 16 a level has more than _KRUSKAL_BLOCK subsets, so its blocks
+    # are cut and each piece laid out per call: at m = 17 from level 7 on,
+    # at m = 18 from level 6, whose first piece holds the six planted columns
+    # and stops the scan
+    rng = np.random.default_rng(0)
+    if case == "gaussian_9x17":
+        a, sigma = make_cs_matrix("gaussian", 9, 17, rng), 9
+    else:
+        a, sigma = make_cs_matrix("gaussian_real", 9, 18, rng).copy(), 5
+        a[:, 17] = a[:, [2, 5, 8, 11, 14]] @ rng.standard_normal(5)
+    pieces = []
+    links = sampling_design._links
+
+    def laid_out(b, counts, first):
+        if isinstance(b, sampling_design._Block):
+            pieces.append(counts.sum())
+        return links(b, counts, first)
+    monkeypatch.setattr(sampling_design, "_links", laid_out)
+    assert kruskal_rank(a) == svd_scan_kruskal_rank(a) == sigma
+    assert len(pieces) >= cut
+    assert max(pieces) <= sampling_design._KRUSKAL_BLOCK
+
+
 def test_a_second_call_of_the_same_m_builds_no_level(monkeypatch):
     built = []
     links = sampling_design._links

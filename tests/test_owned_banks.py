@@ -15,6 +15,7 @@ from si_subnyq import ctf
 from si_subnyq.errors import DimensionError, InvalidInputError
 from si_subnyq.sampling_design import (
     MeasurementBank,
+    MeasurementDesign,
     compressive_sample,
     make_cs_matrix,
     make_design,
@@ -102,12 +103,16 @@ def test_public_constructors_keep_a_copy():
     seq[1] = 2.0
     bank = CoefficientBank(seq, frozenset({1}))
     meas = MeasurementBank(seq)
+    grid = FrequencyGrid(4)
+    design = MeasurementDesign(seq, PeriodicMatrixFunction.identity(grid, 3), grid)
     seq[1] = 7.0
     assert np.all(bank.sequences[1] == 2.0)
     assert np.all(meas.sequences[1] == 2.0)
+    assert np.all(design.A[1] == 2.0)
     assert seq.flags.writeable
     assert not bank.sequences.flags.writeable
     assert not meas.sequences.flags.writeable
+    assert not design.A.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [1e-300, -1.0, 1j, np.nan, complex(0.0, np.nan)])
