@@ -5,11 +5,14 @@ them through sampling and recovery, and writes one CSV row per trial plus a
 JSON summary. Everything is deterministic given the master seed: trial seeds
 derive from it via ``numpy.random.SeedSequence(master, spawn_key=(trial,))``
 and are recorded in each row, so any single trial can be reproduced in
-isolation.
+isolation. Trials run in chunks: a chunk first draws every trial's A, in
+rounds ranked by one stacked ``kruskal_rank`` call each, then runs its
+trials in order; each generator is read in the order a lone trial reads it.
 
 Determinism note: all output bytes are reproducible for a fixed seed,
 platform and BLAS thread count except the measured ``wall_time_s`` column
-(and the ``timing`` block of the summary), which report real elapsed time.
+(a trial's own stages plus an equal share of each draw round it took part
+in) and the ``timing`` block of the summary, which report real elapsed time.
 The norms in ``_nmse`` go through the BLAS, whose threads split a large
 bank's sum, so its last digits can follow the thread count.
 """
@@ -29,12 +32,13 @@ from .errors import ConfigError
 from .sampling_design import (
     KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
+    _stack_size,
     compressive_sample,
     kruskal_rank,
     make_cs_matrix,
     make_design,
 )
-from .si_core import TWO_PI, FrequencyGrid
+from .si_core import TWO_PI, FrequencyGrid, _require_int
 from .sparse_model import SparsityProfile, _choose, synthesize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -72,6 +76,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("m", "k", "p", "N", "seed", "trials", "n_bands"):
+            _require_int(getattr(self, name), name, ConfigError)
+            # kept as a Python int: summary.json cannot hold a numpy integer
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -233,61 +241,66 @@ def _nmse(d_true: np.ndarray, d_hat: np.ndarray, tol: Tolerances) -> float:
     return float(np.linalg.norm(d_hat - d_true) ** 2) / energy
 
 
-def _sigma(cfg: ExperimentConfig, a_matrix: np.ndarray) -> int | None:
-    """The Kruskal rank of A, or None where it is not computed: as
-    ``compute_sigma`` says when it is set, otherwise only for
+def _computes_sigma(cfg: ExperimentConfig) -> bool:
+    """As ``compute_sigma`` says when it is set, otherwise only for
     m <= _SIGMA_AUTO_MAX_M (the exhaustive rank scan grows as C(m, q))."""
-    compute = cfg.compute_sigma
-    if compute is None:
-        compute = cfg.m <= _SIGMA_AUTO_MAX_M
-    return kruskal_rank(a_matrix, tol=cfg.tolerances) if compute else None
+    return cfg.m <= _SIGMA_AUTO_MAX_M if cfg.compute_sigma is None else cfg.compute_sigma
 
 
-def _draw_a(cfg: ExperimentConfig, rng_for) -> tuple[np.ndarray, int | None, np.random.Generator]:
-    """Draw A until its Kruskal rank reaches min(2k, p, m); attempt i draws
-    from ``rng_for(i)``.
-
-    Returns (A, sigma, the generator that drew A). When sigma is not computed
-    the first draw is taken; when all _MAX_DRAWS draws fall short the last one
-    is kept and its sigma reported, so the trial still runs.
-    """
-    target = min(2 * cfg.k, cfg.p, cfg.m)
+def _draw_chunk(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple]:
+    """(A, sigma, the generator that drew A, seconds) of the generic or
+    periodic trial of each seed, A kept once sigma(A) reaches min(2k, p, m).
+    Round r draws attempt r of each trial still short, from default_rng(seed)
+    (generic) or default_rng(trial_seed(seed, r)) (periodic), and one
+    ``kruskal_rank`` call on the round's stack gives their sigmas. Without
+    sigma the first draw is kept; if all _MAX_DRAWS fall short, the last. A
+    trial's seconds are an equal share of each round it took part in."""
+    periodic, compute = cfg.mode == "periodic_sparsity", _computes_sigma(cfg)
+    shared = [None if periodic else np.random.default_rng(seed) for seed in seeds]
+    kept, seconds, short = [None] * len(seeds), [0.0] * len(seeds), range(len(seeds))
     for attempt in range(_MAX_DRAWS):
-        rng = rng_for(attempt)
-        a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
-        sigma = _sigma(cfg, a_matrix)
-        if sigma is None or sigma >= target:
+        started = time.perf_counter()
+        rngs = [np.random.default_rng(trial_seed(seeds[i], attempt)) if periodic else shared[i]
+                for i in short]
+        stack = [make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng) for rng in rngs]
+        sigmas = (kruskal_rank(np.array(stack), tol=cfg.tolerances).tolist() if compute
+                  else [None] * len(stack))
+        share = (time.perf_counter() - started) / len(stack)
+        for i, draw in zip(short, zip(stack, sigmas, rngs)):
+            kept[i] = draw
+            seconds[i] += share
+        short = [i for i, sigma in zip(short, sigmas)
+                 if sigma is not None and sigma < min(2 * cfg.k, cfg.p, cfg.m)]
+        if not short:
             break
-    return a_matrix, sigma, rng
+    return [(*draw, spent) for draw, spent in zip(kept, seconds)]
 
 
-# One instance per mode: (design, planted coefficient bank, k_max, sigma).
+# One instance per mode from the trial seed and the trial's ``_draw_chunk``
+# draw (made here when not given): (design, coefficient bank, k_max, sigma).
 
-def _sparse_instance(cfg: ExperimentConfig, seed: int):
-    """A generic or periodic_sparsity instance: A kept once sigma(A) reaches
-    min(2k, p, m), W = I, and k planted channels. A generic trial draws the
-    attempts, then the support, from one generator. A periodic trial draws
-    attempt i from ``trial_seed(seed, i)``, and its pattern, unless
-    ``s_pattern`` fixes it, from ``default_rng(seed)``. The generator that drew
-    the kept A draws the coefficients."""
+def _sparse_instance(cfg: ExperimentConfig, seed: int, draw: tuple | None = None):
+    """A generic or periodic_sparsity instance: the drawn A, W = I, and k
+    planted channels. A generic trial draws its support from the generator
+    that drew A; a periodic one its pattern, unless ``s_pattern`` fixes it,
+    from ``default_rng(seed)``. The generator that drew the kept A draws the
+    coefficients."""
+    a_matrix, sigma, rng, _ = draw or _draw_chunk(cfg, [seed])[0]
     if cfg.mode == "periodic_sparsity":
-        a_matrix, sigma, rng = _draw_a(
-            cfg, lambda attempt: np.random.default_rng(trial_seed(seed, attempt)))
         support = (cfg.s_pattern if cfg.s_pattern is not None
                    else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
     else:
-        shared = np.random.default_rng(seed)
-        a_matrix, sigma, rng = _draw_a(cfg, lambda attempt: shared)
         support = _choose(rng, cfg.m, cfg.k)
     design = make_design(a_matrix, FrequencyGrid(cfg.N), tol=cfg.tolerances)
     profile = SparsityProfile(cfg.m, cfg.k, frozenset(support))
     return design, synthesize(profile, cfg.N, rng), cfg.k, sigma
 
 
-def _multiband_instance(cfg: ExperimentConfig, seed: int):
+def _multiband_instance(cfg: ExperimentConfig, seed: int, draw: None = None):
+    """The build at the trial seed; the build draws A, so there is no draw."""
     build = scenarios.build_multiband(cfg, seed, cfg.tolerances)
-    return (build.design, build.coefficients, build.report["k_max"],
-            _sigma(cfg, build.design.A))
+    sigma = kruskal_rank(build.design.A, tol=cfg.tolerances) if _computes_sigma(cfg) else None
+    return build.design, build.coefficients, build.report["k_max"], sigma
 
 
 _INSTANCES = {
@@ -297,11 +310,13 @@ _INSTANCES = {
 }
 
 
-def _trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
-    """Draw the mode's instance, sample it, recover once and score."""
+def _trial(cfg: ExperimentConfig, trial_index: int, seed: int,
+           draw: tuple | None = None) -> TrialRecord:
+    """Build the mode's instance, sample it, recover once and score; the
+    wall time adds the draw's seconds."""
     started = time.perf_counter()
     tol = cfg.tolerances
-    design, bank, k_max, sigma = _INSTANCES[cfg.mode](cfg, seed)
+    design, bank, k_max, sigma = _INSTANCES[cfg.mode](cfg, seed, draw)
     y = compressive_sample(bank, design)
     result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
     nmse = _nmse(bank.sequences, result.coefficients.sequences, tol)
@@ -313,17 +328,26 @@ def _trial(cfg: ExperimentConfig, trial_index: int, seed: int) -> TrialRecord:
         nmse=nmse,
         rank_q=result.diagnostics["rank_q"],
         sigma_a=sigma,
-        wall_time_s=time.perf_counter() - started,
+        wall_time_s=time.perf_counter() - started + (draw[3] if draw else 0.0),
         collision=(bank.support != result.support
                    and result.diagnostics["residual"] <= tol.mmv_residual_rel))
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Execute all trials in trial-index order."""
+    """Execute all trials in trial-index order, in chunks of as many trials
+    as ``kruskal_rank`` stacks matrices of A's shape; a generic or periodic
+    chunk first draws every trial's A (``_draw_chunk``)."""
     if cfg.mode not in _INSTANCES:
         raise ConfigError(
             f"mode {cfg.mode!r} does not run trials; use the verify command")
-    return [_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
+    size = _stack_size(cfg.m, cfg.p)
+    records = []
+    for lo in range(0, cfg.trials, size):
+        seeds = [trial_seed(cfg.seed, t) for t in range(lo, min(lo + size, cfg.trials))]
+        draws = [None] * len(seeds) if cfg.mode == "multiband" else _draw_chunk(cfg, seeds)
+        records += [_trial(cfg, lo + i, seed, draw)
+                    for i, (seed, draw) in enumerate(zip(seeds, draws))]
+    return records
 
 
 def _fmt_float(x: float) -> str:

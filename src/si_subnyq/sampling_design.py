@@ -36,6 +36,7 @@ KRUSKAL_MAX_COLUMNS = 24
 # level it keeps whole for the next level to grow from.
 _KRUSKAL_BLOCK = 1 << 14
 _KRUSKAL_KEEP = 1 << 18
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 MATRIX_KINDS = ("gaussian", "gaussian_real", "bernoulli", "fourier_rows")
 
 
@@ -115,7 +116,7 @@ class MeasurementBank:
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has a NaN or infinite entry")
 
 
@@ -244,7 +245,11 @@ class _Block(NamedTuple):
     K_P[j, j + d] = up[src[i] + d] - mult[i] x[i + d] with
     mult[i] = conj(x[i]) / K_P'[j_P, j_P]. Level 1 reads G itself: up is G
     flattened, src[i] the place of G[j, j] and mult = x = 0. Cutting a block
-    cuts every field but ``up``."""
+    cuts every field but ``up``.
+
+    A block of a stack of matrices holds last, mask and src once and the
+    other fields' entries of each matrix in turn; only a stack of one is cut
+    (see ``_stack_size``)."""
 
     last: np.ndarray
     mask: np.ndarray
@@ -288,14 +293,20 @@ def _links(b, counts: np.ndarray, first: np.ndarray) -> tuple[_Links, _Shape]:
             _Shape(last, b.mask[par] | (1 << last), (first - 1)[sib]))
 
 
-def _children(b: _Block, links: _Links, shape: _Shape, q: int, u: float,
+def _children(b: _Block, links: _Links, shape: _Shape, q: int, scales: list,
               clear: float, real: bool) -> _Block:
-    """The children of b laid out by ``_links``. Forms the rows of b:
-    x[t] = K_P[j, j'] for child t, whose sibling owns K_P[j', j'], so one
-    elimination step gives the pivot of the child. A zero pivot in b divides
-    by zero here, under the caller's errstate."""
-    par, sib = links.par, links.sib
-    x = b.up[links.row]  # K_P'[j, j']
+    """The children of b laid out by ``_links``, for each matrix of the stack
+    whose u are ``scales``. Forms the rows of b: x[t] = K_P[j, j'] for child
+    t, whose sibling owns K_P[j', j'], so one elimination step gives the
+    pivot of the child. A zero pivot in b divides by zero here, under the
+    caller's errstate."""
+    (par, sib, row), n = links, len(scales)
+    if n > 1:  # matrix i reads its own entries, after those of matrix i - 1
+        start = np.arange(n)[:, None]
+        par, sib, row = ((start * width + index).reshape(-1) for index, width in (
+            (par, b.last.size), (sib, b.last.size), (row, b.up.size // n)))
+    u = scales[0] if n == 1 else np.repeat(scales, links.par.size)
+    x = b.up[row]  # K_P'[j, j']
     x -= b.mult[par] * b.x[sib]  # K_P[j, j'] = K_P'[j, j'] - mult K_P'[j_P, j']
     mult = (x if real else x.conj()) / b.piv[par]  # a real G's x is its own conjugate
     piv = b.piv[sib] - (mult * x).real
@@ -352,28 +363,43 @@ def _pieces(b: _Block, q: int, m: int):
         i = k
 
 
-def _grow(blocks, q: int, target: int, m: int, u: float, clear: float, real: bool):
+def _grow(blocks, q: int, target: int, m: int, scales: list, clear: float, real: bool):
     """The blocks of level ``target`` that descend from ``blocks`` of level q."""
     for b in blocks:
         for piece, links, shape in _pieces(b, q, m):
-            child = _children(piece, links, shape, q, u, clear, real)
+            child = _children(piece, links, shape, q, scales, clear, real)
             if not child.ok.size:
                 continue
             if q + 1 == target:
                 yield child
             else:
-                yield from _grow((child,), q + 1, target, m, u, clear, real)
+                yield from _grow((child,), q + 1, target, m, scales, clear, real)
 
 
-def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Largest q such that every set of q columns of A is linearly independent.
+def _stack_size(m: int, p: int) -> int:
+    """Matrices of p rows and m columns that one level pass takes together:
+    as many as one block holds at the widest level the pass can reach,
+    C(m, q) with q = min(p, m // 2); at least one."""
+    return max(1, _KRUSKAL_BLOCK // math.comb(m, min(p, m // 2)))
 
-    Exhaustive over column subsets, bottom-up in q, returning at the first
-    block of a level that holds a failing subset; a subset counts as full
-    rank when its smallest singular value exceeds rel_tol =
+
+def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int | np.ndarray:
+    """Largest q such that every set of q columns of A is linearly independent;
+    for a stack A of shape (n, p, m), an int array of the n matrices' ranks.
+
+    Exhaustive over column subsets, bottom-up in q, ending a matrix's scan at
+    the first block of a level that holds a failing subset of it; a subset
+    counts as full rank when its smallest singular value exceeds rel_tol =
     ``tol.rank_rel_tol`` times its largest (the SVD test). Refuses matrices
     wider than 24 columns (combinatorial guard) and A with a NaN or infinite
     entry.
+
+    Stacks. A 2-D A is a stack of one. The pass takes up to
+    ``_stack_size(m, p)`` matrices at a time and grows each level for all of
+    them in one block; a matrix leaves at the level where its SVD test fails.
+    Each gets the Gram, pivots, screen and SVD test it gets alone, so the
+    error bound below holds per matrix (a stack holding a complex matrix forms
+    every Gram in complex arithmetic, which the bound covers).
 
     Screen. Each q-subset S is first screened on the Gram matrix G = A^H A.
     Let H = G_S / tr(G_S), with eigenvalues l_1 <= ... <= l_q summing to 1.
@@ -443,48 +469,71 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
       not close that margin, so every cleared subset passes it and sigma is
       what the SVD scan gives.
     """
-    rel_tol = tol.rank_rel_tol
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise DimensionError(f"A must be 2-D, got shape {A.shape}")
-    p, m = A.shape
+    if A.ndim not in (2, 3):
+        raise DimensionError(f"A must be 2-D or a stack of 2-D matrices, got shape {A.shape}")
+    p, m = A.shape[-2:]
     if m > KRUSKAL_MAX_COLUMNS:
         raise InvalidInputError(
             f"kruskal_rank refuses m={m} columns: exhaustive subset search is "
             f"limited to {KRUSKAL_MAX_COLUMNS} columns")
     _require_finite(A, "A")
-    real = not np.any(A.imag)
-    clear = max(rel_tol, 1e4 * np.finfo(np.float64).eps)
+    stack = A[None] if A.ndim == 2 else A
+    size = _stack_size(m, p)
+    if not 0 < stack.shape[0] <= size:
+        return np.array([rank for lo in range(0, stack.shape[0], size)
+                         for rank in kruskal_rank(stack[lo:lo + size], tol)], dtype=int)
+    rel_tol = tol.rank_rel_tol
+    ranks = [min(p, m)] * stack.shape[0]
+    live = range(len(ranks))  # the matrices still in the pass, by place in the stack
+    real = not stack.imag.any()
+    clear = max(rel_tol, 1e4 * _EPS)
     cols, masks, src = _whole_level(m, 1, _KRUSKAL_BLOCK)[1]
     # An overflowed G or a zero pivot makes NaN or inf only in subsets the
     # screen does not clear; those go to the SVD test.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gram = A.real.T @ A.real if real else A.conj().T @ A
-        gdiag = gram.diagonal().real
-        peak = float(gdiag.max(initial=0.0))
-        u = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023)) if peak < math.inf else 0.0
-        det = gdiag * u
-        zero = np.zeros(m, gram.dtype)
-        kept = (_Block(cols, masks, gdiag, det,
-                       (det > clear) & (gdiag >= np.finfo(np.float64).tiny),
+        gram = (stack.real.transpose(0, 2, 1) @ stack.real if real
+                else stack.conj().transpose(0, 2, 1) @ stack)
+        gdiag = gram.diagonal(0, 1, 2).real
+        scales = [math.ldexp(1.0, min(-math.frexp(peak)[1], 1023)) if peak < math.inf
+                  else 0.0 for peak in gdiag.max(axis=1, initial=0.0).tolist()]
+        gdiag = gdiag.reshape(-1)
+        det = gdiag * (scales[0] if len(scales) == 1 else np.repeat(scales, m))
+        zero = np.zeros(gdiag.size, gram.dtype)
+        kept = (_Block(cols, masks, gdiag, det, (det > clear) & (gdiag >= _TINY),
                        zero, zero, src, gram.reshape(-1)),)
         kept_q = 1
         for q in range(1, min(p, m) + 1):
-            level = kept if q == kept_q else _grow(kept, kept_q, q, m, u, clear, real)
+            level = kept if q == kept_q else _grow(kept, kept_q, q, m, scales, clear, real)
             keep = [] if math.comb(m, q) <= _KRUSKAL_KEEP else None
+            failed = set()  # places in ``live``
             for b in level:
                 if not b.ok.all():
+                    t, i = np.nonzero(~b.ok.reshape(len(live), -1))
                     # the set bits of each mask, ascending: the subset's columns
-                    in_set = (b.mask[~b.ok][:, None] >> cols) & 1
-                    subs = np.moveaxis(A[:, np.nonzero(in_set)[1].reshape(-1, q)], 1, 0)
-                    sv = np.linalg.svd(subs, compute_uv=False)  # (batch, min(p, q))
-                    if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
-                        return q - 1
+                    in_set = (b.mask[i][:, None] >> cols) & 1
+                    subs = stack[t[:, None], :, np.nonzero(in_set)[1].reshape(-1, q)]
+                    sv = np.linalg.svd(subs.swapaxes(1, 2), compute_uv=False)  # min(p, q) each
+                    failed.update(t[~(sv[:, -1] > rel_tol * sv[:, 0])].tolist())
+                    if len(failed) == len(live):
+                        break
                 if keep is not None:
                     keep.append(b)
             if keep is not None:
                 kept, kept_q = keep, q
-    return min(p, m)
+            if failed:  # those matrices leave the stack
+                for t in failed:
+                    ranks[live[t]] = q - 1
+                stay = [t not in failed for t in range(len(live))]
+                if not any(stay):
+                    break
+                live, scales = ([v for v, kept_v in zip(vs, stay) if kept_v]
+                                for vs in (live, scales))
+                stack = stack[stay]
+                kept = [b._replace(**{f: getattr(b, f).reshape(len(stay), -1)[stay].reshape(-1)
+                                      for f in ("piv", "det", "ok", "mult", "x", "up")})
+                        for b in kept]
+    return ranks[0] if A.ndim == 2 else np.array(ranks, dtype=int)
 
 
 # ---------------------------------------------------------------------------

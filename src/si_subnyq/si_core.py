@@ -42,9 +42,9 @@ class FrequencyGrid:
         return TWO_PI * np.arange(self.n) / self.n
 
 
-def _require_int(value, name: str) -> None:
+def _require_int(value, name: str, error: type = InvalidInputError) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _as_complex_readonly(a: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ class SparsityProfile:
     support: frozenset[int]
 
     def __post_init__(self):
+        _require_int(self.m, "m")
+        _require_int(self.k, "k")
         support = frozenset(int(i) for i in self.support)
         if self.k > self.m:
             raise InvalidInputError(f"k={self.k} exceeds m={self.m}")

@@ -1,0 +1,136 @@
+"""Whole trials across chunk boundaries: ``run_trials`` draws a chunk's A in
+rounds, with one stacked ``kruskal_rank`` call per round, before it runs the
+chunk's trials. ``reference_trial`` takes the route of one trial at a time,
+with a per-trial draw loop, a per-matrix ``kruskal_rank`` and the public
+per-trial steps; the two must write the same trials.csv, wall time aside."""
+
+import numpy as np
+import pytest
+
+from si_subnyq import ctf, experiments, sampling_design
+from si_subnyq.experiments import TrialRecord, config_from_json, trial_seed
+from si_subnyq.sampling_design import (
+    compressive_sample,
+    kruskal_rank,
+    make_cs_matrix,
+    make_design,
+)
+from si_subnyq.scenarios import build_multiband
+from si_subnyq.si_core import FrequencyGrid
+from si_subnyq.sparse_model import SparsityProfile, synthesize
+
+
+def _sigma(cfg, a):
+    compute = cfg.compute_sigma
+    if compute is None:
+        compute = cfg.m <= 16
+    return kruskal_rank(a, tol=cfg.tolerances) if compute else None
+
+
+def reference_trial(cfg, index, seed):
+    """Trial ``index`` of ``cfg``, whose seed is ``seed``, one trial at a time."""
+    tol = cfg.tolerances
+    if cfg.mode == "multiband":
+        build = build_multiband(cfg, seed, tol)
+        design, bank, k_max = build.design, build.coefficients, build.report["k_max"]
+        sigma = _sigma(cfg, design.A)
+    else:
+        periodic = cfg.mode == "periodic_sparsity"
+        shared = np.random.default_rng(seed)
+        for attempt in range(64):
+            rng = np.random.default_rng(trial_seed(seed, attempt)) if periodic else shared
+            a = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
+            sigma = _sigma(cfg, a)
+            if sigma is None or sigma >= min(2 * cfg.k, cfg.p, cfg.m):
+                break
+        if periodic:
+            support = cfg.s_pattern
+            if support is None:
+                support = np.random.default_rng(seed).choice(cfg.m, size=cfg.k, replace=False)
+        else:
+            support = rng.choice(cfg.m, size=cfg.k, replace=False)
+        design = make_design(a, FrequencyGrid(cfg.N), tol=tol)
+        profile = SparsityProfile(cfg.m, cfg.k, frozenset(int(i) for i in support))
+        bank, k_max = synthesize(profile, cfg.N, rng), cfg.k
+    y = compressive_sample(bank, design)
+    result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
+    energy = np.linalg.norm(bank.sequences) ** 2
+    nmse = float(np.linalg.norm(result.coefficients.sequences - bank.sequences) ** 2) / energy
+    return TrialRecord(
+        trial=index, seed=seed, support_true=tuple(sorted(bank.support)),
+        support_found=tuple(sorted(result.support)),
+        exact=bank.support == result.support and nmse <= tol.recovery_rel_tol,
+        nmse=nmse, rank_q=result.diagnostics["rank_q"], sigma_a=sigma, wall_time_s=0.0)
+
+
+def _without_wall_time(csv):
+    return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+
+
+# Each runs more trials than one chunk holds; the chunk size is in the id.
+CONFIGS = {
+    "generic_gaussian_17": dict(mode="generic", m=12, k=3, p=6, N=8, trials=20),
+    "generic_bernoulli_N1_65": dict(mode="generic", m=10, k=2, p=5, N=1, trials=70,
+                                    matrix_kind="bernoulli"),
+    "generic_real_N_below_k_9": dict(mode="generic", m=13, k=4, p=6, N=3, trials=12,
+                                     matrix_kind="gaussian_real"),
+    "generic_p_below_2k_17": dict(mode="generic", m=12, k=4, p=6, N=8, trials=20,
+                                  matrix_kind="bernoulli"),
+    "generic_sigma_off_17": dict(mode="generic", m=12, k=3, p=6, N=8, trials=20,
+                                 compute_sigma=False),
+    "periodic_pattern_bernoulli_17": dict(mode="periodic_sparsity", m=12, k=2, p=6, N=8,
+                                          trials=20, s_pattern=[1, 7],
+                                          matrix_kind="bernoulli"),
+    "periodic_fourier_12": dict(mode="periodic_sparsity", m=13, k=2, p=5, N=8, trials=14,
+                                matrix_kind="fourier_rows"),
+    "multiband_17": dict(mode="multiband", m=12, p=6, N=16, trials=20),
+    "multiband_cosets_17": dict(mode="multiband", m=12, p=6, N=16, trials=20,
+                                cosets=[0, 1, 3, 5, 8, 10]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_chunked_trials_equal_one_trial_at_a_time(name):
+    cfg = config_from_json(dict(CONFIGS[name], seed=11))
+    size = sampling_design._stack_size(cfg.m, cfg.p)
+    assert size < cfg.trials and name.endswith(f"_{size}")
+    reference = [reference_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
+    chunked = experiments.run_trials(cfg)
+    assert (_without_wall_time(experiments.records_to_csv(chunked))
+            == _without_wall_time(experiments.records_to_csv(reference)))
+
+
+def test_draw_rounds_stack_every_short_trial(monkeypatch):
+    # round r ranks attempt r of each trial still short of min(2k, p, m), in
+    # one call, and each trial keeps the A it keeps alone
+    cfg = config_from_json(dict(CONFIGS["generic_bernoulli_N1_65"], seed=11))
+    seeds = [trial_seed(cfg.seed, t) for t in range(65)]
+    drawn = []
+    make = experiments.make_cs_matrix
+    monkeypatch.setattr(experiments, "make_cs_matrix",
+                        lambda *args: drawn.append(args) or make(*args))
+    alone, attempts = [], []
+    for seed in seeds:
+        drawn.clear()
+        alone.append(experiments._draw_chunk(cfg, [seed])[0])
+        attempts.append(len(drawn))
+    stacks = []
+    monkeypatch.setattr(experiments, "kruskal_rank",
+                        lambda stack, tol: stacks.append(len(stack)) or kruskal_rank(stack, tol))
+    together = experiments._draw_chunk(cfg, seeds)
+    for (a, sigma, _, _), (b, sigma_alone, _, _) in zip(together, alone):
+        assert np.array_equal(a, b) and sigma == sigma_alone
+    assert stacks == [sum(n > r for n in attempts) for r in range(max(attempts))]
+    assert stacks[0] == 65 and len(stacks) > 2
+
+
+def test_wall_time_carries_the_draw_rounds(monkeypatch):
+    # a trial's wall time is its own stages plus an equal share of each
+    # draw round it took part in
+    cfg = config_from_json(dict(mode="generic", m=6, k=2, p=4, N=16, trials=5, seed=3))
+    draws = experiments._draw_chunk(cfg, [trial_seed(3, t) for t in range(5)])
+    assert all(spent > 0 for *_, spent in draws)
+    monkeypatch.setattr(experiments, "_draw_chunk",
+                        lambda cfg, seeds: [(a, sigma, rng, 100.0) for a, sigma, rng, _ in
+                                            draws[:len(seeds)]])
+    assert all(100.0 < r.wall_time_s < 101.0 for r in experiments.run_trials(cfg))

@@ -99,6 +99,24 @@ def test_config_wrong_type_is_named_not_coerced(field, value):
         config_from_json({field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 6.5), ("k", True), ("p", 4.0), ("N", 16.0), ("seed", "1"),
+    ("trials", 1.5), ("n_bands", True),
+])
+def test_config_built_directly_refuses_non_integers(field, value):
+    # the chunk rule and the trials read these as integers: a bool or a
+    # float is refused when the config is built, naming the field
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_built_directly_takes_numpy_integers(tmp_path):
+    # kept as Python integers, so summary.json can hold the config
+    cfg = ExperimentConfig(m=np.int64(6), seed=np.uint8(3), trials=np.int32(2))
+    assert (type(cfg.m), type(cfg.seed), type(cfg.trials)) == (int, int, int)
+    assert run_experiment(cfg, tmp_path)["config"]["m"] == 6
+
+
 def test_config_accepts_json_integers_for_float_fields():
     cfg = config_from_json({"mode": "multiband", "m": 7, "p": 4, "T": 2,
                             "band_width": None, "compute_sigma": None,

@@ -57,13 +57,17 @@ def _rank_tol(rel_tol):
     return DEFAULT_TOLERANCES.with_overrides(rank_rel_tol=rel_tol)
 
 
-def _random_case(rng, index):
-    """A seeded matrix of one of the four kinds, m in 2..13 and p in 1..m,
-    with a planted exact dependency, a near-duplicate column scaled by
-    1 + 1e-12, a zero column, or nothing planted."""
+def _random_case(rng, index, shape=None):
+    """A seeded matrix of one of the four kinds, m in 2..13 and p in 1..m
+    unless ``shape`` gives (p, m), with a planted exact dependency, a
+    near-duplicate column scaled by 1 + 1e-12, a zero column, or nothing
+    planted."""
     kind = MATRIX_KINDS[index % len(MATRIX_KINDS)]
-    m = int(rng.integers(2, 14))
-    p = int(rng.integers(1, m + 1))
+    if shape is None:
+        m = int(rng.integers(2, 14))
+        p = int(rng.integers(1, m + 1))
+    else:
+        p, m = shape
     a = make_cs_matrix(kind, p, m, rng).copy()
     plant = index // len(MATRIX_KINDS) % 4
     if plant == 0 and m >= 3:
@@ -120,10 +124,10 @@ def test_periodic_redraw_trials_are_exact_with_svd_sigma(master):
     cfg = experiments.config_from_json(dict(
         mode="periodic_sparsity", m=16, k=2, p=10, N=128, matrix_kind="bernoulli",
         solver="exhaustive", seed=master, trials=20))
-    for record in experiments.run_trials(cfg):
+    records = experiments.run_trials(cfg)
+    draws = experiments._draw_chunk(cfg, [record.seed for record in records])
+    for record, (a, sigma, _, _) in zip(records, draws):
         assert record.exact, record
-        a, sigma, _ = experiments._draw_a(
-            cfg, lambda attempt: np.random.default_rng(trial_seed(record.seed, attempt)))
         assert sigma == record.sigma_a == svd_scan_kruskal_rank(a) >= 4, record
 
 
@@ -144,6 +148,61 @@ def test_screen_matches_svd_scan_on_planted_cases(rel_tol):
     for case in (a, exact, near, zero, a.real, 1e-160 * a, 1e150 * a, 1e-158 * dup):
         assert (kruskal_rank(case, _rank_tol(rel_tol))
                 == svd_scan_kruskal_rank(case, rel_tol))
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_stack_matches_per_matrix_ranks_and_svd_scan(rel_tol):
+    # stacks of _random_case and _scaled_case draws of one shape, whose
+    # planted dependencies stop the matrices at different levels, so
+    # matrices leave the stack one level after another, and whose scales u
+    # differ from matrix to matrix; (6, 13) stacks are split in runs of 9
+    rng = np.random.default_rng(4242)
+    spreads = []
+    for shape in ((4, 6), (5, 9), (3, 12), (6, 13), (10, 13)):
+        stack = np.stack([(_scaled_case if index % 3 else _random_case)(rng, index, shape)
+                          for index in range(24)])
+        expected = [svd_scan_kruskal_rank(a, rel_tol) for a in stack]
+        ranks = kruskal_rank(stack, _rank_tol(rel_tol))
+        assert ranks.shape == (24,) and ranks.dtype.kind == "i"
+        assert ranks.tolist() == [kruskal_rank(a, _rank_tol(rel_tol)) for a in stack]
+        assert ranks.tolist() == expected, (shape, rel_tol)
+        spreads.append(len(set(expected)))
+    assert sampling_design._stack_size(13, 6) == 9
+    assert max(spreads) >= (3 if rel_tol < 1 else 1)  # rel_tol 1 clears no pair
+
+
+def test_stack_mixing_real_and_complex_matches_svd_scan():
+    # one complex matrix makes every Gram of the stack complex; the real
+    # matrices' ranks must not move
+    rng = np.random.default_rng(31)
+    stack = np.stack([_random_case(rng, index, (5, 9)) for index in range(16)])
+    real = ~np.any(stack.imag, axis=(1, 2))
+    assert real.any() and not real.all()
+    expected = [svd_scan_kruskal_rank(a) for a in stack]
+    assert kruskal_rank(stack).tolist() == expected
+    assert kruskal_rank(stack[real]).tolist() == [s for s, r in zip(expected, real) if r]
+    assert len(set(expected)) >= 2
+
+
+@pytest.mark.parametrize("m, cut", [(17, 7), (20, 6), (24, 5)])
+def test_stack_of_one_at_cut_levels_matches_svd_scan(m, cut):
+    # past m = 16 the levels from ``cut`` on are cut into pieces; column
+    # m - 1 is a combination of cut - 1 others, so the scan stops at the
+    # first cut level
+    block = sampling_design._KRUSKAL_BLOCK
+    assert sampling_design._whole_level(m, cut - 1, block) is not None
+    assert sampling_design._whole_level(m, cut, block) is None
+    rng = np.random.default_rng(m)
+    a = make_cs_matrix("gaussian", cut + 1, m, rng).copy()
+    a[:, m - 1] = a[:, [1, 4, 6, 9, 12, 15][:cut - 1]] @ rng.standard_normal(cut - 1)
+    assert sampling_design._stack_size(m, cut + 1) == 1
+    assert (kruskal_rank(a[None]).tolist() == [kruskal_rank(a)]
+            == [svd_scan_kruskal_rank(a)] == [cut - 1])
+
+
+def test_empty_stack_has_no_ranks():
+    assert kruskal_rank(np.zeros((0, 4, 6))).shape == (0,)
+    assert kruskal_rank(np.zeros((3, 2, 0))).tolist() == [0, 0, 0]
 
 
 def test_blocked_levels_match_svd_scan(monkeypatch):
@@ -318,12 +377,12 @@ def test_level_rows_are_the_schur_complement_entries(monkeypatch, case):
     assert formed == {q: math.comb(m, q + 1) for q in range(1, last_scanned)}
 
 
-def _scaled_case(rng, index):
+def _scaled_case(rng, index, shape=None):
     """A ``_random_case`` aimed at the screen's power-of-two scale u: its
     columns scaled over 2^+-40, the whole matrix at 1e+-150, a subnormal
     Gram (1e-160), a Gram whose diagonal overflows (1e155), zero columns, or
     column scales and a zero column together."""
-    a = _random_case(rng, index)
+    a = _random_case(rng, index, shape)
     m = a.shape[1]
     spread = 2.0 ** rng.integers(-40, 41, size=m)
     variant = index // 16 % 6
@@ -409,10 +468,10 @@ def test_screen_sends_no_more_subsets_to_the_svd_test(monkeypatch):
         mode="periodic_sparsity", m=16, k=2, p=10, N=128, matrix_kind="bernoulli",
         solver="exhaustive", seed=7, trials=40))
     draws = []
-    for t in range(cfg.trials):
-        seed = trial_seed(cfg.seed, t)
-        experiments._draw_a(cfg, lambda attempt: draws.append(attempt)
-                            or np.random.default_rng(trial_seed(seed, attempt)))
+    make = experiments.make_cs_matrix
+    monkeypatch.setattr(experiments, "make_cs_matrix",
+                        lambda *args: draws.append(args) or make(*args))
+    experiments._draw_chunk(cfg, [trial_seed(cfg.seed, t) for t in range(cfg.trials)])
     assert len(draws) == 106
     assert sum(subsets) <= _SVD_SUBSETS_PERIODIC
     subsets.clear()
@@ -437,11 +496,20 @@ def test_trials_are_byte_identical_with_the_svd_scan(monkeypatch, config):
     # (wall time aside) must not move when the SVD scan gives sigma
     cfg = experiments.config_from_json(dict(config, seed=7))
     fast = experiments.records_to_csv(experiments.run_trials(cfg))
-    monkeypatch.setattr(experiments, "kruskal_rank",
-                        lambda a, tol: svd_scan_kruskal_rank(a, tol.rank_rel_tol))
+    ranked = []
+
+    def svd_scan_stack(stack, tol):
+        ranked.append(len(stack))
+        return np.array([svd_scan_kruskal_rank(a, tol.rank_rel_tol) for a in stack])
+
+    monkeypatch.setattr(experiments, "kruskal_rank", svd_scan_stack)
     slow = experiments.records_to_csv(experiments.run_trials(cfg))
     assert _without_wall_time(fast) == _without_wall_time(slow)
     assert len(slow.splitlines()) == cfg.trials + 1
+    # the scan ranked every draw: at least one per trial, in stacks as wide
+    # as the chunks
+    assert sum(ranked) >= cfg.trials
+    assert max(ranked) == min(cfg.trials, sampling_design._stack_size(cfg.m, cfg.p))
 
 
 def test_widest_a_matches_svd_scan():
@@ -481,6 +549,8 @@ def test_non_finite_a_is_rejected(bad):
     a[1, 2] = bad
     with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
         kruskal_rank(a)
+    with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
+        kruskal_rank(np.stack([np.eye(3, 4), a, np.eye(3, 4)]))
     with pytest.raises(InvalidInputError, match="A has a NaN or infinite entry"):
         make_design(a, FrequencyGrid(2))
 

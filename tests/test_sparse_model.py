@@ -30,6 +30,14 @@ def test_profile_rejects_k_above_m():
         SparsityProfile(3, 4, frozenset({0, 1, 2}))
 
 
+@pytest.mark.parametrize("m, k, support, name", [
+    (6.5, 1, {1}, "m"), (6, True, {1}, "k"), (True, 1, {0}, "m"),
+])
+def test_profile_refuses_non_integer_m_and_k(m, k, support, name):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+        SparsityProfile(m, k, frozenset(support))
+
+
 def test_profile_rejects_wrong_support_size():
     with pytest.raises(InvalidInputError):
         SparsityProfile(5, 2, frozenset({1}))
