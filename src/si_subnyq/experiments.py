@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .sampling_design import (
     make_cs_matrix,
     make_design,
 )
-from .si_core import TWO_PI, FrequencyGrid, _require_int
+from .si_core import TWO_PI, FrequencyGrid
 from .sparse_model import SparsityProfile, _choose, synthesize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -52,6 +52,12 @@ _MAX_DRAWS = 64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings. The constructor judges each field's type, however
+    the config is built: an integer is an int or a numpy integer, never a
+    bool; a number also takes an integer; a list takes a list or tuple of
+    integers; None only where it is the default. It stores Python values, so
+    summary.json can hold them, then checks the ranges and scenario rules."""
+
     mode: str = "generic"
     m: int = 6
     k: int = 2
@@ -74,12 +80,20 @@ class ExperimentConfig:
     cosets: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name, expected in _CONFIG_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and getattr(ExperimentConfig, name) is None:
+                continue
+            if not _has_type(value, expected):
+                raise ConfigError(f"field {name!r} must be {_TYPE_NAMES[expected]}, got {value!r}")
+            object.__setattr__(self, name, _STORED.get(expected, lambda v: v)(value))
+        for name, entry in vars(self.tolerances).items():
+            if not (_has_type(entry, float) and 0 < entry < math.inf):
+                raise ConfigError(
+                    f"tolerance {name!r} must be a finite positive number, got {entry!r}")
+        object.__setattr__(self, "tolerances", Tolerances(*map(float, astuple(self.tolerances))))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("m", "k", "p", "N", "seed", "trials", "n_bands"):
-            _require_int(getattr(self, name), name, ConfigError)
-            # kept as a Python int: summary.json cannot hold a numpy integer
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -102,7 +116,7 @@ class ExperimentConfig:
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.s_pattern is not None:
-            pattern = tuple(sorted(int(i) for i in self.s_pattern))
+            pattern = tuple(sorted(self.s_pattern))
             repeated = next((i for i, j in zip(pattern, pattern[1:]) if i == j), None)
             if repeated is not None:
                 raise ConfigError(f"s_pattern entry {repeated} is given more than once")
@@ -113,14 +127,12 @@ class ExperimentConfig:
                 raise ConfigError(f"s_pattern {list(pattern)} out of range 0..{self.m - 1}")
             object.__setattr__(self, "s_pattern", pattern)
         if self.cosets is not None:
-            cosets = tuple(int(c) for c in self.cosets)
-            if len(cosets) != self.p:
-                raise ConfigError(f"cosets has {len(cosets)} entries but p={self.p}")
-            if any(not 0 <= c <= self.m for c in cosets):
-                raise ConfigError(f"cosets {cosets} must lie in 0..m={self.m}")
-            if len({c % self.m for c in cosets}) != len(cosets):
-                raise ConfigError(f"cosets {cosets} must be distinct mod m={self.m}")
-            object.__setattr__(self, "cosets", cosets)
+            if len(self.cosets) != self.p:
+                raise ConfigError(f"cosets has {len(self.cosets)} entries but p={self.p}")
+            if any(not 0 <= c <= self.m for c in self.cosets):
+                raise ConfigError(f"cosets {self.cosets} must lie in 0..m={self.m}")
+            if len({c % self.m for c in self.cosets}) != self.p:
+                raise ConfigError(f"cosets {self.cosets} must be distinct mod m={self.m}")
         if (self.band_width is not None
                 and self.m * self.band_width * self.T > TWO_PI * (1 + 1e-12)):
             raise ConfigError(
@@ -136,9 +148,9 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {
     "mode": str, "m": int, "k": int, "p": int, "N": int, "seed": int,
     "trials": int, "matrix_kind": str, "solver": str, "out_dir": str,
-    "compute_sigma": bool, "base_period": float, "s_pattern": list,
-    "n_bands": int, "band_width": float, "T": float, "cosets": list,
-    "tolerances": dict,
+    "compute_sigma": bool, "base_period": float, "s_pattern": tuple,
+    "n_bands": int, "band_width": float, "T": float, "cosets": tuple,
+    "tolerances": Tolerances,
 }
 
 # The modes that read a mode-specific field; any other mode refuses it.
@@ -150,57 +162,43 @@ _FIELD_MODES = {
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true, false or null",
-               str: "a string", list: "a list of integers"}
+               str: "a string", tuple: "a list of integers", Tolerances: "a Tolerances"}
+_STORED = {int: int, float: float, tuple: lambda v: tuple(map(int, v))}
 
 
 def _has_type(value, expected: type) -> bool:
-    """Whether a value ``json.load`` produced has the field type ``expected``.
-    A bool is not an integer; an integer is a float."""
+    """Whether ``value`` has the field type ``expected`` (see ExperimentConfig);
+    a number also takes a numpy float."""
+    if expected is int:
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if expected is float:
-        return type(value) in (int, float)
-    if expected is list:
-        return type(value) is list and all(type(v) is int for v in value)
+        return _has_type(value, int) or isinstance(value, (float, np.floating))
+    if expected is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, int) for v in value)
     return type(value) is expected
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig; every
-    complaint names the offending field. Values are type-checked, never
-    coerced: ``"m": 6.7`` or ``"compute_sigma": "no"`` is an error."""
+    """Map a parsed JSON document onto an ExperimentConfig, whose constructor
+    judges every value. The mapper refuses only what a document alone gets
+    wrong: not an object, an unknown field, a ``tolerances`` that is not an
+    object or has an unknown entry, or a field the config's mode never reads."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    kwargs = {}
-    for key, value in doc.items():
+    for key in doc:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
-        if key == "tolerances":
-            if not isinstance(value, dict):
-                raise ConfigError("field 'tolerances' must be an object")
-            for name, entry in value.items():
-                if not (_has_type(entry, float) and 0 < entry < math.inf):
-                    raise ConfigError(
-                        f"tolerance {name!r} must be a finite positive number, got {entry!r}")
-            try:
-                kwargs["tolerances"] = DEFAULT_TOLERANCES.with_overrides(
-                    **{name: float(entry) for name, entry in value.items()})
-            except TypeError as exc:
-                raise ConfigError(f"field 'tolerances' has an unknown entry: {exc}") from exc
-            continue
-        expected = _CONFIG_FIELDS[key]
-        if value is None and key in ("out_dir", "compute_sigma", "s_pattern",
-                                     "band_width", "cosets"):
-            kwargs[key] = None
-        elif not _has_type(value, expected):
-            raise ConfigError(f"field {key!r} must be {_TYPE_NAMES[expected]}, got {value!r}")
-        elif expected is list:
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = float(value) if expected is float else value
-    mode = kwargs.get("mode", ExperimentConfig.mode)
-    for key in kwargs:
-        if mode in MODES and mode not in _FIELD_MODES.get(key, MODES):
-            raise ConfigError(f"field {key!r} is not read in mode {mode!r}")
-    return ExperimentConfig(**kwargs)
+    if not isinstance(doc.get("tolerances", {}), dict):
+        raise ConfigError("field 'tolerances' must be an object")
+    try:
+        tolerances = DEFAULT_TOLERANCES.with_overrides(**doc.get("tolerances", {}))
+    except TypeError as exc:
+        raise ConfigError(f"field 'tolerances' has an unknown entry: {exc}") from exc
+    cfg = ExperimentConfig(**{**doc, "tolerances": tolerances})
+    for key in doc:
+        if cfg.mode not in _FIELD_MODES.get(key, MODES):
+            raise ConfigError(f"field {key!r} is not read in mode {cfg.mode!r}")
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -428,7 +426,7 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
         # a second run of one value would overwrite the first one's directory
         raise ConfigError(f"sweep value {repeated} is given more than once")
     # every value is checked before the first run writes anything
-    configs = [replace(cfg, **{var: int(value)}) for value in values]
+    configs = [replace(cfg, **{var: value}) for value in values]
     out = Path(out_dir)
     rows = []
     summaries = []
@@ -436,7 +434,7 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
         summary = run_experiment(sub_cfg, out / f"{var}_{value}")
         summaries.append(summary)
         rows.append(",".join([
-            str(int(value)),
+            str(getattr(sub_cfg, var)),
             _fmt_float(summary["success_rate"]),
             _fmt_float(summary["median_nmse"]),
             str(summary["trials"]),

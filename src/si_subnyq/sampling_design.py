@@ -27,6 +27,7 @@ from .si_core import (
     GeneratorSet,
     PeriodicMatrixFunction,
     _as_complex_readonly,
+    _require_int,
     cross_spectrum_matrix,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -563,7 +564,7 @@ def make_cs_matrix(kind: str, p: int, m: int, rng: np.random.Generator,
     if kind == "fourier_rows":
         if cosets is None:
             cosets = rng.choice(m, size=p, replace=False)
-        cosets = np.asarray(list(cosets), dtype=int)
+        cosets = np.asarray([_require_int(c, "coset row") for c in cosets], dtype=int)
         if cosets.shape[0] != p:
             raise InvalidInputError(f"need {p} coset rows, got {cosets.shape[0]}")
         if len(set(int(c) % m for c in cosets)) != p:

@@ -42,9 +42,11 @@ class FrequencyGrid:
         return TWO_PI * np.arange(self.n) / self.n
 
 
-def _require_int(value, name: str, error: type = InvalidInputError) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+def _require_int(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer is refused."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_complex_readonly(a: np.ndarray) -> np.ndarray:
@@ -71,7 +73,7 @@ class GeneratorSet:
     def __post_init__(self):
         if not 0 < self.period < np.inf:
             raise InvalidInputError(f"period must be finite and positive, got {self.period}")
-        support = tuple(int(j) for j in self.alias_support)
+        support = tuple(_require_int(j, "alias_support entry") for j in self.alias_support)
         if len(support) == 0:
             raise InvalidInputError("alias_support must be non-empty")
         if len(set(support)) != len(support):
@@ -313,7 +315,7 @@ class CoefficientBank:
         seq = np.asarray(self.sequences)
         if seq.ndim != 2:
             raise DimensionError(f"sequences must be (m, N), got shape {seq.shape}")
-        support = frozenset(int(i) for i in self.support)
+        support = frozenset(_require_int(i, "support entry") for i in self.support)
         if any(i < 0 or i >= seq.shape[0] for i in support):
             raise InvalidInputError(f"support {sorted(support)} out of range for m={seq.shape[0]}")
         _checked_support(seq, support)
@@ -423,7 +425,7 @@ def random_generator_set(m: int, grid: FrequencyGrid, period: float,
     Requires at least m alias cells, otherwise the Gram matrix is singular by
     rank count.
     """
-    alias_support = tuple(int(j) for j in alias_support)
+    alias_support = tuple(alias_support)
     if len(alias_support) < m:
         raise InvalidInputError(
             f"need at least m={m} alias cells for a Riesz family, got {len(alias_support)}")

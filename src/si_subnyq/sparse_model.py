@@ -24,7 +24,7 @@ class SparsityProfile:
     def __post_init__(self):
         _require_int(self.m, "m")
         _require_int(self.k, "k")
-        support = frozenset(int(i) for i in self.support)
+        support = frozenset(_require_int(i, "support entry") for i in self.support)
         if self.k > self.m:
             raise InvalidInputError(f"k={self.k} exceeds m={self.m}")
         if len(support) != self.k:

@@ -1,8 +1,9 @@
 """Whole trials across chunk boundaries: ``run_trials`` draws a chunk's A in
 rounds, with one stacked ``kruskal_rank`` call per round, before it runs the
-chunk's trials. ``reference_trial`` takes the route of one trial at a time,
-with a per-trial draw loop, a per-matrix ``kruskal_rank`` and the public
-per-trial steps; the two must write the same trials.csv, wall time aside."""
+chunk's trials. ``reference_trial`` takes the slow route of one trial at a
+time: a per-trial draw loop with a per-matrix ``kruskal_rank``, sampling by
+a whole-bank FFT, and the exhaustive oracle settling every exhaustive
+recovery; the two must write the same trials.csv, wall time aside."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from si_subnyq import ctf, experiments, sampling_design
 from si_subnyq.experiments import TrialRecord, config_from_json, trial_seed
 from si_subnyq.sampling_design import (
-    compressive_sample,
+    MeasurementBank,
     kruskal_rank,
     make_cs_matrix,
     make_design,
@@ -25,6 +26,13 @@ def _sigma(cfg, a):
     if compute is None:
         compute = cfg.m <= 16
     return kruskal_rank(a, tol=cfg.tolerances) if compute else None
+
+
+def _sample(bank, design):
+    """y = ifft(W A fft(d)) with every row of the bank transformed."""
+    assert design.Z is None
+    x = np.fft.fft(bank.sequences, axis=1)
+    return MeasurementBank(np.fft.ifft(design.W.apply(design.A @ x), axis=1))
 
 
 def reference_trial(cfg, index, seed):
@@ -52,8 +60,12 @@ def reference_trial(cfg, index, seed):
         design = make_design(a, FrequencyGrid(cfg.N), tol=tol)
         profile = SparsityProfile(cfg.m, cfg.k, frozenset(int(i) for i in support))
         bank, k_max = synthesize(profile, cfg.N, rng), cfg.k
-    y = compressive_sample(bank, design)
-    result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
+    with pytest.MonkeyPatch.context() as patch:
+        if cfg.solver == "exhaustive":
+            # a SOMP miss takes the screen by design, so only these skip it
+            patch.setattr(ctf, "_screen", lambda prob, tol: None)
+        result = ctf.recover(_sample(bank, design), design, k_max=k_max, solver=cfg.solver,
+                             tol=tol)
     energy = np.linalg.norm(bank.sequences) ** 2
     nmse = float(np.linalg.norm(result.coefficients.sequences - bank.sequences) ** 2) / energy
     return TrialRecord(
@@ -89,15 +101,35 @@ CONFIGS = {
 }
 
 
+def _assert_trials_equal_the_reference(cfg):
+    reference = [reference_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
+    chunked = experiments.run_trials(cfg)
+    assert (_without_wall_time(experiments.records_to_csv(chunked))
+            == _without_wall_time(experiments.records_to_csv(reference)))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_chunked_trials_equal_one_trial_at_a_time(name):
     cfg = config_from_json(dict(CONFIGS[name], seed=11))
     size = sampling_design._stack_size(cfg.m, cfg.p)
     assert size < cfg.trials and name.endswith(f"_{size}")
-    reference = [reference_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
-    chunked = experiments.run_trials(cfg)
-    assert (_without_wall_time(experiments.records_to_csv(chunked))
-            == _without_wall_time(experiments.records_to_csv(reference)))
+    _assert_trials_equal_the_reference(cfg)
+
+
+# The configs of test_exhaustive_search.py's oracle-forced test, at its seed.
+ORACLE_CONFIGS = {
+    "mc_small": dict(mode="generic", m=6, k=2, p=4, N=16, trials=200),
+    "wide_exhaustive": dict(mode="generic", m=12, k=5, p=10, N=256, compute_sigma=False,
+                            trials=12),
+    "multiband": dict(mode="multiband", m=8, p=4, N=16, n_bands=1, trials=40),
+    "periodic_bernoulli": dict(mode="periodic_sparsity", m=16, k=2, p=10, N=32,
+                               matrix_kind="bernoulli", trials=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_oracle_configs_equal_one_trial_at_a_time(name):
+    _assert_trials_equal_the_reference(config_from_json(dict(ORACLE_CONFIGS[name], seed=7)))
 
 
 def test_draw_rounds_stack_every_short_trial(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from si_subnyq.experiments import (
     run_sweep,
     trial_seed,
 )
-from si_subnyq.tolerances import DEFAULT_TOLERANCES
+from si_subnyq.tolerances import DEFAULT_TOLERANCES, Tolerances
 from si_subnyq.verification import CHECKS, run_verification
 
 
@@ -106,7 +107,7 @@ def test_config_wrong_type_is_named_not_coerced(field, value):
 def test_config_built_directly_refuses_non_integers(field, value):
     # the chunk rule and the trials read these as integers: a bool or a
     # float is refused when the config is built, naming the field
-    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+    with pytest.raises(ConfigError, match=f"^field '{field}' must be an integer, got {value!r}$"):
         ExperimentConfig(**{field: value})
 
 
@@ -124,6 +125,91 @@ def test_config_accepts_json_integers_for_float_fields():
     assert cfg.T == 2.0 and isinstance(cfg.T, float)
     assert cfg.tolerances.cond_tol == 1e6 and isinstance(cfg.tolerances.cond_tol, float)
     assert cfg.compute_sigma is None
+
+
+# One wrongly typed field a row, the last one, in a config otherwise valid.
+WRONG_TYPES = [
+    dict(mode="periodic_sparsity", s_pattern=[1.5, 4.2]),
+    dict(mode="periodic_sparsity", s_pattern=[True, 3]),
+    dict(mode="periodic_sparsity", base_period=True),
+    dict(mode="multiband", cosets=[0.5, 2, 3, 5]),
+    dict(mode="multiband", T="1.0"),
+    dict(mode="multiband", n_bands=None),
+    dict(compute_sigma="no"),
+    dict(out_dir=5),
+    dict(mode=1),
+    dict(m=6.5),
+    dict(seed=True),
+    dict(matrix_kind=None),
+]
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES, ids=repr)
+def test_wrong_type_is_refused_alike_however_the_config_is_built(fields):
+    # the JSON document, the constructor and replace() meet one rule
+    field = list(fields)[-1]
+    messages = []
+    for build in (lambda: config_from_json(fields), lambda: ExperimentConfig(**fields),
+                  lambda: replace(ExperimentConfig(), **fields)):
+        with pytest.raises(ConfigError) as refused:
+            build()
+        messages.append(str(refused.value))
+    assert messages[0].startswith(f"field {field!r} must be ")
+    assert messages[0].endswith(f", got {fields[field]!r}")
+    assert messages == messages[:1] * 3
+
+
+@pytest.mark.parametrize("entry", ["tight", True, None, float("nan"), 0])
+def test_wrong_tolerance_entry_is_refused_alike_however_the_config_is_built(entry):
+    expected = f"^tolerance 'cond_tol' must be a finite positive number, got {entry!r}$"
+    with pytest.raises(ConfigError, match=expected):
+        config_from_json({"tolerances": {"cond_tol": entry}})
+    with pytest.raises(ConfigError, match=expected):
+        ExperimentConfig(tolerances=Tolerances(cond_tol=entry))
+    with pytest.raises(ConfigError, match=expected):
+        replace(ExperimentConfig(), tolerances=Tolerances(cond_tol=entry))
+
+
+def test_tolerances_built_directly_must_be_a_tolerances_record():
+    # a dict would fail only at the first trial that reads a tolerance
+    with pytest.raises(ConfigError, match="^field 'tolerances' must be a Tolerances, got "):
+        ExperimentConfig(tolerances={"cond_tol": 1e3})
+
+
+def test_config_built_directly_stores_numpy_values_as_python_values(tmp_path):
+    cfg = ExperimentConfig(mode="multiband", m=np.int64(8), p=np.int32(4), N=np.uint16(8),
+                           T=np.int64(2), band_width=np.float32(0.25), n_bands=np.int8(2),
+                           cosets=(np.int64(0), 1, np.uint8(3), 5), solver="somp",
+                           tolerances=Tolerances(cond_tol=np.float32(1e3), psd_tol=np.int64(1)))
+    assert [type(v) for v in (cfg.m, cfg.p, cfg.N, cfg.n_bands)] == [int] * 4
+    assert [type(v) for v in (cfg.T, cfg.band_width, cfg.tolerances.psd_tol)] == [float] * 3
+    assert cfg.cosets == (0, 1, 3, 5) and {type(c) for c in cfg.cosets} == {int}
+    assert json.loads(json.dumps(asdict(cfg)))["tolerances"]["cond_tol"] == 1e3
+
+
+_DEFAULT_FIELDS = dict(mode="generic", m=6, k=2, p=4, N=16, seed=0, trials=1,
+                      matrix_kind="gaussian", solver="exhaustive", out_dir=None,
+                      compute_sigma=None, base_period=1.0, s_pattern=None, n_bands=1,
+                      band_width=None, T=1.0, cosets=None,
+                      tolerances=asdict(DEFAULT_TOLERANCES))
+
+
+@pytest.mark.parametrize("doc, stored", [
+    (dict(mode="multiband", m=8, p=4, N=16, seed=1, trials=2, solver="somp", T=2,
+          band_width=0.25, cosets=[0, 1, 3, 5], compute_sigma=None, n_bands=2,
+          tolerances={"cond_tol": 1000000}),
+     dict(T=2.0, cosets=[0, 1, 3, 5], tolerances={**asdict(DEFAULT_TOLERANCES), "cond_tol": 1e6})),
+    (dict(mode="periodic_sparsity", m=7, k=2, p=4, N=8, seed=3, trials=2, s_pattern=[5, 1],
+          base_period=2, compute_sigma=True, matrix_kind="bernoulli", out_dir="ignored"),
+     dict(base_period=2.0, s_pattern=[1, 5])),
+], ids=["multiband", "periodic_sparsity"])
+def test_summary_holds_the_config_as_read(tmp_path, doc, stored):
+    # integers given for numbers are stored as floats, lists as sorted or given
+    path = write_config(tmp_path / "cfg.json", **doc)
+    assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (json.dumps(summary["config"], sort_keys=True)
+            == json.dumps({**_DEFAULT_FIELDS, **doc, **stored}, sort_keys=True))
 
 
 def test_trial_seed_derivation_is_stable():
@@ -249,6 +335,12 @@ def test_sweep_p_above_unique_rate_always_succeeds(tmp_path):
         assert summary["success_rate"] == 1.0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+def test_sweep_refuses_a_non_integer_value_before_any_run(tmp_path):
+    with pytest.raises(ConfigError, match=r"^field 'p' must be an integer, got 4\.7$"):
+        run_sweep(ExperimentConfig(trials=2), "p", [4.7, 5.2], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_bad_variable(tmp_path):

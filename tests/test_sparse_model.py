@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from si_subnyq.errors import InvalidInputError
-from si_subnyq.si_core import CoefficientBank, FrequencyGrid, random_generator_set
+from si_subnyq.sampling_design import make_cs_matrix
+from si_subnyq.si_core import CoefficientBank, FrequencyGrid, GeneratorSet, random_generator_set
 from si_subnyq.sparse_model import (
     SparseSISignal,
     SparsityProfile,
@@ -36,6 +37,36 @@ def test_profile_rejects_k_above_m():
 def test_profile_refuses_non_integer_m_and_k(m, k, support, name):
     with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
         SparsityProfile(m, k, frozenset(support))
+
+
+# Each index collection refuses a bool or a float entry, where it once
+# truncated it, and keeps taking numpy integers: (its entry's name, a build).
+INDEX_BUILDS = {
+    "profile_support": ("support entry",
+                        lambda entries: SparsityProfile(6, 2, frozenset(entries))),
+    "bank_support": ("support entry",
+                     lambda entries: CoefficientBank(np.zeros((6, 3), complex),
+                                                     frozenset(entries))),
+    "coset_rows": ("coset row",
+                   lambda entries: make_cs_matrix("fourier_rows", 2, 8,
+                                                  np.random.default_rng(0), cosets=entries)),
+    "alias_support": ("alias_support entry",
+                      lambda entries: GeneratorSet(FrequencyGrid(4), 1.0, tuple(entries),
+                                                   np.ones((2, 4, 2)))),
+}
+
+
+@pytest.mark.parametrize("entries", [(1.7, 3), (True, 3), (2.9, 5.0)])
+@pytest.mark.parametrize("build", sorted(INDEX_BUILDS))
+def test_index_collections_refuse_non_integer_entries(build, entries):
+    name, make = INDEX_BUILDS[build]
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+        make(entries)
+
+
+@pytest.mark.parametrize("build", sorted(INDEX_BUILDS))
+def test_index_collections_take_numpy_integers(build):
+    INDEX_BUILDS[build][1]((np.int64(1), np.uint8(3)))
 
 
 def test_profile_rejects_wrong_support_size():
