@@ -31,6 +31,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 EXHAUSTIVE_GUARD = 10 ** 6
 SOLVERS = ("exhaustive", "somp")
+_PINV_RCOND = 1e-15  # numpy.linalg.pinv's default; _coefficients needs it for pinv's bits
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ def frame_from_q(q: np.ndarray,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """Factor Q = V V^H by eigendecomposition, dropping eigenvalues at or
     below ``tol.rank_rel_tol`` times the largest, and all when that is <= 0.
-    Refuses Q if |Q - Q^H| exceeds ``tol.hermitian_tol`` max(max |Q|, 1).
+    Refuses Q if |Q - Q^H| exceeds ``tol.hermitian_tol`` max(max |Q|, 1); that
+    Q^H also gives the (Q + Q^H) / 2 factored.
 
     Returns (V, eigenvalues) with eigenvalues sorted descending; V has one
     column per retained eigenvalue (possibly zero columns for Q = 0).
@@ -105,11 +107,12 @@ def frame_from_q(q: np.ndarray,
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise DimensionError(f"Q must be square and non-empty, got shape {q.shape}")
     _require_finite(q, "Q")
-    herm_dev = float(np.max(np.abs(q - q.conj().T)))
+    q_h = q.conj().T
+    herm_dev = float(np.max(np.abs(q - q_h)))
     scale = max(float(np.max(np.abs(q))), 1.0)
     if herm_dev > tol.hermitian_tol * scale:
         raise InvalidInputError(f"Q is not Hermitian (deviation {herm_dev:.3e})")
-    eigvals, eigvecs = np.linalg.eigh((q + q.conj().T) / 2.0)
+    eigvals, eigvecs = np.linalg.eigh((q + q_h) / 2.0)
     trace = float(np.sum(eigvals))
     if np.min(eigvals) < -tol.psd_tol * max(trace, 0.0) - tol.psd_tol:
         raise InvalidInputError(
@@ -147,10 +150,17 @@ def _norm(x: np.ndarray, scale: float) -> float:
     return float(np.linalg.norm(x if scale == 1.0 else scale * x))
 
 
-def _support_residual(A: np.ndarray, v: np.ndarray, support) -> float:
-    """Relative Frobenius residual of projecting V onto the span of A_S."""
+def _frame(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(V, s, ||s V||_F) for s = ``_pow2_scale(V)``: taken once per support
+    search and handed to each of its ``_support_residual`` calls."""
     scale = _pow2_scale(v)
-    norm_v = _norm(v, scale)
+    return v, scale, _norm(v, scale)
+
+
+def _support_residual(A: np.ndarray, frame: tuple, support) -> float:
+    """Relative Frobenius residual of projecting V onto the span of A_S, both
+    norms taken on s V, for the ``_frame`` (V, s, ||s V||_F)."""
+    v, scale, norm_v = frame
     if norm_v == 0.0:
         return 0.0
     if len(support) == 0:
@@ -165,9 +175,9 @@ def solve_mmv_exhaustive(prob: MMVProblem,
     """Exact minimum-support search: the reference oracle.
 
     Scans supports by increasing size (lexicographic within a size) and
-    returns the first one whose ``_support_residual`` is within
-    ``tol.mmv_residual_rel``. An all-zero V (no columns included) gets the
-    empty support before the guard, which refuses C(m, k_max) > 1e6.
+    returns the first one whose ``_support_residual``, on one ``_frame(V)``,
+    is within ``tol.mmv_residual_rel``. An all-zero V (no columns included)
+    gets the empty support before the guard, which refuses C(m, k_max) > 1e6.
 
     Recovery (``solver="exhaustive"``) runs the rank-aware ``_screen`` first,
     which returns this function's answer, and calls this function for every
@@ -181,9 +191,10 @@ def solve_mmv_exhaustive(prob: MMVProblem,
             f"exhaustive search refused: C({m}, {prob.k_max}) exceeds {EXHAUSTIVE_GUARD}")
     best_res = math.inf
     best_support: frozenset[int] = frozenset()
+    frame = _frame(prob.V)
     for size in range(1, prob.k_max + 1):
         for combo in itertools.combinations(range(m), size):
-            res = _support_residual(prob.A, prob.V, combo)
+            res = _support_residual(prob.A, frame, combo)
             if res <= tol.mmv_residual_rel:
                 return frozenset(combo)
             if res < best_res:
@@ -207,9 +218,9 @@ def _screen(prob: MMVProblem,
     sigma_j above 2 delta (sigma_{r+1} = 0 past the last one).
 
     A support S "fits" when the oracle's computed residual
-    ``_support_residual(A, V, S)`` is at most t. The second term of delta
-    allows for the rounding of that computed value (see below), so a fit
-    leaves E = V - A_S C, for the computed coefficients C, with
+    ``_support_residual(A, _frame(V), S)`` is at most t. The second term of
+    delta allows for the rounding of that computed value (see below), so a
+    fit leaves E = V - A_S C, for the computed coefficients C, with
     ||E||_2 <= ||E||_F <= delta. Then:
 
     1. No support with fewer than r columns fits: A_S C has rank < r, so
@@ -229,10 +240,11 @@ def _screen(prob: MMVProblem,
     So when r <= k_max and some r-subset fits, the oracle's answer is the
     first fitting r-subset in lexicographic order, which is the first
     fitting r-subset of M: the scan below tests those with the oracle's own
-    ``_support_residual`` call, so every fit decision is bit-identical. It
-    returns None for every case it cannot settle: V = 0 or ||V||_F not
-    finite, r = 0 or r > k_max, more than ``EXHAUSTIVE_GUARD`` r-subsets of M
-    to test, and no fitting r-subset of M. ``_solve`` then runs the oracle,
+    ``_support_residual`` call, on one ``_frame(V)``, which also gives
+    ||V||_F, so every fit decision is bit-identical. It returns None for
+    every case it cannot settle: V = 0 or ||V||_F not finite, r = 0 or
+    r > k_max, more than ``EXHAUSTIVE_GUARD`` r-subsets of M to test, and no
+    fitting r-subset of M. ``_solve`` then runs the oracle,
     so the oracle's C(m, k_max) guard error, the empty support of V = 0 and
     the ``InfeasibleError`` with its ``best_residual`` and ``best_support``
     are the oracle's by construction. The argument above uses neither guard:
@@ -249,8 +261,8 @@ def _screen(prob: MMVProblem,
     two on the bound absorbs.
     """
     A, v = prob.A, prob.V
-    scale = _pow2_scale(v)
-    norm_v = _norm(v, scale) / scale
+    frame = _frame(v)
+    norm_v = frame[2] / frame[1]  # ||s V||_F / s
     if 0.0 < norm_v < math.inf:
         t = tol.mmv_residual_rel
         delta = (t + max(t, 2.0 ** 20 * np.finfo(np.float64).eps)) * norm_v
@@ -268,7 +280,7 @@ def _screen(prob: MMVProblem,
             if math.comb(len(near), r) > EXHAUSTIVE_GUARD:
                 return None
             for combo in itertools.combinations(near, r):
-                residual = _support_residual(A, v, combo)
+                residual = _support_residual(A, frame, combo)
                 if residual <= t:
                     return frozenset(combo), residual
     return None
@@ -295,12 +307,13 @@ def solve_mmv_somp(prob: MMVProblem,
     if norm_v == 0.0:
         return frozenset()
     col_norms = np.linalg.norm(A, axis=0)
+    a_h = A.conj().T
     selected: list[int] = []
     residual = v
     while len(selected) < prob.k_max:
         if np.linalg.norm(residual) / norm_v <= tol.mmv_residual_rel:
             break
-        scores = np.linalg.norm(A.conj().T @ residual, axis=1)
+        scores = np.linalg.norm(a_h @ residual, axis=1)
         scores = np.divide(scores, col_norms, out=np.zeros_like(scores),
                            where=col_norms > 0)
         scores[selected] = -1.0  # never reselect
@@ -337,7 +350,7 @@ def _solve(prob: MMVProblem, solver: str,
         if screened is not None:
             return screened
         support = solve_mmv_exhaustive(prob, tol)  # fits, or raises
-    residual = _support_residual(prob.A, prob.V, support)
+    residual = _support_residual(prob.A, _frame(prob.V), support)
     if residual <= tol.mmv_residual_rel:
         return support, residual
     return _screen(prob, tol) or (support, residual)
@@ -365,7 +378,10 @@ def recover_coefficients(y: MeasurementBank, design: MeasurementDesign,
 def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
                   support, tol: Tolerances) -> CoefficientBank:
     """``recover_coefficients`` on measurements already demodulated; Z is
-    re-checked before it is divided by, as ``demodulate`` re-checks W."""
+    re-checked before it is divided by, as ``demodulate`` re-checks W. One SVD
+    of conj(A_S) gives A_S^+, formed bit for bit as ``numpy.linalg.pinv`` forms
+    it, and the rank check, whose singular values equal A_S's up to rounding:
+    only a ratio within rounding of ``tol.rank_rel_tol`` can be judged anew."""
     support = sorted(int(i) for i in set(support))
     if any(i < 0 or i >= design.m for i in support):
         raise InvalidInputError(f"support {support} out of range for m={design.m}")
@@ -373,13 +389,13 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
         design.Z.require_conditioned(tol.cond_tol, "Z")
     if not support:
         return CoefficientBank.zeros(design.m, design.grid.n)
-    a_s = design.A[:, support]
-    sv = np.linalg.svd(a_s, compute_uv=False)
+    u, sv, vt = np.linalg.svd(design.A[:, support].conj(), full_matrices=False)
     if sv[-1] <= tol.rank_rel_tol * sv[0]:
         raise InvalidInputError(
             f"columns {support} of A are rank deficient (sv ratio {sv[-1] / sv[0]:.3e})")
+    s_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > _PINV_RCOND * sv[0])
     spectra = np.fft.fft(y_tilde.sequences, axis=1)
-    x = np.linalg.pinv(a_s) @ spectra  # (|S|, N)
+    x = (vt.T @ (s_inv[:, None] * u.T)) @ spectra  # A_S^+ y, (|S|, N)
     if design.Z is not None:
         x = x / design.Z.diagonal()[:, support].T
     sequences = np.zeros((design.m, design.grid.n), dtype=np.complex128)

@@ -56,7 +56,9 @@ class ExperimentConfig:
     the config is built: an integer is an int or a numpy integer, never a
     bool; a number also takes an integer; a list takes a list or tuple of
     integers; None only where it is the default. It stores Python values, so
-    summary.json can hold them, then checks the ranges and scenario rules."""
+    summary.json can hold them, then checks the ranges and scenario rules,
+    and last refuses a value other than the default in a field the mode never
+    reads (``_FIELD_MODES``)."""
 
     mode: str = "generic"
     m: int = 6
@@ -143,6 +145,9 @@ class ExperimentConfig:
             # k_max = 2*n_bands slices must fit among the m
             raise ConfigError(
                 f"n_bands={self.n_bands} must satisfy 1 <= n_bands and 2*n_bands <= m={self.m}")
+        for name, modes in _FIELD_MODES.items():
+            if self.mode not in modes and getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ConfigError(f"field {name!r} is not read in mode {self.mode!r}")
 
 
 _CONFIG_FIELDS = {
@@ -182,7 +187,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     """Map a parsed JSON document onto an ExperimentConfig, whose constructor
     judges every value. The mapper refuses only what a document alone gets
     wrong: not an object, an unknown field, a ``tolerances`` that is not an
-    object or has an unknown entry, or a field the config's mode never reads."""
+    object or has an unknown entry, or a field the config's mode never reads,
+    given even at its default."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     for key in doc:
@@ -421,12 +427,13 @@ def run_sweep(cfg: ExperimentConfig, var: str, values: list[int],
     if var == "k" and cfg.mode == "multiband":
         # a multiband trial reads k_max = 2*n_bands, never k
         raise ConfigError("field 'k' is not read in mode 'multiband'")
-    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    # every value is checked, its type first, before the first run writes anything
+    configs = [replace(cfg, **{var: value}) for value in values]
+    stored = [getattr(sub_cfg, var) for sub_cfg in configs]
+    repeated = next((v for i, v in enumerate(stored) if v in stored[:i]), None)
     if repeated is not None:
         # a second run of one value would overwrite the first one's directory
         raise ConfigError(f"sweep value {repeated} is given more than once")
-    # every value is checked before the first run writes anything
-    configs = [replace(cfg, **{var: value}) for value in values]
     out = Path(out_dir)
     rows = []
     summaries = []

@@ -62,16 +62,17 @@ def synthesize(profile: SparsityProfile, n_samples: int,
     """Seeded random coefficient bank honoring the sparsity profile.
 
     Active channels, in ascending order, get i.i.d. unit-variance complex
-    normal values; inactive channels are exactly zero.
+    normal values; inactive channels are exactly zero. One draw of shape
+    (k, 2, n_samples) gives every active channel its real then its imaginary
+    part, the order in which one draw per part and channel reads the stream.
     """
     _require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     sequences = np.zeros((profile.m, n_samples), dtype=np.complex128)
-    for channel in sorted(profile.support):
-        sequences[channel] = (rng.standard_normal(n_samples)
-                              + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
+    z = rng.standard_normal((profile.k, 2, n_samples))
+    sequences[sorted(profile.support)] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     return CoefficientBank._owned(sequences, profile.support)
 
 

@@ -371,11 +371,12 @@ def check_uniqueness_brute_force(tol: Tolerances) -> tuple:
         design, support, _, y = _planted_instance(seed, filtered=True)
         y_tilde = ctf.demodulate(y, design)
         v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde))
+        frame = ctf._frame(v)
         k = len(support)
         fitting = []
         for size in range(0, k + 1):
             for combo in it.combinations(range(design.m), size):
-                res = ctf._support_residual(design.A, v, combo)
+                res = ctf._support_residual(design.A, frame, combo)
                 if res <= tol.mmv_residual_rel:
                     fitting.append(frozenset(combo))
         ok = (ok and fitting == [support]

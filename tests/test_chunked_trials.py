@@ -1,14 +1,18 @@
 """Whole trials across chunk boundaries: ``run_trials`` draws a chunk's A in
 rounds, with one stacked ``kruskal_rank`` call per round, before it runs the
 chunk's trials. ``reference_trial`` takes the slow route of one trial at a
-time: a per-trial draw loop with a per-matrix ``kruskal_rank``, sampling by
-a whole-bank FFT, and the exhaustive oracle settling every exhaustive
-recovery; the two must write the same trials.csv, wall time aside."""
+time: a per-trial draw loop with sigma from the plain SVD scan, a coefficient
+bank drawn channel by channel, W held as dense per-bin matrices (so W is
+applied by einsum and undone by ``np.linalg.solve``), sampling by a
+whole-bank FFT, the exhaustive oracle settling every exhaustive recovery,
+and coefficients through ``np.linalg.pinv``; the two must write the same
+trials.csv, wall time aside."""
 
 import numpy as np
 import pytest
 
-from si_subnyq import ctf, experiments, sampling_design
+from references import per_channel_bank, pinv_coefficients, svd_scan_kruskal_rank
+from si_subnyq import ctf, experiments, sampling_design, scenarios
 from si_subnyq.experiments import TrialRecord, config_from_json, trial_seed
 from si_subnyq.sampling_design import (
     MeasurementBank,
@@ -17,15 +21,15 @@ from si_subnyq.sampling_design import (
     make_design,
 )
 from si_subnyq.scenarios import build_multiband
-from si_subnyq.si_core import FrequencyGrid
-from si_subnyq.sparse_model import SparsityProfile, synthesize
+from si_subnyq.si_core import FrequencyGrid, PeriodicMatrixFunction
+from si_subnyq.sparse_model import SparsityProfile
 
 
 def _sigma(cfg, a):
     compute = cfg.compute_sigma
     if compute is None:
         compute = cfg.m <= 16
-    return kruskal_rank(a, tol=cfg.tolerances) if compute else None
+    return svd_scan_kruskal_rank(a, cfg.tolerances.rank_rel_tol) if compute else None
 
 
 def _sample(bank, design):
@@ -39,7 +43,9 @@ def reference_trial(cfg, index, seed):
     """Trial ``index`` of ``cfg``, whose seed is ``seed``, one trial at a time."""
     tol = cfg.tolerances
     if cfg.mode == "multiband":
-        build = build_multiband(cfg, seed, tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "synthesize", per_channel_bank)
+            build = build_multiband(cfg, seed, tol)
         design, bank, k_max = build.design, build.coefficients, build.report["k_max"]
         sigma = _sigma(cfg, design.A)
     else:
@@ -59,15 +65,19 @@ def reference_trial(cfg, index, seed):
             support = rng.choice(cfg.m, size=cfg.k, replace=False)
         design = make_design(a, FrequencyGrid(cfg.N), tol=tol)
         profile = SparsityProfile(cfg.m, cfg.k, frozenset(int(i) for i in support))
-        bank, k_max = synthesize(profile, cfg.N, rng), cfg.k
+        bank, k_max = per_channel_bank(profile, cfg.N, rng), cfg.k
+    design = make_design(design.A, design.grid,
+                         W=PeriodicMatrixFunction(design.grid, design.W.values), tol=tol)
+    y = _sample(bank, design)
     with pytest.MonkeyPatch.context() as patch:
         if cfg.solver == "exhaustive":
             # a SOMP miss takes the screen by design, so only these skip it
             patch.setattr(ctf, "_screen", lambda prob, tol: None)
-        result = ctf.recover(_sample(bank, design), design, k_max=k_max, solver=cfg.solver,
-                             tol=tol)
+        result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
+    found = pinv_coefficients(ctf.demodulate(y, design, tol), design, result.support,
+                              tol.rank_rel_tol)
     energy = np.linalg.norm(bank.sequences) ** 2
-    nmse = float(np.linalg.norm(result.coefficients.sequences - bank.sequences) ** 2) / energy
+    nmse = float(np.linalg.norm(found - bank.sequences) ** 2) / energy
     return TrialRecord(
         trial=index, seed=seed, support_true=tuple(sorted(bank.support)),
         support_found=tuple(sorted(result.support)),

@@ -343,6 +343,51 @@ def test_sweep_refuses_a_non_integer_value_before_any_run(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_judges_each_value_s_type_before_looking_for_repeats(tmp_path):
+    # 4.0 == 4, but 4.0 is no integer: the type message, not the repeat one
+    with pytest.raises(ConfigError, match=r"^field 'p' must be an integer, got 4\.0$"):
+        run_sweep(ExperimentConfig(trials=1), "p", [4, 4.0], tmp_path)
+    with pytest.raises(ConfigError, match=r"^sweep value 4 is given more than once$"):
+        run_sweep(ExperimentConfig(trials=1), "p", [4, np.int64(4)], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# A value other than the default in a field each mode never reads.
+UNREAD_FIELDS = [
+    ("generic", dict(s_pattern=(1, 3)), "s_pattern"),
+    ("generic", dict(T=2.0), "T"),
+    ("generic", dict(n_bands=2), "n_bands"),
+    ("periodic_sparsity", dict(band_width=0.5), "band_width"),
+    ("periodic_sparsity", dict(cosets=(0, 2, 3, 5)), "cosets"),
+    ("multiband", dict(base_period=2.0), "base_period"),
+    ("multiband", dict(matrix_kind="bernoulli"), "matrix_kind"),
+    ("verify", dict(T=0.5), "T"),
+]
+
+
+@pytest.mark.parametrize("mode, fields, field", UNREAD_FIELDS)
+def test_config_built_in_python_refuses_a_field_its_mode_never_reads(mode, fields, field):
+    message = rf"^field '{field}' is not read in mode '{mode}'$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(mode=mode, m=8, k=2, p=4, **fields)
+    reading_mode = {"s_pattern": "periodic_sparsity", "base_period": "periodic_sparsity",
+                    "matrix_kind": "generic"}.get(field, "multiband")
+    built = ExperimentConfig(mode=reading_mode, m=8, k=2, p=4, **fields)
+    with pytest.raises(ConfigError, match=message):
+        replace(built, mode=mode)
+    with pytest.raises(ConfigError, match=message):
+        config_from_json(dict(mode=mode, m=8, k=2, p=4, **fields))
+
+
+def test_multiband_config_switched_to_generic_drops_no_field_silently():
+    multiband = ExperimentConfig(mode="multiband", m=8, p=4, cosets=(0, 2, 3, 5))
+    with pytest.raises(ConfigError, match=r"^field 'cosets' is not read in mode 'generic'$"):
+        replace(multiband, mode="generic")
+    # a field left at its default is not given, so a built config takes it
+    assert replace(multiband, mode="generic", cosets=None).mode == "generic"
+    assert ExperimentConfig(T=1.0).T == 1.0
+
+
 def test_sweep_rejects_bad_variable(tmp_path):
     cfg = ExperimentConfig()
     with pytest.raises(ConfigError, match="sweep variable"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from references import pinv_coefficients
 from si_subnyq import ctf, experiments
 from si_subnyq.ctf import (
     MMVProblem,
@@ -390,6 +391,60 @@ def test_recover_coefficients_rejects_dependent_columns():
     y = MeasurementBank(np.ones((2, 4)))
     with pytest.raises(InvalidInputError):
         recover_coefficients(y, design, {0, 1})
+
+
+@pytest.mark.parametrize("columns", [(0, 1), (1, 2, 3)])
+def test_rank_deficient_columns_are_refused_by_name(columns):
+    # column 1 is twice column 0 and column 3 is column 1 + column 2
+    rng = np.random.default_rng(3)
+    a_matrix = make_cs_matrix("gaussian", 4, 5, rng).copy()
+    a_matrix[:, 1] = 2.0 * a_matrix[:, 0]
+    a_matrix[:, 3] = a_matrix[:, 1] + a_matrix[:, 2]
+    design = make_design(a_matrix, FrequencyGrid(8))
+    y_tilde = MeasurementBank(rng.standard_normal((4, 8)))
+    message = rf"^columns \[{', '.join(map(str, columns))}\] of A are rank deficient"
+    with pytest.raises(InvalidInputError, match=message):
+        ctf._coefficients(y_tilde, design, set(columns), DEFAULT_TOLERANCES)
+    with pytest.raises(InvalidInputError, match=message):
+        recover_coefficients(y_tilde, design, set(columns))
+
+
+@pytest.mark.parametrize("rank_rel_tol", [1e-10, 1e-16, 1e-20])
+def test_coefficients_equal_the_pinv_route_byte_for_byte(rank_rel_tol):
+    # one SVD of conj(A_S) forms A_S^+ as np.linalg.pinv does; below
+    # rank_rel_tol = 1e-15 a near-duplicate column passes the rank check and
+    # pinv's own cutoff zeroes its singular value
+    tol = DEFAULT_TOLERANCES.with_overrides(rank_rel_tol=rank_rel_tol)
+    rng = np.random.default_rng(1234)
+    seen = {"plain": 0, "cut": 0, "refused": 0}
+    for index in range(300):
+        m = int(rng.integers(2, 9))
+        p = int(rng.integers(1, m + 1))
+        n = int(rng.integers(1, 12))
+        a_matrix = make_cs_matrix(("gaussian", "bernoulli")[index % 2], p, m, rng).copy()
+        support = sorted(int(i) for i in rng.choice(m, size=int(rng.integers(1, p + 1)),
+                                                    replace=False))
+        if index % 3 == 0 and len(support) > 1:
+            step = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+            a_matrix[:, support[1]] = a_matrix[:, support[0]] + step * 10.0 ** rng.uniform(-18, -15)
+        design = make_design(a_matrix, FrequencyGrid(n))
+        y_tilde = MeasurementBank(rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n)))
+        try:
+            expected = pinv_coefficients(y_tilde, design, support, rank_rel_tol)
+        except ValueError:
+            with pytest.raises(InvalidInputError, match="rank deficient"):
+                ctf._coefficients(y_tilde, design, support, tol)
+            seen["refused"] += 1
+            continue
+        found = ctf._coefficients(y_tilde, design, support, tol)
+        assert found.sequences.tobytes() == expected.tobytes(), index
+        sv = np.linalg.svd(design.A[:, support], compute_uv=False)
+        seen["cut" if sv[-1] <= 1e-15 * sv[0] else "plain"] += 1
+    assert seen["plain"] >= 100, seen
+    if rank_rel_tol < 1e-15:
+        assert seen["cut"] >= 10, seen
+    else:
+        assert seen["cut"] == 0 and seen["refused"] >= 10, seen
 
 
 def _multiband_instance():

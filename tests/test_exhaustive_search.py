@@ -226,9 +226,9 @@ def test_screened_support_costs_no_second_residual(monkeypatch):
     calls = []
     original = ctf._support_residual
 
-    def counting(A, v, support):
+    def counting(A, frame, support):
         calls.append(tuple(support))
-        return original(A, v, support)
+        return original(A, frame, support)
     monkeypatch.setattr(ctf, "_support_residual", counting)
     screened = ctf._screen(prob, DEFAULT_TOLERANCES)
     tested = list(calls)
@@ -236,7 +236,7 @@ def test_screened_support_costs_no_second_residual(monkeypatch):
     calls.clear()
     assert ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES) == screened
     assert calls == tested
-    assert screened == (frozenset({0, 3}), original(a, prob.V, (0, 3)))
+    assert screened == (frozenset({0, 3}), original(a, ctf._frame(prob.V), (0, 3)))
 
 
 def test_oracle_support_costs_one_more_residual(monkeypatch):
@@ -250,13 +250,13 @@ def test_oracle_support_costs_one_more_residual(monkeypatch):
     calls = []
     original = ctf._support_residual
 
-    def counting(A, v, support):
+    def counting(A, frame, support):
         calls.append(tuple(support))
-        return original(A, v, support)
+        return original(A, frame, support)
     monkeypatch.setattr(ctf, "_support_residual", counting)
     support, residual = ctf._solve(prob, "exhaustive", DEFAULT_TOLERANCES)
     assert support == frozenset({1, 3, 6})
-    assert residual == original(a, prob.V, (1, 3, 6))
+    assert residual == original(a, ctf._frame(prob.V), (1, 3, 6))
     assert len(calls) == 51
     assert calls.count((1, 3, 6)) == 2
     assert calls[-2:] == [(1, 3, 6)] * 2
@@ -289,11 +289,11 @@ def test_somp_answer_that_fits_is_kept_and_a_miss_takes_the_screen(oracle_calls)
         if prob.k_max == 0:
             continue
         somp = solve_mmv_somp(prob, tol)
-        residual = ctf._support_residual(prob.A, prob.V, somp)
+        residual = ctf._support_residual(prob.A, ctf._frame(prob.V), somp)
         oracle_calls.clear()
         found, found_residual = ctf._solve(prob, "somp", tol)
         assert oracle_calls == []
-        assert found_residual == ctf._support_residual(prob.A, prob.V, found)
+        assert found_residual == ctf._support_residual(prob.A, ctf._frame(prob.V), found)
         if residual <= tol.mmv_residual_rel:
             assert (found, found_residual) == (somp, residual), index
             seen["kept"] += 1
@@ -369,7 +369,7 @@ def test_fitting_somp_support_costs_one_residual(monkeypatch):
     fits = []
     for prob in frames + problems + edges:
         support = solve_mmv_somp(prob)
-        residual = counted(prob.A, prob.V, support)
+        residual = counted(prob.A, ctf._frame(prob.V), support)
         fits.append(residual <= DEFAULT_TOLERANCES.mmv_residual_rel)
         calls.clear()
         greedy.clear()

@@ -4,7 +4,6 @@ periodic trial path; the rows the level pass forms against the Schur
 complements they stand for; the Chebotarev cross-check on prime-order DFT
 rows, and input rejection."""
 
-import itertools
 import math
 
 import numpy as np
@@ -23,33 +22,9 @@ from si_subnyq.sampling_design import (
 )
 from si_subnyq.si_core import FrequencyGrid
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
+from references import svd_scan_kruskal_rank
 
 REL_TOLS = (0.0, 1e-10, 1e-3, 0.5, 1.0)
-_ORACLE_CHUNK = 20000
-
-
-def svd_scan_kruskal_rank(A, rel_tol=1e-10):
-    """Reference: the exhaustive SVD scan, as kruskal_rank computed it before
-    the determinant screen (input guards dropped)."""
-    A = np.asarray(A, dtype=np.complex128)
-    p, m = A.shape
-    sigma = 0
-    for q in range(1, min(p, m) + 1):
-        combos = itertools.combinations(range(m), q)
-        all_full_rank = True
-        while True:
-            chunk = list(itertools.islice(combos, _ORACLE_CHUNK))
-            if not chunk:
-                break
-            subs = np.moveaxis(A[:, np.asarray(chunk)], 1, 0)  # (batch, p, q)
-            sv = np.linalg.svd(subs, compute_uv=False)
-            if not np.all(sv[:, -1] > rel_tol * sv[:, 0]):
-                all_full_rank = False
-                break
-        if not all_full_rank:
-            break
-        sigma = q
-    return sigma
 
 
 def _rank_tol(rel_tol):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from references import per_channel_bank
 from si_subnyq.errors import InvalidInputError
 from si_subnyq.sampling_design import make_cs_matrix
 from si_subnyq.si_core import CoefficientBank, FrequencyGrid, GeneratorSet, random_generator_set
@@ -104,6 +105,25 @@ def test_support_and_off_support_energy():
     assert np.sum(np.abs(bank.sequences[off]) ** 2) == 0.0
     for channel in (1, 4):
         assert np.any(bank.sequences[channel] != 0)
+
+
+def test_synthesis_reads_the_stream_as_one_draw_per_part_and_channel():
+    # the bank and the generator's next draw equal those of the per-channel
+    # loop: each active channel in ascending order, real parts then imaginary
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        k = int(rng.integers(0, m + 1))
+        n = int(rng.integers(1, 40))
+        profile = SparsityProfile(m, k, frozenset(int(i) for i in
+                                                 rng.choice(m, size=k, replace=False)))
+        seed = int(rng.integers(2 ** 32))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        bank = synthesize(profile, n, fast)
+        expected = per_channel_bank(profile, n, slow)
+        assert bank.sequences.tobytes() == expected.sequences.tobytes()
+        assert bank.support == expected.support
+        assert fast.standard_normal() == slow.standard_normal()
 
 
 # ---------------------------------------------------------------------------
