@@ -390,9 +390,11 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
     if not support:
         return CoefficientBank.zeros(design.m, design.grid.n)
     u, sv, vt = np.linalg.svd(design.A[:, support].conj(), full_matrices=False)
-    if sv[-1] <= tol.rank_rel_tol * sv[0]:
+    # an A_S wider than tall has zero singular values the thin SVD leaves out
+    smallest = sv[-1] if len(support) <= len(sv) else 0.0
+    if smallest <= tol.rank_rel_tol * sv[0]:
         raise InvalidInputError(
-            f"columns {support} of A are rank deficient (sv ratio {sv[-1] / sv[0]:.3e})")
+            f"columns {support} of A are rank deficient (sv ratio {smallest / sv[0]:.3e})")
     s_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > _PINV_RCOND * sv[0])
     spectra = np.fft.fft(y_tilde.sequences, axis=1)
     x = (vt.T @ (s_inv[:, None] * u.T)) @ spectra  # A_S^+ y, (|S|, N)

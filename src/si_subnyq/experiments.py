@@ -6,13 +6,15 @@ JSON summary. Everything is deterministic given the master seed: trial seeds
 derive from it via ``numpy.random.SeedSequence(master, spawn_key=(trial,))``
 and are recorded in each row, so any single trial can be reproduced in
 isolation. Trials run in chunks: a chunk first draws every trial's A, in
-rounds ranked by one stacked ``kruskal_rank`` call each, then runs its
-trials in order; each generator is read in the order a lone trial reads it.
+rounds ranked by one stacked ``kruskal_rank`` call each, then builds and
+samples its banks in runs (``_run``) by one stacked call each, then recovers
+each trial alone; each generator is read in the order a lone trial reads it.
 
 Determinism note: all output bytes are reproducible for a fixed seed,
 platform and BLAS thread count except the measured ``wall_time_s`` column
-(a trial's own stages plus an equal share of each draw round it took part
-in) and the ``timing`` block of the summary, which report real elapsed time.
+(a trial's own stages plus an equal share of each draw round and of the run
+it took part in) and the ``timing`` block of the summary, which report real
+elapsed time.
 The norms in ``_nmse`` go through the BLAS, whose threads split a large
 bank's sum, so its last digits can follow the thread count.
 """
@@ -32,6 +34,7 @@ from .errors import ConfigError
 from .sampling_design import (
     KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
+    MeasurementBank,
     _stack_size,
     compressive_sample,
     kruskal_rank,
@@ -48,6 +51,7 @@ SWEEP_HEADER = "value,success_rate,median_nmse,trials"
 SWEEP_VARS = ("p", "k", "N")
 _SIGMA_AUTO_MAX_M = 16
 _MAX_DRAWS = 64
+_BANK_BLOCK = 1 << 18  # bytes of complex (m, N) banks one run of trials holds
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,8 @@ def _computes_sigma(cfg: ExperimentConfig) -> bool:
     return cfg.m <= _SIGMA_AUTO_MAX_M if cfg.compute_sigma is None else cfg.compute_sigma
 
 
-def _draw_chunk(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple]:
-    """(A, sigma, the generator that drew A, seconds) of the generic or
+def _draw_chunk(cfg: ExperimentConfig, seeds: list[int]) -> list[list]:
+    """[A, sigma, the generator that drew A, seconds] of the generic or
     periodic trial of each seed, A kept once sigma(A) reaches min(2k, p, m).
     Round r draws attempt r of each trial still short, from default_rng(seed)
     (generic) or default_rng(trial_seed(seed, r)) (periodic), and one
@@ -260,68 +264,86 @@ def _draw_chunk(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple]:
     sigma the first draw is kept; if all _MAX_DRAWS fall short, the last. A
     trial's seconds are an equal share of each round it took part in."""
     periodic, compute = cfg.mode == "periodic_sparsity", _computes_sigma(cfg)
-    shared = [None if periodic else np.random.default_rng(seed) for seed in seeds]
-    kept, seconds, short = [None] * len(seeds), [0.0] * len(seeds), range(len(seeds))
+    target = min(2 * cfg.k, cfg.p, cfg.m)
+    draws = [[None, None, None if periodic else np.random.default_rng(seed), 0.0] for seed in seeds]
+    short = list(zip(seeds, draws))
     for attempt in range(_MAX_DRAWS):
         started = time.perf_counter()
-        rngs = [np.random.default_rng(trial_seed(seeds[i], attempt)) if periodic else shared[i]
-                for i in short]
-        stack = [make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng) for rng in rngs]
-        sigmas = (kruskal_rank(np.array(stack), tol=cfg.tolerances).tolist() if compute
-                  else [None] * len(stack))
-        share = (time.perf_counter() - started) / len(stack)
-        for i, draw in zip(short, zip(stack, sigmas, rngs)):
-            kept[i] = draw
-            seconds[i] += share
-        short = [i for i, sigma in zip(short, sigmas)
-                 if sigma is not None and sigma < min(2 * cfg.k, cfg.p, cfg.m)]
+        for seed, draw in short:
+            if periodic:
+                draw[2] = np.random.default_rng(trial_seed(seed, attempt))
+            draw[0] = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, draw[2])
+        sigmas = (kruskal_rank(np.array([draw[0] for _, draw in short]), tol=cfg.tolerances)
+                  .tolist() if compute else [None] * len(short))
+        share = (time.perf_counter() - started) / len(short)
+        for (_, draw), sigma in zip(short, sigmas):
+            draw[1], draw[3] = sigma, draw[3] + share
+        short = [(seed, draw) for seed, draw in short if draw[1] is not None and draw[1] < target]
         if not short:
             break
-    return [(*draw, spent) for draw, spent in zip(kept, seconds)]
+    return draws
 
 
-# One instance per mode from the trial seed and the trial's ``_draw_chunk``
-# draw (made here when not given): (design, coefficient bank, k_max, sigma).
+# The instances of a run of trials of one mode, from their seeds and
+# ``_draw_chunk`` draws: (design, coefficient bank, k_max, sigma) each.
 
-def _sparse_instance(cfg: ExperimentConfig, seed: int, draw: tuple | None = None):
-    """A generic or periodic_sparsity instance: the drawn A, W = I, and k
-    planted channels. A generic trial draws its support from the generator
-    that drew A; a periodic one its pattern, unless ``s_pattern`` fixes it,
-    from ``default_rng(seed)``. The generator that drew the kept A draws the
-    coefficients."""
-    a_matrix, sigma, rng, _ = draw or _draw_chunk(cfg, [seed])[0]
-    if cfg.mode == "periodic_sparsity":
-        support = (cfg.s_pattern if cfg.s_pattern is not None
-                   else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
-    else:
-        support = _choose(rng, cfg.m, cfg.k)
-    design = make_design(a_matrix, FrequencyGrid(cfg.N), tol=cfg.tolerances)
-    profile = SparsityProfile(cfg.m, cfg.k, frozenset(support))
-    return design, synthesize(profile, cfg.N, rng), cfg.k, sigma
+def _sparse_instances(cfg: ExperimentConfig, seeds: list[int],
+                      draws: list | None = None) -> list[tuple]:
+    """Generic or periodic_sparsity instances: each trial's drawn A (drawn here
+    when ``draws`` is None), W = I, and k planted channels. A generic trial
+    draws its support from the generator that drew A; a periodic one its
+    pattern, unless ``s_pattern`` fixes it, from ``default_rng(seed)``. The
+    generator that drew the kept A draws the coefficients (one call)."""
+    draws = draws or _draw_chunk(cfg, seeds)
+    grid, designs, profiles = FrequencyGrid(cfg.N), [], []
+    for seed, (a_matrix, _, rng, _) in zip(seeds, draws):
+        if cfg.mode == "periodic_sparsity":
+            support = (cfg.s_pattern if cfg.s_pattern is not None
+                       else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
+        else:
+            support = _choose(rng, cfg.m, cfg.k)
+        designs.append(make_design(a_matrix, grid, tol=cfg.tolerances))
+        profiles.append(SparsityProfile(cfg.m, cfg.k, frozenset(support)))
+    banks = synthesize(profiles, cfg.N, [rng for _, _, rng, _ in draws])
+    return [(design, bank, cfg.k, sigma)
+            for design, bank, (_, sigma, _, _) in zip(designs, banks, draws)]
 
 
-def _multiband_instance(cfg: ExperimentConfig, seed: int, draw: None = None):
-    """The build at the trial seed; the build draws A, so there is no draw."""
-    build = scenarios.build_multiband(cfg, seed, cfg.tolerances)
-    sigma = kruskal_rank(build.design.A, tol=cfg.tolerances) if _computes_sigma(cfg) else None
-    return build.design, build.coefficients, build.report["k_max"], sigma
+def _multiband_instances(cfg: ExperimentConfig, seeds: list[int],
+                         draws: list | None = None) -> list[tuple]:
+    """The build at each trial seed; the build draws A, so there is no draw."""
+    builds = [scenarios.build_multiband(cfg, seed, cfg.tolerances) for seed in seeds]
+    return [(b.design, b.coefficients, b.report["k_max"],
+             kruskal_rank(b.design.A, tol=cfg.tolerances) if _computes_sigma(cfg) else None)
+            for b in builds]
 
 
 _INSTANCES = {
-    "generic": _sparse_instance,
-    "periodic_sparsity": _sparse_instance,
-    "multiband": _multiband_instance,
+    "generic": _sparse_instances,
+    "periodic_sparsity": _sparse_instances,
+    "multiband": _multiband_instances,
 }
 
 
-def _trial(cfg: ExperimentConfig, trial_index: int, seed: int,
-           draw: tuple | None = None) -> TrialRecord:
-    """Build the mode's instance, sample it, recover once and score; the
-    wall time adds the draw's seconds."""
+def _run(cfg: ExperimentConfig, first: int, seeds: list[int], draws: list) -> list[TrialRecord]:
+    """Build and sample a run of trials together, then recover and score each;
+    a trial's wall time adds an equal share of the run and its draw rounds."""
+    started = time.perf_counter()
+    instances = _INSTANCES[cfg.mode](cfg, seeds, draws)
+    designs, banks, *_ = zip(*instances)
+    ys = compressive_sample(banks, designs)
+    share = (time.perf_counter() - started) / len(seeds)
+    return [_trial(cfg, first + i, seed, instance, y, share + (draw[3] if draw else 0.0))
+            for i, (seed, instance, y, draw) in enumerate(zip(seeds, instances, ys, draws))]
+
+
+def _trial(cfg: ExperimentConfig, trial_index: int, seed: int, instance: tuple,
+           y: MeasurementBank, spent: float) -> TrialRecord:
+    """Recover the sampled instance once and score it; the wall time adds the
+    seconds ``spent`` before."""
     started = time.perf_counter()
     tol = cfg.tolerances
-    design, bank, k_max, sigma = _INSTANCES[cfg.mode](cfg, seed, draw)
-    y = compressive_sample(bank, design)
+    design, bank, k_max, sigma = instance
     result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
     nmse = _nmse(bank.sequences, result.coefficients.sequences, tol)
     return TrialRecord(
@@ -332,25 +354,28 @@ def _trial(cfg: ExperimentConfig, trial_index: int, seed: int,
         nmse=nmse,
         rank_q=result.diagnostics["rank_q"],
         sigma_a=sigma,
-        wall_time_s=time.perf_counter() - started + (draw[3] if draw else 0.0),
+        wall_time_s=time.perf_counter() - started + spent,
         collision=(bank.support != result.support
                    and result.diagnostics["residual"] <= tol.mmv_residual_rel))
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Execute all trials in trial-index order, in chunks of as many trials
-    as ``kruskal_rank`` stacks matrices of A's shape; a generic or periodic
-    chunk first draws every trial's A (``_draw_chunk``)."""
+    as ``kruskal_rank`` stacks matrices of A's shape. A generic or periodic
+    chunk first draws every trial's A (``_draw_chunk``), then runs its trials
+    in runs of banks that fit ``_BANK_BLOCK``; a multiband trial runs alone."""
     if cfg.mode not in _INSTANCES:
         raise ConfigError(
             f"mode {cfg.mode!r} does not run trials; use the verify command")
+    multiband = cfg.mode == "multiband"
     size = _stack_size(cfg.m, cfg.p)
+    run = 1 if multiband else max(1, _BANK_BLOCK // (16 * cfg.m * cfg.N))
     records = []
     for lo in range(0, cfg.trials, size):
         seeds = [trial_seed(cfg.seed, t) for t in range(lo, min(lo + size, cfg.trials))]
-        draws = [None] * len(seeds) if cfg.mode == "multiband" else _draw_chunk(cfg, seeds)
-        records += [_trial(cfg, lo + i, seed, draw)
-                    for i, (seed, draw) in enumerate(zip(seeds, draws))]
+        draws = [None] * len(seeds) if multiband else _draw_chunk(cfg, seeds)
+        for at in range(0, len(seeds), run):
+            records += _run(cfg, lo + at, seeds[at:at + run], draws[at:at + run])
     return records
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,8 +88,9 @@ class MeasurementBank:
 
     The constructor keeps a read-only complex copy. ``_owned`` keeps the
     array it is given: only ``compressive_sample`` and ``ctf.demodulate``
-    call it, each on the complex (p, N) array its inverse FFT has just made,
-    to spare a trial's megabyte banks a second copy.
+    call it, each on the complex (p, N) array its inverse FFT has just made
+    (for a chunk, one slice of it), to spare a trial's megabyte banks a
+    second copy.
     """
 
     sequences: np.ndarray = field(repr=False)
@@ -195,8 +197,11 @@ def build_sampling_filters(design: MeasurementDesign, v: GeneratorSet) -> Genera
     return GeneratorSet(v.grid, v.period, v.alias_support, spectra)
 
 
-def compressive_sample(d: CoefficientBank, design: MeasurementDesign) -> MeasurementBank:
-    """Produce the compressed measurements y(w_q) = W(w_q) A Z(w_q) d(w_q).
+def compressive_sample(d: CoefficientBank | Sequence[CoefficientBank],
+                       design: MeasurementDesign | Sequence[MeasurementDesign],
+                       ) -> MeasurementBank | list[MeasurementBank]:
+    """Produce the compressed measurements y(w_q) = W(w_q) A Z(w_q) d(w_q); for
+    a chunk (banks and designs of one shape), the list of their measurements.
 
     This is the direct per-bin product; it coincides with pushing d through
     the combined operator via the filter-bank path (circular convolution).
@@ -204,17 +209,37 @@ def compressive_sample(d: CoefficientBank, design: MeasurementDesign) -> Measure
     Only the support's rows are transformed; the rest stay zero. Z, A and W
     act on all m rows, as ``A[:, S] @ X_S`` rounds differently from ``A @ X``
     (tests/test_active_channels.py checks the bits against a whole-bank FFT).
+    A chunk takes one FFT of all support rows, one stacked ``A @ X`` (matmul
+    runs the BLAS routine per slice: each bank gets its lone bits) and, when
+    every W is the identity, one inverse FFT.
     """
-    if d.m != design.m:
-        raise DimensionError(f"bank has {d.m} channels but A has {design.m} columns")
-    if d.length != design.grid.n:
-        raise DimensionError(f"sequence length {d.length} != grid length {design.grid.n}")
-    rows = sorted(d.support)
-    spectra = np.zeros((d.m, d.length), dtype=np.complex128)
-    spectra[rows] = np.fft.fft(d.sequences[rows], axis=1)
-    if design.Z is not None:
-        spectra = design.Z.apply(spectra)
-    return MeasurementBank._owned(np.fft.ifft(design.W.apply(design.A @ spectra), axis=1))
+    lone = isinstance(d, CoefficientBank)
+    banks, designs = ([d], [design]) if lone else (list(d), list(design))
+    if len(designs) != len(banks):
+        raise InvalidInputError(f"{len(banks)} banks need as many designs, got {len(designs)}")
+    for bank, des in zip(banks, designs):
+        if bank.m != des.m:
+            raise DimensionError(f"bank has {bank.m} channels but A has {des.m} columns")
+        if bank.length != des.grid.n:
+            raise DimensionError(f"sequence length {bank.length} != grid length {des.grid.n}")
+    if len({des.A.shape + (des.grid.n,) for des in designs}) > 1:
+        raise DimensionError("the designs of a chunk must share one shape")
+    if not banks:
+        return []
+    supports = [sorted(bank.support) for bank in banks]
+    spectra = np.zeros((len(banks), designs[0].m, designs[0].grid.n), dtype=np.complex128)
+    at = [t for t, rows in enumerate(supports) for _ in rows], [i for rows in supports for i in rows]
+    spectra[at] = np.fft.fft(np.concatenate([b.sequences[rows] for b, rows in zip(banks, supports)]),
+                             axis=1)
+    for x, des in zip(spectra, designs):
+        if des.Z is not None:
+            x[...] = des.Z.apply(x)
+    mixed = np.array([des.A for des in designs]) @ spectra
+    applied = [des.W.apply(x) for des, x in zip(designs, mixed)]  # an identity returns x
+    ys = (np.fft.ifft(mixed, axis=2) if all(w.base is mixed for w in applied)
+          else [np.fft.ifft(w, axis=1) for w in applied])
+    out = [MeasurementBank._owned(y) for y in ys]
+    return out[0] if lone else out
 
 
 def combined_operator(design: MeasurementDesign) -> PeriodicMatrixFunction:

@@ -304,8 +304,9 @@ class CoefficientBank:
     The constructor keeps a read-only complex copy. ``_owned`` keeps the
     array it is given: only the pipeline's producers (``synthesize``,
     ``zeros``, ``from_sequences``, ``ctf``'s coefficient step) call it, each
-    on a complex (m, N) array it has just made, to spare a trial's megabyte
-    banks a second copy. Both routes run the off-support zero check.
+    on a complex (m, N) array it has just made (for a chunk, one slice of
+    it), to spare a trial's megabyte banks a second copy. Both routes run
+    the off-support zero check.
     """
 
     sequences: np.ndarray = field(repr=False)

@@ -5,6 +5,8 @@ Channel indices are 0-based throughout the library.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +59,35 @@ def _choose(rng: np.random.Generator, n: int, size: int) -> tuple[int, ...]:
     return tuple(int(i) for i in rng.choice(n, size=size, replace=False))
 
 
-def synthesize(profile: SparsityProfile, n_samples: int,
-               seed: int | np.random.Generator) -> CoefficientBank:
-    """Seeded random coefficient bank honoring the sparsity profile.
+def synthesize(profile: SparsityProfile | Sequence[SparsityProfile], n_samples: int,
+               seed: int | np.random.Generator | Sequence[int | np.random.Generator],
+               ) -> CoefficientBank | list[CoefficientBank]:
+    """Seeded random coefficient bank honoring the sparsity profile; for a
+    chunk (profiles of one m, a seed or generator each), the list of their
+    banks, views of one zero-filled (banks, m, n_samples) array.
 
     Active channels, in ascending order, get i.i.d. unit-variance complex
     normal values; inactive channels are exactly zero. One draw of shape
-    (k, 2, n_samples) gives every active channel its real then its imaginary
-    part, the order in which one draw per part and channel reads the stream.
+    (k, 2, n_samples) per bank gives every active channel its real then its
+    imaginary part, the order in which one draw per part and channel reads
+    the stream.
     """
     _require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    sequences = np.zeros((profile.m, n_samples), dtype=np.complex128)
-    z = rng.standard_normal((profile.k, 2, n_samples))
-    sequences[sorted(profile.support)] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    return CoefficientBank._owned(sequences, profile.support)
+    lone = isinstance(profile, SparsityProfile)
+    profiles, seeds = ([profile], [seed]) if lone else (list(profile), list(seed))
+    m = profiles[0].m if profiles else 0
+    if len(seeds) != len(profiles) or any(prof.m != m for prof in profiles):
+        raise InvalidInputError("a chunk takes profiles of one m and one seed per profile")
+    z = np.empty((sum(prof.k for prof in profiles), 2, n_samples))
+    for prof, s, end in zip(profiles, seeds, itertools.accumulate(prof.k for prof in profiles)):
+        np.random.default_rng(s).standard_normal(out=z[end - prof.k:end])
+    sequences = np.zeros((len(profiles), m, n_samples), dtype=np.complex128)
+    rows = [t * m + i for t, prof in enumerate(profiles) for i in sorted(prof.support)]
+    sequences.reshape(-1, n_samples)[rows] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    banks = [CoefficientBank._owned(seq, prof.support) for seq, prof in zip(sequences, profiles)]
+    return banks[0] if lone else banks
 
 
 def _dtft(sequence: np.ndarray, theta: float) -> complex:

@@ -280,7 +280,7 @@ def _planted_instance(seed: int, filtered: bool = False):
     """A trial instance of the README example config (m=6 k=2 p=4 N=16,
     Gaussian A); ``filtered`` keeps A only once sigma(A) = 4."""
     cfg = experiments.ExperimentConfig(m=6, k=2, p=4, N=16, compute_sigma=filtered)
-    design, d, _, _ = experiments._sparse_instance(cfg, seed)
+    design, d, _, _ = experiments._sparse_instances(cfg, [seed])[0]
     return design, d.support, d, sampling_design.compressive_sample(d, design)
 
 

@@ -1,12 +1,18 @@
-"""Whole trials across chunk boundaries: ``run_trials`` draws a chunk's A in
-rounds, with one stacked ``kruskal_rank`` call per round, before it runs the
-chunk's trials. ``reference_trial`` takes the slow route of one trial at a
-time: a per-trial draw loop with sigma from the plain SVD scan, a coefficient
-bank drawn channel by channel, W held as dense per-bin matrices (so W is
-applied by einsum and undone by ``np.linalg.solve``), sampling by a
-whole-bank FFT, the exhaustive oracle settling every exhaustive recovery,
-and coefficients through ``np.linalg.pinv``; the two must write the same
-trials.csv, wall time aside."""
+"""Whole trials across chunk and run boundaries: ``run_trials`` draws a
+chunk's A in rounds, with one stacked ``kruskal_rank`` call per round, then
+builds and samples the chunk's banks in runs of at most ``_BANK_BLOCK``
+bytes, one stacked ``synthesize`` and ``compressive_sample`` call per run,
+before it recovers each trial. ``reference_trial`` takes the slow route of
+one trial at a time: a per-trial draw loop with sigma from the plain SVD
+scan, a coefficient bank drawn channel by channel, W held as dense per-bin
+matrices (so W is applied by einsum and undone by ``np.linalg.solve``),
+sampling by a whole-bank FFT, the exhaustive oracle settling every
+exhaustive recovery, and coefficients through ``np.linalg.pinv``; the two
+must write the same trials.csv, wall time aside."""
+
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +132,96 @@ def test_chunked_trials_equal_one_trial_at_a_time(name):
     _assert_trials_equal_the_reference(cfg)
 
 
+# Banks larger than a run holds together: 16 m N bytes each against
+# _BANK_BLOCK; the trials of a run are in the id.
+BUDGET_CONFIGS = {
+    "generic_N2048_1": dict(mode="generic", m=8, k=2, p=4, N=2048, trials=3),
+    "periodic_bernoulli_N1024_2": dict(mode="periodic_sparsity", m=8, k=2, p=4, N=1024,
+                                       trials=5, matrix_kind="bernoulli"),
+    # chunks of 17 trials, each cut into runs of 5
+    "generic_chunks_N256_5": dict(mode="generic", m=12, k=3, p=6, N=256, trials=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CONFIGS))
+def test_runs_cut_by_the_bank_budget_equal_one_trial_at_a_time(monkeypatch, name):
+    cfg = config_from_json(dict(BUDGET_CONFIGS[name], seed=5))
+    run = experiments._BANK_BLOCK // (16 * cfg.m * cfg.N)
+    assert run < cfg.trials and name.endswith(f"_{run}")
+    built = []
+    synthesize = experiments.synthesize
+    monkeypatch.setattr(experiments, "synthesize",
+                        lambda profiles, n, rngs: built.append(len(profiles))
+                        or synthesize(profiles, n, rngs))
+    _assert_trials_equal_the_reference(cfg)
+    size = sampling_design._stack_size(cfg.m, cfg.p)
+    chunks = [min(size, cfg.trials - lo) for lo in range(0, cfg.trials, size)]
+    assert built == [min(run, n - at) for n in chunks for at in range(0, n, run)]
+
+
+KINDS = ("gaussian", "gaussian_real", "bernoulli", "fourier_rows")
+
+
+def _random_config(rng, mode):
+    """A small seeded config of ``mode``: m up to 10, N in {1, 2, 3, 5, 8, 16,
+    89} (often N < k), any p (often p < 2k), either solver, sigma on, off or
+    left to m; a periodic pattern or a multiband coset set half the time."""
+    m = int(rng.integers(2, 11))
+    p = int(rng.integers(1, m + 1))
+    doc = dict(mode=mode, m=m, p=p, N=int(rng.choice([1, 2, 3, 5, 8, 16, 89])),
+               seed=int(rng.integers(2**31)), trials=int(rng.integers(1, 6)),
+               solver=str(rng.choice(["exhaustive", "somp"])))
+    if mode == "multiband":
+        doc["n_bands"] = int(rng.integers(1, m // 2 + 1))
+        if rng.random() < 0.5:
+            doc["cosets"] = sorted(rng.choice(m, size=p, replace=False).tolist())
+    else:
+        doc["k"] = int(rng.integers(1, min(m, 4) + 1))
+        doc["matrix_kind"] = str(rng.choice(KINDS))
+        if mode == "periodic_sparsity" and rng.random() < 0.5:
+            doc["s_pattern"] = sorted(rng.choice(m, size=doc["k"], replace=False).tolist())
+    sigma = int(rng.integers(3))
+    if sigma < 2:
+        doc["compute_sigma"] = bool(sigma)
+    return config_from_json(doc)
+
+
+@pytest.mark.parametrize("mode", ["generic", "periodic_sparsity", "multiband"])
+def test_random_configs_equal_one_trial_at_a_time(monkeypatch, mode):
+    # 100 seeded configs per mode, each run in chunks of 1, 2 or _stack_size
+    # trials and in runs of 1 or 2 trials or as many as _BANK_BLOCK holds
+    rng = np.random.default_rng(["generic", "periodic_sparsity", "multiband"].index(mode) + 33)
+    mismatched = []
+    for _ in range(100):
+        cfg = _random_config(rng, mode)
+        chunk = [1, 2, sampling_design._stack_size(cfg.m, cfg.p)][int(rng.integers(3))]
+        block = [1, 32 * cfg.m * cfg.N, experiments._BANK_BLOCK][int(rng.integers(3))]
+        reference = [reference_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_stack_size", lambda m, p: chunk)
+            patch.setattr(experiments, "_BANK_BLOCK", block)
+            chunked = experiments.run_trials(cfg)
+        if (_without_wall_time(experiments.records_to_csv(chunked))
+                != _without_wall_time(experiments.records_to_csv(reference))):
+            mismatched.append((cfg, chunk, block))
+    assert mismatched == []
+
+
+def test_a_chunk_far_over_the_bank_budget_keeps_memory_bounded():
+    # one chunk of 100 banks of 6 x 4096 values, 384 KiB each (37.5 MiB in
+    # all); in runs of one bank the peak is one trial's working set
+    cfg = config_from_json(dict(mode="generic", m=6, k=2, p=4, N=4096, trials=100, seed=2))
+    assert sampling_design._stack_size(cfg.m, cfg.p) >= cfg.trials
+    experiments.run_trials(replace(cfg, trials=1))  # fills the per-process caches
+    tracemalloc.start()
+    try:
+        experiments.run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * experiments._BANK_BLOCK
+
+
 # The configs of test_exhaustive_search.py's oracle-forced test, at its seed.
 ORACLE_CONFIGS = {
     "mc_small": dict(mode="generic", m=6, k=2, p=4, N=16, trials=200),
@@ -176,3 +272,13 @@ def test_wall_time_carries_the_draw_rounds(monkeypatch):
                         lambda cfg, seeds: [(a, sigma, rng, 100.0) for a, sigma, rng, _ in
                                             draws[:len(seeds)]])
     assert all(100.0 < r.wall_time_s < 101.0 for r in experiments.run_trials(cfg))
+
+
+def test_wall_time_carries_a_share_of_the_stacked_build(monkeypatch):
+    # one run of 5 trials samples together; each trial's wall time holds a
+    # fifth of the run's build, not all of it
+    cfg = config_from_json(dict(mode="generic", m=6, k=2, p=4, N=16, trials=5, seed=3))
+    sample = experiments.compressive_sample
+    monkeypatch.setattr(experiments, "compressive_sample",
+                        lambda banks, designs: time.sleep(0.25) or sample(banks, designs))
+    assert all(0.05 <= r.wall_time_s < 0.25 for r in experiments.run_trials(cfg))

@@ -409,6 +409,20 @@ def test_rank_deficient_columns_are_refused_by_name(columns):
         recover_coefficients(y_tilde, design, set(columns))
 
 
+def test_support_wider_than_a_is_tall_is_refused_as_rank_deficient():
+    # three columns of a 2-row A are dependent, though the thin SVD of A_S
+    # returns only its two nonzero singular values
+    rng = np.random.default_rng(0)
+    design = make_design(make_cs_matrix("gaussian", 2, 5, rng), FrequencyGrid(4))
+    y_tilde = MeasurementBank(rng.standard_normal((2, 4)))
+    message = r"^columns \[0, 1, 2\] of A are rank deficient \(sv ratio 0\.000e\+00\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        ctf._coefficients(y_tilde, design, {0, 1, 2}, DEFAULT_TOLERANCES)
+    with pytest.raises(InvalidInputError, match=message):
+        recover_coefficients(y_tilde, design, {0, 1, 2})
+    assert recover_coefficients(y_tilde, design, {0, 1}).support == frozenset({0, 1})
+
+
 @pytest.mark.parametrize("rank_rel_tol", [1e-10, 1e-16, 1e-20])
 def test_coefficients_equal_the_pinv_route_byte_for_byte(rank_rel_tol):
     # one SVD of conj(A_S) forms A_S^+ as np.linalg.pinv does; below
@@ -478,7 +492,7 @@ def _scale_instance(kind):
     configuration (m=6 k=2 p=4 N=16) at seed 5, support {0, 3}."""
     if kind == "multiband":
         return _multiband_instance()
-    design, d, k_max, _ = experiments._sparse_instance(ExperimentConfig(), 5)
+    design, d, k_max, _ = experiments._sparse_instances(ExperimentConfig(), [5])[0]
     return design, compressive_sample(d, design), k_max, d
 
 

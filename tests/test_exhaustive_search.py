@@ -332,8 +332,8 @@ def _multiband_frames(count):
                                        n_bands=2, solver="somp", seed=7, trials=count)
     problems = []
     for trial in range(count):
-        design, bank, k_max, _ = experiments._multiband_instance(
-            cfg, experiments.trial_seed(7, trial))
+        design, bank, k_max, _ = experiments._multiband_instances(
+            cfg, [experiments.trial_seed(7, trial)])[0]
         y_tilde = ctf.demodulate(compressive_sample(bank, design), design, cfg.tolerances)
         v, _ = ctf.frame_from_q(ctf.compute_q(y_tilde), tol=cfg.tolerances)
         problems.append(MMVProblem(design.A, v, k_max))

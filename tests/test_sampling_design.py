@@ -199,6 +199,49 @@ def test_dimension_mismatch_rejected():
         compressive_sample(d, design)
 
 
+def _chunk_designs(rng, grid, p, m):
+    """Designs of one shape: identity, dense and diagonal W, with and without Z."""
+    dense = rng.standard_normal((grid.n, p, p)) + 1j * rng.standard_normal((grid.n, p, p))
+    diagonal = PeriodicMatrixFunction._from_diagonal(grid, np.exp(1j * rng.uniform(0, 6, (grid.n, p))))
+    for w in (None, PeriodicMatrixFunction(grid, dense), diagonal):
+        for z in (None, random_diagonal_z(m, grid, rng)):
+            yield make_design(make_cs_matrix("gaussian", p, m, rng), grid, W=w, Z=z)
+
+
+@pytest.mark.parametrize("n", [1, 8, 89])
+@pytest.mark.parametrize("identity_only", [True, False])
+def test_chunk_of_measurements_equals_each_bank_sampled_alone(n, identity_only):
+    rng = np.random.default_rng(n)
+    grid = FrequencyGrid(n)
+    designs = [d for d in _chunk_designs(rng, grid, 3, 5) for _ in range(2)]
+    if identity_only:
+        designs = [d for d in designs if d.W.is_diagonal() and d.Z is None
+                   and np.all(d.W.diagonal() == 1)]
+    banks = [synthesize(SparsityProfile(5, k, frozenset(range(k))), n, rng)
+             for k in rng.integers(0, 4, size=len(designs)).tolist()]
+    ys = compressive_sample(banks, designs)
+    assert len(ys) == len(designs)
+    for y, bank, design in zip(ys, banks, designs):
+        assert y.sequences.tobytes() == compressive_sample(bank, design).sequences.tobytes()
+        assert not y.sequences.flags.writeable
+        assert not np.shares_memory(y.sequences, bank.sequences)
+
+
+def test_empty_chunk_has_no_measurements():
+    assert compressive_sample([], []) == []
+
+
+def test_chunk_refuses_mixed_shapes_and_a_design_count_off_by_one():
+    rng = np.random.default_rng(41)
+    grid = FrequencyGrid(8)
+    narrow, wide = (make_design(make_cs_matrix("gaussian", p, 4, rng), grid) for p in (2, 3))
+    bank = synthesize(SparsityProfile(4, 1, frozenset({2})), 8, rng)
+    with pytest.raises(DimensionError, match="^the designs of a chunk must share one shape$"):
+        compressive_sample([bank, bank], [narrow, wide])
+    with pytest.raises(InvalidInputError, match="^2 banks need as many designs, got 1$"):
+        compressive_sample([bank, bank], [narrow])
+
+
 # ---------------------------------------------------------------------------
 # kruskal_rank
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_periodic_build_draws_an_open_pattern_as_a_trial_does():
         expected = np.random.default_rng(seed).choice(7, size=2, replace=False)
         support = build_periodic_sparsity(cfg, seed).coefficients.support
         assert support == frozenset(int(i) for i in expected)
-        assert support == experiments._sparse_instance(cfg, seed)[1].support
+        assert support == experiments._sparse_instances(cfg, [seed])[0][1].support
 
 
 def test_tightened_biorth_tol_still_reaches_identity_check():
@@ -145,7 +145,7 @@ def test_scenario_trial_builds_no_generator_set(monkeypatch, cfg):
         original(self)
 
     monkeypatch.setattr(GeneratorSet, "__post_init__", counting)
-    record = experiments._trial(cfg, 0, experiments.trial_seed(cfg.seed, 0))
+    record, = experiments.run_trials(cfg)
     assert record.exact
     assert built == []
 

@@ -59,7 +59,7 @@ def test_periodic_instance_is_the_scenario_build_at_the_accepted_seed(name):
         attempt, sigma = reference_attempt(cfg, seed)
         attempts.append(attempt)
         build = reference_build(cfg, seed, attempt)
-        design, bank, k_max, got_sigma = experiments._sparse_instance(cfg, seed)
+        design, bank, k_max, got_sigma = experiments._sparse_instances(cfg, [seed])[0]
         assert np.array_equal(design.A, build.design.A)
         assert np.array_equal(bank.sequences, build.coefficients.sequences)
         assert bank.support == build.coefficients.support
@@ -116,7 +116,7 @@ def test_multiband_instance_is_the_build_of_cosets_drawn_from_the_trial_seed(nam
             cosets = np.random.default_rng(seed).choice(cfg.m, size=cfg.p, replace=False)
         reference = build_multiband(replace(cfg, cosets=tuple(int(c) for c in cosets)),
                                     seed, cfg.tolerances)
-        design, bank, k_max, sigma = experiments._multiband_instance(cfg, seed)
+        design, bank, k_max, sigma = experiments._multiband_instances(cfg, [seed])[0]
         assert np.array_equal(design.A, reference.design.A)
         assert np.array_equal(design.W.diagonal(), reference.design.W.diagonal())
         assert np.array_equal(bank.sequences, reference.coefficients.sequences)

@@ -126,6 +126,41 @@ def test_synthesis_reads_the_stream_as_one_draw_per_part_and_channel():
         assert fast.standard_normal() == slow.standard_normal()
 
 
+def test_chunk_of_banks_equals_each_bank_drawn_alone():
+    # a chunk reads each generator as a lone call does and returns the same
+    # bytes, k = 0 banks and N = 1 included; the banks share one array
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        m, n, size = int(rng.integers(1, 9)), int(rng.integers(1, 20)), int(rng.integers(1, 7))
+        profiles = [SparsityProfile(m, k, frozenset(rng.choice(m, size=k, replace=False).tolist()))
+                    for k in rng.integers(0, m + 1, size=size).tolist()]
+        seeds = rng.integers(2 ** 32, size=size).tolist()
+        chunk_rngs = [np.random.default_rng(seed) for seed in seeds]
+        lone_rngs = [np.random.default_rng(seed) for seed in seeds]
+        banks = synthesize(profiles, n, chunk_rngs)
+        assert len(banks) == size
+        for bank, profile, fast, slow in zip(banks, profiles, chunk_rngs, lone_rngs):
+            alone = synthesize(profile, n, slow)
+            assert bank.sequences.tobytes() == alone.sequences.tobytes()
+            assert bank.support == alone.support
+            assert not bank.sequences.flags.writeable
+            assert fast.standard_normal() == slow.standard_normal()
+        assert np.shares_memory(banks[0].sequences.base, banks[-1].sequences)
+
+
+def test_empty_chunk_has_no_banks():
+    assert synthesize([], 8, []) == []
+
+
+@pytest.mark.parametrize("profiles, seeds", [
+    ([SparsityProfile(4, 1, frozenset({0})), SparsityProfile(5, 1, frozenset({0}))], [1, 2]),
+    ([SparsityProfile(4, 1, frozenset({0}))], [1, 2]),
+], ids=["two_m", "seed_count"])
+def test_chunk_refuses_mixed_m_and_a_seed_count_off_by_one(profiles, seeds):
+    with pytest.raises(InvalidInputError, match="^a chunk takes profiles of one m"):
+        synthesize(profiles, 8, seeds)
+
+
 # ---------------------------------------------------------------------------
 # signal_spectrum
 # ---------------------------------------------------------------------------

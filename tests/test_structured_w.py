@@ -223,7 +223,7 @@ WORKLOAD_SHAPES = {
 def test_trial_with_structured_w_equals_trial_with_dense_twin(shape, seed):
     cfg = ExperimentConfig(**WORKLOAD_SHAPES[shape], seed=seed)
     design, bank, k_max, _ = experiments._INSTANCES[cfg.mode](
-        cfg, experiments.trial_seed(seed, 0))
+        cfg, [experiments.trial_seed(seed, 0)])[0]
     assert design.W.is_diagonal()
 
     def sample_and_recover(d):
