@@ -1,20 +1,20 @@
 """Seeded Monte Carlo experiment engine behind the CLI.
 
-A run draws per-trial instances (design + planted sparse signal), pushes
-them through sampling and recovery, and writes one CSV row per trial plus a
-JSON summary. Everything is deterministic given the master seed: trial seeds
-derive from it via ``numpy.random.SeedSequence(master, spawn_key=(trial,))``
-and are recorded in each row, so any single trial can be reproduced in
-isolation. Trials run in chunks: a chunk first draws every trial's A, in
-rounds ranked by one stacked ``kruskal_rank`` call each, then builds and
-samples its banks in runs (``_run``) by one stacked call each, then recovers
-each trial alone; each generator is read in the order a lone trial reads it.
+An experiment draws per-trial instances (design + planted sparse signal),
+pushes them through sampling and recovery, and writes one CSV row per trial
+plus a JSON summary. Everything is deterministic given the master seed:
+trial seeds derive from it via ``numpy.random.SeedSequence(master,
+spawn_key=(trial,))`` and are recorded in each row, so any single trial can
+be reproduced in isolation. Trials go in runs (``_run``) of as many as
+``_BANK_BLOCK`` holds, which draw their A (multiband: build their scenarios),
+build and sample together, then recover each trial alone; each generator is
+read in the order a lone trial reads it.
 
 Determinism note: all output bytes are reproducible for a fixed seed,
 platform and BLAS thread count except the measured ``wall_time_s`` column
-(a trial's own stages plus an equal share of each draw round and of the run
-it took part in) and the ``timing`` block of the summary, which report real
-elapsed time.
+(a trial's own stages plus an equal share of each draw round it took part in
+and of its run's build and sampling) and the ``timing`` block of the summary,
+which report real elapsed time.
 The norms in ``_nmse`` go through the BLAS, whose threads split a large
 bank's sum, so its last digits can follow the thread count.
 """
@@ -35,7 +35,6 @@ from .sampling_design import (
     KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
     MeasurementBank,
-    _stack_size,
     compressive_sample,
     kruskal_rank,
     make_cs_matrix,
@@ -325,16 +324,18 @@ _INSTANCES = {
 }
 
 
-def _run(cfg: ExperimentConfig, first: int, seeds: list[int], draws: list) -> list[TrialRecord]:
-    """Build and sample a run of trials together, then recover and score each;
-    a trial's wall time adds an equal share of the run and its draw rounds."""
+def _run(cfg: ExperimentConfig, first: int, seeds: list[int]) -> list[TrialRecord]:
+    """Draw a generic or periodic run's A (``_draw_chunk``), build and sample
+    the run together, then recover and score each trial alone, adding to its
+    wall time an equal share of its draw rounds and of the build and sampling."""
+    draws = None if cfg.mode == "multiband" else _draw_chunk(cfg, seeds)
     started = time.perf_counter()
     instances = _INSTANCES[cfg.mode](cfg, seeds, draws)
     designs, banks, *_ = zip(*instances)
     ys = compressive_sample(banks, designs)
     share = (time.perf_counter() - started) / len(seeds)
-    return [_trial(cfg, first + i, seed, instance, y, share + (draw[3] if draw else 0.0))
-            for i, (seed, instance, y, draw) in enumerate(zip(seeds, instances, ys, draws))]
+    return [_trial(cfg, first + i, seed, instance, y, share + (draws[i][3] if draws else 0.0))
+            for i, (seed, instance, y) in enumerate(zip(seeds, instances, ys))]
 
 
 def _trial(cfg: ExperimentConfig, trial_index: int, seed: int, instance: tuple,
@@ -360,22 +361,16 @@ def _trial(cfg: ExperimentConfig, trial_index: int, seed: int, instance: tuple,
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Execute all trials in trial-index order, in chunks of as many trials
-    as ``kruskal_rank`` stacks matrices of A's shape. A generic or periodic
-    chunk first draws every trial's A (``_draw_chunk``), then runs its trials
-    in runs of banks that fit ``_BANK_BLOCK``; a multiband trial runs alone."""
+    """Execute all trials in trial-index order, in runs of as many trials as
+    fit ``_BANK_BLOCK`` bytes of (m, N) complex banks, at least one."""
     if cfg.mode not in _INSTANCES:
         raise ConfigError(
             f"mode {cfg.mode!r} does not run trials; use the verify command")
-    multiband = cfg.mode == "multiband"
-    size = _stack_size(cfg.m, cfg.p)
-    run = 1 if multiband else max(1, _BANK_BLOCK // (16 * cfg.m * cfg.N))
+    run = max(1, _BANK_BLOCK // (16 * cfg.m * cfg.N))
     records = []
-    for lo in range(0, cfg.trials, size):
-        seeds = [trial_seed(cfg.seed, t) for t in range(lo, min(lo + size, cfg.trials))]
-        draws = [None] * len(seeds) if multiband else _draw_chunk(cfg, seeds)
-        for at in range(0, len(seeds), run):
-            records += _run(cfg, lo + at, seeds[at:at + run], draws[at:at + run])
+    for lo in range(0, cfg.trials, run):
+        seeds = [trial_seed(cfg.seed, t) for t in range(lo, min(lo + run, cfg.trials))]
+        records += _run(cfg, lo, seeds)
     return records
 
 

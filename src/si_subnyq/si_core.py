@@ -269,8 +269,10 @@ class PeriodicMatrixFunction:
         self.require_conditioned(cond_tol, label)
         spectra = np.fft.fft(sequences, axis=1)
         if self._diagonal is None:
+            # LAPACK's solutions come out transposed; return C order, as the other routes do
             solved = np.linalg.solve(self._values, spectra.T[:, :, None])[:, :, 0].T
-        elif self._unit_columns().all():
+            return np.ascontiguousarray(np.fft.ifft(solved, axis=1))
+        if self._unit_columns().all():
             solved = spectra
         else:
             solved = self._reciprocal().T * spectra

@@ -49,10 +49,7 @@ def per_channel_bank(profile, n_samples, rng):
 def pinv_coefficients(y_tilde, design, support, rank_rel_tol):
     """The coefficient sequences of ``support`` from demodulated measurements
     without Z: a singular-value rank check of A_S, then
-    ifft(pinv(A_S) fft(y_tilde)) on the support's rows. y_tilde is read in C
-    order, the layout a diagonal W's demodulation gives: a dense W's solve
-    leaves it in Fortran order, and for one support column the product's
-    last bits follow its operand's layout."""
+    ifft(pinv(A_S) fft(y_tilde)) on the support's rows."""
     support = sorted(support)
     sequences = np.zeros((design.m, design.grid.n), dtype=np.complex128)
     if support:
@@ -60,6 +57,6 @@ def pinv_coefficients(y_tilde, design, support, rank_rel_tol):
         sv = np.linalg.svd(a_s, compute_uv=False)
         if sv[-1] <= rank_rel_tol * sv[0]:
             raise ValueError(f"columns {support} of A are rank deficient")
-        spectra = np.fft.fft(np.ascontiguousarray(y_tilde.sequences), axis=1)
+        spectra = np.fft.fft(y_tilde.sequences, axis=1)
         sequences[support] = np.fft.ifft(np.linalg.pinv(a_s) @ spectra, axis=1)
     return sequences

@@ -1,14 +1,15 @@
-"""Whole trials across chunk and run boundaries: ``run_trials`` draws a
-chunk's A in rounds, with one stacked ``kruskal_rank`` call per round, then
-builds and samples the chunk's banks in runs of at most ``_BANK_BLOCK``
-bytes, one stacked ``synthesize`` and ``compressive_sample`` call per run,
-before it recovers each trial. ``reference_trial`` takes the slow route of
-one trial at a time: a per-trial draw loop with sigma from the plain SVD
-scan, a coefficient bank drawn channel by channel, W held as dense per-bin
-matrices (so W is applied by einsum and undone by ``np.linalg.solve``),
-sampling by a whole-bank FFT, the exhaustive oracle settling every
-exhaustive recovery, and coefficients through ``np.linalg.pinv``; the two
-must write the same trials.csv, wall time aside."""
+"""Whole trials across run boundaries: ``run_trials`` cuts the trials into
+runs of as many as ``_BANK_BLOCK`` bytes of banks hold; a run draws its A in
+rounds, one ``kruskal_rank`` call per round (which splits a round wider than
+its own stack), then builds and samples its banks with one stacked
+``synthesize`` and ``compressive_sample`` call each, before it recovers each
+trial. ``reference_trial`` takes the slow route of one trial at a time: a
+per-trial draw loop with sigma from the plain SVD scan, a coefficient bank
+drawn channel by channel, W held as dense per-bin matrices (so W is applied
+by einsum and undone by ``np.linalg.solve``), sampling by a whole-bank FFT,
+the exhaustive oracle settling every exhaustive recovery, and coefficients
+through ``np.linalg.pinv``; the two must write the same trials.csv, wall time
+aside."""
 
 import time
 import tracemalloc
@@ -95,7 +96,8 @@ def _without_wall_time(csv):
     return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
 
 
-# Each runs more trials than one chunk holds; the chunk size is in the id.
+# Each runs its trials in one run, wider than one kruskal_rank stack, so
+# kruskal_rank splits the run's first draw round; the stack size is in the id.
 CONFIGS = {
     "generic_gaussian_17": dict(mode="generic", m=12, k=3, p=6, N=8, trials=20),
     "generic_bernoulli_N1_65": dict(mode="generic", m=10, k=2, p=5, N=1, trials=70,
@@ -128,7 +130,8 @@ def _assert_trials_equal_the_reference(cfg):
 def test_chunked_trials_equal_one_trial_at_a_time(name):
     cfg = config_from_json(dict(CONFIGS[name], seed=11))
     size = sampling_design._stack_size(cfg.m, cfg.p)
-    assert size < cfg.trials and name.endswith(f"_{size}")
+    assert size < cfg.trials <= experiments._BANK_BLOCK // (16 * cfg.m * cfg.N)
+    assert name.endswith(f"_{size}")
     _assert_trials_equal_the_reference(cfg)
 
 
@@ -138,7 +141,7 @@ BUDGET_CONFIGS = {
     "generic_N2048_1": dict(mode="generic", m=8, k=2, p=4, N=2048, trials=3),
     "periodic_bernoulli_N1024_2": dict(mode="periodic_sparsity", m=8, k=2, p=4, N=1024,
                                        trials=5, matrix_kind="bernoulli"),
-    # chunks of 17 trials, each cut into runs of 5
+    # runs of 5, narrower than a kruskal_rank stack of 17
     "generic_chunks_N256_5": dict(mode="generic", m=12, k=3, p=6, N=256, trials=20),
 }
 
@@ -154,9 +157,7 @@ def test_runs_cut_by_the_bank_budget_equal_one_trial_at_a_time(monkeypatch, name
                         lambda profiles, n, rngs: built.append(len(profiles))
                         or synthesize(profiles, n, rngs))
     _assert_trials_equal_the_reference(cfg)
-    size = sampling_design._stack_size(cfg.m, cfg.p)
-    chunks = [min(size, cfg.trials - lo) for lo in range(0, cfg.trials, size)]
-    assert built == [min(run, n - at) for n in chunks for at in range(0, n, run)]
+    assert built == [min(run, cfg.trials - lo) for lo in range(0, cfg.trials, run)]
 
 
 KINDS = ("gaussian", "gaussian_real", "bernoulli", "fourier_rows")
@@ -188,30 +189,34 @@ def _random_config(rng, mode):
 
 @pytest.mark.parametrize("mode", ["generic", "periodic_sparsity", "multiband"])
 def test_random_configs_equal_one_trial_at_a_time(monkeypatch, mode):
-    # 100 seeded configs per mode, each run in chunks of 1, 2 or _stack_size
-    # trials and in runs of 1 or 2 trials or as many as _BANK_BLOCK holds
+    # 100 seeded configs per mode, each run in runs of 1 or 2 trials or as
+    # many as _BANK_BLOCK holds, with kruskal_rank taking stacks of 1 or 2
+    # matrices or its own _stack_size (at m <= 10 at least 65, more than the
+    # 5 trials a config runs at most), so some generic and periodic runs are
+    # wider than a stack and kruskal_rank splits their draw rounds
     rng = np.random.default_rng(["generic", "periodic_sparsity", "multiband"].index(mode) + 33)
-    mismatched = []
+    mismatched, split = [], 0
     for _ in range(100):
         cfg = _random_config(rng, mode)
-        chunk = [1, 2, sampling_design._stack_size(cfg.m, cfg.p)][int(rng.integers(3))]
+        stack = [1, 2, sampling_design._stack_size(cfg.m, cfg.p)][int(rng.integers(3))]
         block = [1, 32 * cfg.m * cfg.N, experiments._BANK_BLOCK][int(rng.integers(3))]
+        split += min(cfg.trials, block // (16 * cfg.m * cfg.N)) > stack
         reference = [reference_trial(cfg, t, trial_seed(cfg.seed, t)) for t in range(cfg.trials)]
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "_stack_size", lambda m, p: chunk)
+            patch.setattr(sampling_design, "_stack_size", lambda m, p: stack)
             patch.setattr(experiments, "_BANK_BLOCK", block)
-            chunked = experiments.run_trials(cfg)
-        if (_without_wall_time(experiments.records_to_csv(chunked))
+            batched = experiments.run_trials(cfg)
+        if (_without_wall_time(experiments.records_to_csv(batched))
                 != _without_wall_time(experiments.records_to_csv(reference))):
-            mismatched.append((cfg, chunk, block))
+            mismatched.append((cfg, stack, block))
     assert mismatched == []
+    assert split > 0 or mode == "multiband"  # a multiband build ranks its A alone
 
 
 def test_a_chunk_far_over_the_bank_budget_keeps_memory_bounded():
-    # one chunk of 100 banks of 6 x 4096 values, 384 KiB each (37.5 MiB in
-    # all); in runs of one bank the peak is one trial's working set
+    # 100 banks of 6 x 4096 values, 384 KiB each (37.5 MiB in all); in runs
+    # of one bank the peak is one trial's working set
     cfg = config_from_json(dict(mode="generic", m=6, k=2, p=4, N=4096, trials=100, seed=2))
-    assert sampling_design._stack_size(cfg.m, cfg.p) >= cfg.trials
     experiments.run_trials(replace(cfg, trials=1))  # fills the per-process caches
     tracemalloc.start()
     try:

@@ -482,9 +482,9 @@ def test_trials_are_byte_identical_with_the_svd_scan(monkeypatch, config):
     assert _without_wall_time(fast) == _without_wall_time(slow)
     assert len(slow.splitlines()) == cfg.trials + 1
     # the scan ranked every draw: at least one per trial, in stacks as wide
-    # as the chunks
+    # as the runs
     assert sum(ranked) >= cfg.trials
-    assert max(ranked) == min(cfg.trials, sampling_design._stack_size(cfg.m, cfg.p))
+    assert max(ranked) == min(cfg.trials, experiments._BANK_BLOCK // (16 * cfg.m * cfg.N))
 
 
 def test_widest_a_matches_svd_scan():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from si_subnyq import experiments, scenarios
+from si_subnyq import experiments, scenarios, verification
 from si_subnyq.ctf import recover
 from si_subnyq.errors import ConfigError
 from si_subnyq.experiments import ExperimentConfig, config_from_json
@@ -13,6 +13,7 @@ from si_subnyq.sampling_design import (
     compressive_sample,
     kruskal_rank,
     make_cs_matrix,
+    make_design,
 )
 from si_subnyq.scenarios import (
     baseline_reference_samples,
@@ -33,7 +34,11 @@ from si_subnyq.si_core import (
     cross_spectrum_matrix,
 )
 from si_subnyq.tolerances import DEFAULT_TOLERANCES
-from si_subnyq.verification import CHECKS, check_periodic_identities
+from si_subnyq.verification import (
+    CHECKS,
+    check_periodic_identities,
+    check_periodic_rate_accounting,
+)
 
 
 def periodic_config(**overrides):
@@ -192,6 +197,27 @@ def test_rate_accounting():
     assert build.report["compression_factor"] == 3 / 7
     assert build.report["baseline_rate"] == 1.0
     assert build.report["compressed_rate"] == 3 / 7
+
+
+def _wrong_rate(build):
+    cfg = build.config
+    return replace(build, report={**build.report,
+                                  "compressed_rate": (cfg.p + 1) / (cfg.m * cfg.base_period)})
+
+
+def _one_row_fewer(build):
+    return replace(build, design=make_design(build.design.A[:-1], build.design.grid))
+
+
+@pytest.mark.parametrize("patch", [_wrong_rate, _one_row_fewer], ids=["report", "design"])
+def test_rate_accounting_check_counts_what_the_build_samples(monkeypatch, patch):
+    # the check counts the samples the build's design takes per block of m,
+    # so a wrong compressed_rate, or a design that samples one row fewer than
+    # its report says, fails it
+    assert check_periodic_rate_accounting(DEFAULT_TOLERANCES)[0]
+    patched = patch(verification._periodic_build())
+    monkeypatch.setattr(verification, "_periodic_build", lambda: patched)
+    assert not check_periodic_rate_accounting(DEFAULT_TOLERANCES)[0]
 
 
 def test_invalid_pattern_rejected():

@@ -19,6 +19,7 @@ from si_subnyq import ctf, experiments
 from si_subnyq.errors import ConfigError, InvalidInputError, SingularOperatorError
 from si_subnyq.experiments import ExperimentConfig, config_from_json
 from si_subnyq.sampling_design import (
+    MeasurementBank,
     compressive_sample,
     make_cs_matrix,
     make_design,
@@ -31,6 +32,7 @@ from si_subnyq.si_core import (
     PeriodicMatrixFunction,
     filterbank_sample,
 )
+from si_subnyq.tolerances import DEFAULT_TOLERANCES
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -83,6 +85,27 @@ def test_structured_solve_matches_dense_solve_bit_for_bit(name):
     solved = w.solve(sequences, COND_TOL, "W")
     assert w._values is None  # solved from the diagonal alone
     assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
+
+
+def test_dense_w_coefficients_do_not_follow_the_layout_of_y_tilde():
+    # a dense W's solve returns y_tilde in C order: A_S^+ times its DFT gives
+    # the bits it gives on a C-ordered copy, also for a one-column support,
+    # where a transposed operand would take another BLAS route
+    rng = np.random.default_rng(153)
+    moved = 0
+    for _ in range(100):
+        p = int(rng.integers(1, 6))
+        m, n = int(rng.integers(p, 9)), int(rng.choice([1, 2, 3, 8, 16]))
+        grid = FrequencyGrid(n)
+        w = PeriodicMatrixFunction(grid, random_complex(rng, (n, p, p)) + 4 * np.eye(p))
+        design = make_design(make_cs_matrix("gaussian", p, m, rng), grid, W=w)
+        y_tilde = ctf.demodulate(MeasurementBank(random_complex(rng, (p, n))), design)
+        copy = MeasurementBank(np.ascontiguousarray(y_tilde.sequences))
+        support = {int(rng.integers(m))}
+        moved += not np.array_equal(
+            ctf._coefficients(y_tilde, design, support, DEFAULT_TOLERANCES).sequences,
+            ctf._coefficients(copy, design, support, DEFAULT_TOLERANCES).sequences)
+    assert moved == 0
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURED))
