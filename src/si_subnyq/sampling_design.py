@@ -506,9 +506,14 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int | n
     _require_finite(A, "A")
     stack = A[None] if A.ndim == 2 else A
     size = _stack_size(m, p)
-    if not 0 < stack.shape[0] <= size:
-        return np.array([rank for lo in range(0, stack.shape[0], size)
-                         for rank in kruskal_rank(stack[lo:lo + size], tol)], dtype=int)
+    ranks = [rank for lo in range(0, stack.shape[0], size)
+             for rank in _level_pass(stack[lo:lo + size], tol)]
+    return ranks[0] if A.ndim == 2 else np.array(ranks, dtype=int)
+
+
+def _level_pass(stack: np.ndarray, tol: Tolerances) -> list[int]:
+    """The ranks of a checked stack of at most ``_stack_size(m, p)`` matrices, in one pass."""
+    p, m = stack.shape[1:]
     rel_tol = tol.rank_rel_tol
     ranks = [min(p, m)] * stack.shape[0]
     live = range(len(ranks))  # the matrices still in the pass, by place in the stack
@@ -559,7 +564,7 @@ def kruskal_rank(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int | n
                 kept = [b._replace(**{f: getattr(b, f).reshape(len(stay), -1)[stay].reshape(-1)
                                       for f in ("piv", "det", "ok", "mult", "x", "up")})
                         for b in kept]
-    return ranks[0] if A.ndim == 2 else np.array(ranks, dtype=int)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

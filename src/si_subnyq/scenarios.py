@@ -197,20 +197,21 @@ def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> Generat
 @functools.lru_cache(maxsize=1)
 def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal function with column c = exp(1j*c*w_q/m)/sqrt(T) for each coset
-    c in 0..m. For the finite positive T a config holds, every entry is
-    finite and nonzero."""
+    c in 0..m, held coset-major: its diagonal and reciprocals are (m+1, N)
+    arrays of one row per coset. For the finite positive T a config holds,
+    every entry is finite and nonzero."""
     w = grid.points
-    diag = np.empty((grid.n, m + 1), dtype=np.complex128)
+    rows = np.empty((m + 1, grid.n), dtype=np.complex128)
     for c in range(m + 1):
-        diag[:, c] = np.exp(1j * c * w / m) / np.sqrt(T)
-    return PeriodicMatrixFunction._from_diagonal(grid, diag)
+        rows[c] = np.exp(1j * c * w / m) / np.sqrt(T)
+    return PeriodicMatrixFunction._from_diagonal(grid, rows.T)
 
 
 def multiband_shaping_bank(m: int, T: float, cosets: tuple[int, ...],
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
-    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T), read with
-    their reciprocals from the cached coset table, which computes both once
-    per (m, T, grid): a trial makes no exp and no LAPACK call."""
+    """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T): p rows of
+    the cached coset-major table and its reciprocals, made once per (m, T,
+    grid). A trial makes no exp, no LAPACK call and no column gather."""
     return _coset_shaping_table(m, T, grid)._columns(cosets)
 
 

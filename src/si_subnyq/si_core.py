@@ -109,7 +109,10 @@ class PeriodicMatrixFunction:
     ``values[q]`` is the (rows x cols) matrix at w_q. A diagonal function
     built by ``_from_diagonal`` holds only its (N, n) diagonal, and ``apply``
     and ``solve`` work from that; its dense ``values`` are built on first
-    read and kept. Only this class reads its storage.
+    read and kept. Only this class reads its storage. The diagonal and its
+    reciprocals keep the layout they were made in: (N, n) C order, or the
+    transposed view of n rows of length N, as in the coset table and the
+    banks ``_columns`` reads from it. Readers get the same bits from either.
     """
 
     grid: FrequencyGrid
@@ -125,7 +128,8 @@ class PeriodicMatrixFunction:
 
     @classmethod
     def _from_diagonal(cls, grid: FrequencyGrid, d: np.ndarray) -> "PeriodicMatrixFunction":
-        """The exactly diagonal function whose (N, n) diagonal is ``d``."""
+        """The exactly diagonal function whose (N, n) diagonal is ``d``, kept as
+        a read-only complex copy in d's layout (order K)."""
         d = np.asarray(d)
         if d.ndim != 2 or d.shape[0] != grid.n:
             raise DimensionError(f"diagonal must be (N, n) with N={grid.n}, got {d.shape}")
@@ -136,12 +140,15 @@ class PeriodicMatrixFunction:
         return func
 
     def _columns(self, cols) -> "PeriodicMatrixFunction":
-        """The diagonal function of columns ``cols``, with their reciprocals
-        and all-ones flags; every entry of this diagonal must be finite and
-        nonzero."""
-        func = self._from_diagonal(self.grid, self._diagonal[:, cols])
-        object.__setattr__(func, "_r", _as_complex_readonly(self._reciprocal()[:, cols]))
-        object.__setattr__(func, "_unit", np.take(self._unit_columns(), cols))
+        """The diagonal function of columns ``cols``, in order, with their
+        reciprocals and all-ones flags (every entry finite and nonzero): whole
+        rows of both arrays, copied once and kept read-only; no column gather."""
+        func = self.__new__(type(self))
+        func.__dict__.update(grid=self.grid, _values=None, _unit=np.take(self._unit_columns(), cols))
+        for name, a in (("_diagonal", self._diagonal), ("_r", self._reciprocal())):
+            rows = np.take(a.T, cols, axis=0)
+            rows.setflags(write=False)
+            func.__dict__[name] = rows.T
         return func
 
     def _unit_columns(self) -> np.ndarray:
@@ -151,11 +158,11 @@ class PeriodicMatrixFunction:
         return self._unit
 
     def _reciprocal(self) -> np.ndarray:
-        """(N, n) LAPACK solutions of d x = 1, kept. Only for a diagonal whose
-        entries are all finite and nonzero, as after require_conditioned."""
+        """(N, n) LAPACK solutions of d x = 1 in d's layout (solved on d.T), kept.
+        Only for a finite, nonzero diagonal, as after require_conditioned."""
         if "_r" not in self.__dict__:
-            d = self._diagonal[:, :, None, None]
-            r = np.linalg.solve(d, np.ones_like(d))[:, :, 0, 0]
+            d = self._diagonal.T[..., None, None]
+            r = np.linalg.solve(d, np.ones_like(d))[..., 0, 0].T
             r.setflags(write=False)
             object.__setattr__(self, "_r", r)
         return self._r

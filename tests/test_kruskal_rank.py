@@ -146,6 +146,21 @@ def test_stack_matches_per_matrix_ranks_and_svd_scan(rel_tol):
     assert max(spreads) >= (3 if rel_tol < 1 else 1)  # rel_tol 1 clears no pair
 
 
+def test_stack_wider_than_a_pass_is_one_call(monkeypatch):
+    # the benchmark tracer wraps the module attribute, as here: a stack one
+    # wider than a level pass takes is split inside the one call it counts
+    calls = []
+    inner = sampling_design.kruskal_rank
+    monkeypatch.setattr(sampling_design, "kruskal_rank",
+                        lambda *args, **kwargs: calls.append(args) or inner(*args, **kwargs))
+    rng = np.random.default_rng(35)
+    size = sampling_design._stack_size(13, 6)
+    stack = np.stack([_random_case(rng, index, (6, 13)) for index in range(size + 1)])
+    ranks = sampling_design.kruskal_rank(stack)
+    assert len(calls) == 1
+    assert ranks.tolist() == [inner(a) for a in stack] == [svd_scan_kruskal_rank(a) for a in stack]
+
+
 def test_stack_mixing_real_and_complex_matches_svd_scan():
     # one complex matrix makes every Gram of the stack complex; the real
     # matrices' ranks must not move

@@ -25,7 +25,7 @@ from si_subnyq.sampling_design import (
     make_design,
     random_diagonal_z,
 )
-from si_subnyq.scenarios import multiband_shaping_bank
+from si_subnyq.scenarios import _coset_shaping_table, multiband_shaping_bank
 from si_subnyq.si_core import (
     CoefficientBank,
     FrequencyGrid,
@@ -199,6 +199,42 @@ def test_table_shaping_bank_solves_as_a_fresh_diagonal_and_its_dense_twin(m, T, 
     assert np.array_equal(solved, fresh.solve(sequences, COND_TOL, "W"))
     assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
     assert np.array_equal(w._reciprocal(), fresh._reciprocal())
+
+
+def random_cosets(rng):
+    """(m, T, cosets): p distinct cosets mod m in a random order, coset 0
+    written as m in about half the draws that hold it; T is 1 or random."""
+    m = int(rng.integers(1, 34))
+    cosets = rng.permutation(m)[:int(rng.integers(1, m + 1))].tolist()
+    if rng.random() < 0.5:
+        cosets = [c or m for c in cosets]
+    return m, 1.0 if rng.random() < 0.3 else rng.uniform(0.1, 3.0), tuple(cosets)
+
+
+@pytest.mark.parametrize("n", [1, 64, 2048])
+def test_table_rows_read_as_a_fresh_c_ordered_diagonal(n):
+    # a trial's W is p rows of the coset-major table, not a column gather of
+    # an (N, m+1) array: every reader gives the bits of the C-ordered bank
+    rng = np.random.default_rng(n)
+    grid = FrequencyGrid(n)
+    with_m = 0
+    for _ in range(50):
+        m, T, cosets = random_cosets(rng)
+        with_m += m in cosets
+        w = multiband_shaping_bank(m, T, cosets, grid)
+        fresh = PeriodicMatrixFunction._from_diagonal(grid, per_coset_exp_loop(m, T, cosets, grid))
+        assert fresh.diagonal().flags.c_contiguous
+        assert np.array_equal(w.diagonal(), fresh.diagonal())
+        assert np.array_equal(w._reciprocal(), fresh._reciprocal())
+        assert np.array_equal(w.condition_numbers(), fresh.condition_numbers())
+        spectra = random_complex(rng, (len(cosets), n))
+        assert np.array_equal(w.apply(spectra), fresh.apply(spectra))
+        assert np.array_equal(w.solve(spectra, COND_TOL, "W"), fresh.solve(spectra, COND_TOL, "W"))
+        assert w.diagonal().T.flags.c_contiguous and w._reciprocal().T.flags.c_contiguous
+        held = [a for a in vars(_coset_shaping_table(m, T, grid)).values()
+                if isinstance(a, np.ndarray) and a.shape == (n, m + 1)]
+        assert len(held) == 2 and all(a.T.flags.c_contiguous for a in held)
+    assert with_m >= 5
 
 
 @pytest.mark.parametrize("bad, error", [(0.0, SingularOperatorError),
