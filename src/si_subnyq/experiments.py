@@ -311,7 +311,7 @@ def _sparse_instances(cfg: ExperimentConfig, seeds: list[int],
 def _multiband_instances(cfg: ExperimentConfig, seeds: list[int],
                          draws: list | None = None) -> list[tuple]:
     """The build at each trial seed; the build draws A, so there is no draw."""
-    builds = [scenarios.build_multiband(cfg, seed, cfg.tolerances) for seed in seeds]
+    builds = [scenarios.build_multiband(cfg, seed) for seed in seeds]
     return [(b.design, b.coefficients, b.report["k_max"],
              kruskal_rank(b.design.A, tol=cfg.tolerances) if _computes_sigma(cfg) else None)
             for b in builds]

@@ -44,7 +44,6 @@ from .si_core import (
     filterbank_sample,
 )
 from .sparse_model import SparsityProfile, _choose, synthesize
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
     from .experiments import ExperimentConfig
@@ -96,8 +95,7 @@ class ScenarioBuild:
     report: dict = field(repr=False)
 
 
-def build_periodic_sparsity(cfg: ExperimentConfig, seed: int,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
+def build_periodic_sparsity(cfg: ExperimentConfig, seed: int) -> ScenarioBuild:
     """Assemble the m-generator reformulation of a ``periodic_sparsity``
     config, a single-generator signal at base period T' of which only the k
     coefficients in ``s_pattern`` of each group of m are nonzero: the design
@@ -114,7 +112,7 @@ def build_periodic_sparsity(cfg: ExperimentConfig, seed: int,
                else _choose(np.random.default_rng(seed), cfg.m, cfg.k))
     rng = np.random.default_rng(seed)
     a_matrix = make_cs_matrix(cfg.matrix_kind, cfg.p, cfg.m, rng)
-    design = make_design(a_matrix, grid, tol=tol)  # W = I
+    design = make_design(a_matrix, grid, tol=cfg.tolerances)  # W = I
 
     profile = SparsityProfile(cfg.m, cfg.k, frozenset(pattern))
     coefficients = synthesize(profile, cfg.N, rng)
@@ -197,9 +195,9 @@ def multiband_slice_generators(m: int, T: float, grid: FrequencyGrid) -> Generat
 @functools.lru_cache(maxsize=1)
 def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal function with column c = exp(1j*c*w_q/m)/sqrt(T) for each coset
-    c in 0..m, held coset-major: its diagonal and reciprocals are (m+1, N)
-    arrays of one row per coset. For the finite positive T a config holds,
-    every entry is finite and nonzero."""
+    c in 0..m: one row of length N per coset, as every diagonal function holds
+    its diagonal, and (m+1, N) reciprocals once a bank asks for them. For the
+    finite positive T a config holds, every entry is finite and nonzero."""
     w = grid.points
     rows = np.empty((m + 1, grid.n), dtype=np.complex128)
     for c in range(m + 1):
@@ -210,13 +208,12 @@ def _coset_shaping_table(m: int, T: float, grid: FrequencyGrid) -> PeriodicMatri
 def multiband_shaping_bank(m: int, T: float, cosets: tuple[int, ...],
                            grid: FrequencyGrid) -> PeriodicMatrixFunction:
     """Diagonal shaping bank with entries exp(1j*c_i*w_q/m)/sqrt(T): p rows of
-    the cached coset-major table and its reciprocals, made once per (m, T,
-    grid). A trial makes no exp, no LAPACK call and no column gather."""
+    the cached coset table and of its reciprocals, made once per (m, T, grid).
+    A trial makes no exp, no LAPACK call and no column gather."""
     return _coset_shaping_table(m, T, grid)._columns(cosets)
 
 
-def build_multiband(cfg: ExperimentConfig, seed: int,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> ScenarioBuild:
+def build_multiband(cfg: ExperimentConfig, seed: int) -> ScenarioBuild:
     """Construct the coset-row mixing matrix, the diagonal shaping bank and a
     sparse multiband coefficient bank of a ``multiband`` config: [0, 2*pi/T)
     is split into m equal slices, and n_bands bands of width ``band_width``
@@ -234,7 +231,7 @@ def build_multiband(cfg: ExperimentConfig, seed: int,
     rng = np.random.default_rng(seed)
     a_matrix = make_cs_matrix("fourier_rows", cfg.p, cfg.m, rng, cosets=cosets)
     design = make_design(a_matrix, grid, W=multiband_shaping_bank(cfg.m, cfg.T, cosets, grid),
-                         tol=tol)
+                         tol=cfg.tolerances)
 
     slice_width = TWO_PI / (cfg.m * cfg.T)
     active: set[int] = set()

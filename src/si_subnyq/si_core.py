@@ -12,6 +12,7 @@ forward DFT ``X(w_q) = sum_n x[n] exp(-1j*w_q*n)`` (``numpy.fft.fft``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,8 @@ def _require_int(value, name: str) -> int:
     return int(value)
 
 
-def _as_complex_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+def _as_complex_readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
+    out = np.array(a, dtype=np.complex128, copy=True, order=order)
     out.setflags(write=False)
     return out
 
@@ -85,11 +86,10 @@ class GeneratorSet:
             raise DimensionError(
                 f"spectra shape {spectra.shape} inconsistent with grid N={self.grid.n} "
                 f"and alias support of size {len(support)}")
-        # ascending alias axis, so equality checks are stable (a view if already sorted)
-        ascending = tuple(sorted(support))
-        order = slice(None) if support == ascending else np.argsort(support)
-        object.__setattr__(self, "alias_support", ascending)
-        object.__setattr__(self, "spectra", _as_complex_readonly(spectra[:, :, order]))
+        # ascending alias axis, so equality checks are stable
+        object.__setattr__(self, "alias_support", tuple(sorted(support)))
+        object.__setattr__(self, "spectra",
+                           _as_complex_readonly(spectra[:, :, np.argsort(support)]))
 
     @property
     def m(self) -> int:
@@ -107,84 +107,80 @@ class PeriodicMatrixFunction:
     """A matrix-valued 2*pi-periodic function sampled on the grid.
 
     ``values[q]`` is the (rows x cols) matrix at w_q. A diagonal function
-    built by ``_from_diagonal`` holds only its (N, n) diagonal, and ``apply``
-    and ``solve`` work from that; its dense ``values`` are built on first
-    read and kept. Only this class reads its storage. The diagonal and its
-    reciprocals keep the layout they were made in: (N, n) C order, or the
-    transposed view of n rows of length N, as in the coset table and the
-    banks ``_columns`` reads from it. Readers get the same bits from either.
+    built by ``_from_diagonal`` holds only its diagonal, as n read-only,
+    C-contiguous rows of length N (``_rows``). ``apply`` and ``solve`` work
+    from those; everything else is derived from them on first read and kept
+    (``values``, ``_unit``, ``_reciprocal``, ``_conds``): the function is
+    immutable, so no cache can go stale. Only this class reads its storage.
     """
 
     grid: FrequencyGrid
+    _rows = None  # (n, N) diagonal rows; None for a dense function
 
     def __init__(self, grid: FrequencyGrid, values: np.ndarray):
         values = np.asarray(values)
         if values.ndim != 3 or values.shape[0] != grid.n:
             raise DimensionError(
                 f"values must be (N, rows, cols) with N={grid.n}, got {values.shape}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_values", _as_complex_readonly(values))
-        object.__setattr__(self, "_diagonal", None)
+        vars(self).update(grid=grid, values=_as_complex_readonly(values))
+
+    @classmethod
+    def _of_rows(cls, grid: FrequencyGrid, rows: np.ndarray,
+                 **derived) -> "PeriodicMatrixFunction":
+        """The diagonal function of the read-only (n, N) ``rows``, with any
+        derived values already known (cached-property names) seeded."""
+        func = cls.__new__(cls)
+        vars(func).update(grid=grid, _rows=rows, **derived)
+        return func
 
     @classmethod
     def _from_diagonal(cls, grid: FrequencyGrid, d: np.ndarray) -> "PeriodicMatrixFunction":
-        """The exactly diagonal function whose (N, n) diagonal is ``d``, kept as
-        a read-only complex copy in d's layout (order K)."""
+        """The exactly diagonal function whose (N, n) diagonal is ``d``, kept
+        as a read-only complex copy of its n rows, in C order."""
         d = np.asarray(d)
         if d.ndim != 2 or d.shape[0] != grid.n:
             raise DimensionError(f"diagonal must be (N, n) with N={grid.n}, got {d.shape}")
-        func = cls.__new__(cls)
-        object.__setattr__(func, "grid", grid)
-        object.__setattr__(func, "_values", None)
-        object.__setattr__(func, "_diagonal", _as_complex_readonly(d))
-        return func
+        return cls._of_rows(grid, _as_complex_readonly(d.T, order="C"))
 
     def _columns(self, cols) -> "PeriodicMatrixFunction":
-        """The diagonal function of columns ``cols``, in order, with their
-        reciprocals and all-ones flags (every entry finite and nonzero): whole
-        rows of both arrays, copied once and kept read-only; no column gather."""
-        func = self.__new__(type(self))
-        func.__dict__.update(grid=self.grid, _values=None, _unit=np.take(self._unit_columns(), cols))
-        for name, a in (("_diagonal", self._diagonal), ("_r", self._reciprocal())):
-            rows = np.take(a.T, cols, axis=0)
-            rows.setflags(write=False)
-            func.__dict__[name] = rows.T
-        return func
+        """The diagonal function of columns ``cols``, in order: whole rows of
+        the diagonal and of its reciprocals, copied once and kept read-only,
+        with their all-ones flags (every entry finite and nonzero)."""
+        rows, r = (np.take(a, cols, axis=0) for a in (self._rows, self._reciprocal))
+        rows.setflags(write=False)
+        r.setflags(write=False)
+        return self._of_rows(self.grid, rows, _reciprocal=r, _unit=np.take(self._unit, cols))
 
-    def _unit_columns(self) -> np.ndarray:
-        """(n,) flags of the diagonal's all-ones columns, tested once and kept."""
-        if "_unit" not in self.__dict__:
-            object.__setattr__(self, "_unit", np.all(self._diagonal == 1, axis=0))
-        return self._unit
+    @functools.cached_property
+    def _unit(self) -> np.ndarray:
+        """(n,) flags of the diagonal's all-ones columns."""
+        return np.all(self._rows == 1, axis=1)
 
+    @functools.cached_property
     def _reciprocal(self) -> np.ndarray:
-        """(N, n) LAPACK solutions of d x = 1 in d's layout (solved on d.T), kept.
-        Only for a finite, nonzero diagonal, as after require_conditioned."""
-        if "_r" not in self.__dict__:
-            d = self._diagonal.T[..., None, None]
-            r = np.linalg.solve(d, np.ones_like(d))[..., 0, 0].T
-            r.setflags(write=False)
-            object.__setattr__(self, "_r", r)
-        return self._r
+        """(n, N) LAPACK solutions of d x = 1, one row per diagonal row. Only
+        for a finite, nonzero diagonal, as after require_conditioned."""
+        d = self._rows[..., None, None]
+        r = np.linalg.solve(d, np.ones_like(d))[..., 0, 0]
+        r.setflags(write=False)
+        return r
 
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
         """(N, rows, cols) read-only array of the matrices."""
-        if self._values is None:
-            n = self.cols
-            values = np.zeros((self.grid.n, n, n), dtype=np.complex128)
-            values[:, np.arange(n), np.arange(n)] = self._diagonal
-            values.setflags(write=False)
-            object.__setattr__(self, "_values", values)
-        return self._values
+        n = self.cols
+        values = np.zeros((self.grid.n, n, n), dtype=np.complex128)
+        values[:, np.arange(n), np.arange(n)] = self._rows.T
+        values.setflags(write=False)
+        return values
 
     @property
     def rows(self) -> int:
-        return self.cols if self._diagonal is not None else self._values.shape[1]
+        return self.cols if self._rows is not None else self.values.shape[1]
 
     @property
     def cols(self) -> int:
-        return self._diagonal.shape[1] if self._diagonal is not None else self._values.shape[2]
+        return len(self._rows) if self._rows is not None else self.values.shape[2]
 
     @classmethod
     def identity(cls, grid: FrequencyGrid, n: int) -> "PeriodicMatrixFunction":
@@ -193,40 +189,40 @@ class PeriodicMatrixFunction:
     def is_diagonal(self) -> bool:
         """Exactly diagonal: built by ``_from_diagonal``, or square with every
         nonzero entry on the diagonal (NaN counts as nonzero, -0.0 as zero)."""
-        return self._diagonal is not None or self.rows == self.cols and \
-            bool(np.count_nonzero(self._values) == np.count_nonzero(self.diagonal()))
+        return self._rows is not None or self.rows == self.cols and \
+            bool(np.count_nonzero(self.values) == np.count_nonzero(self.diagonal()))
 
     def diagonal(self) -> np.ndarray:
         """(N, n) array of diagonal entries."""
-        if self._diagonal is None:
-            return np.einsum("qii->qi", self._values)
-        return self._diagonal
+        if self._rows is None:
+            return np.einsum("qii->qi", self.values)
+        return self._rows.T
+
+    @functools.cached_property
+    def _conds(self) -> np.ndarray:
+        if self.is_diagonal():
+            mag = np.abs(self.diagonal())
+            finite = np.all(np.isfinite(mag), axis=1)
+            lo = np.min(mag, axis=1)
+            conds = np.where(finite, np.inf, np.nan)
+            np.divide(np.max(mag, axis=1), lo, out=conds, where=finite & (lo > 0))
+        else:
+            finite = np.all(np.isfinite(self.values), axis=(1, 2))
+            conds = np.full(self.grid.n, np.nan)
+            conds[finite] = np.linalg.cond(self.values[finite])
+        conds.setflags(write=False)
+        return conds
 
     def condition_numbers(self) -> np.ndarray:
         """(N,) read-only array of per-bin 2-norm condition numbers.
 
-        Computed on first use and kept on the object: the function is
-        immutable (its arrays are read-only), so the cache cannot go stale.
-        An exactly diagonal function takes max|d| / min|d| per bin instead of
-        an SVD; a bin with a zero diagonal entry gets inf, as
-        ``np.linalg.cond`` reports for a singular matrix.
-        A bin with a NaN or infinite entry gets nan and no SVD.
+        Computed on first use and kept (``_conds``). An exactly diagonal
+        function takes max|d| / min|d| per bin instead of an SVD; a bin with
+        a zero diagonal entry gets inf, as ``np.linalg.cond`` reports for a
+        singular matrix. A bin with a NaN or infinite entry gets nan and no
+        SVD.
         """
-        conds = self.__dict__.get("_condition_numbers")
-        if conds is None:
-            if self.is_diagonal():
-                mag = np.abs(self.diagonal())
-                finite = np.all(np.isfinite(mag), axis=1)
-                lo = np.min(mag, axis=1)
-                conds = np.where(finite, np.inf, np.nan)
-                np.divide(np.max(mag, axis=1), lo, out=conds, where=finite & (lo > 0))
-            else:
-                finite = np.all(np.isfinite(self.values), axis=(1, 2))
-                conds = np.full(self.grid.n, np.nan)
-                conds[finite] = np.linalg.cond(self.values[finite])
-            conds.setflags(write=False)
-            object.__setattr__(self, "_condition_numbers", conds)
-        return conds
+        return self._conds
 
     def require_conditioned(self, cond_tol: float, label: str) -> None:
         """Raise an error naming the first grid point whose condition number
@@ -249,14 +245,13 @@ class PeriodicMatrixFunction:
         ``spectra`` itself and any other diagonal takes the einsum
         ``"qi,iq->iq"`` (``d.T * spectra`` rounds differently), so a diagonal
         function never builds its dense ``values``. The all-ones test is made
-        once per function (``_unit_columns``).
+        once per function (``_unit``).
         """
-        d = self._diagonal
-        if d is None:
-            return np.einsum("qir,rq->iq", self._values, spectra)
-        if self._unit_columns().all():
+        if self._rows is None:
+            return np.einsum("qir,rq->iq", self.values, spectra)
+        if self._unit.all():
             return spectra
-        return np.einsum("qi,iq->iq", d, spectra)
+        return np.einsum("qi,iq->iq", self._rows.T, spectra)
 
     def solve(self, sequences: np.ndarray, cond_tol: float, label: str) -> np.ndarray:
         """After ``require_conditioned(cond_tol, label)``, solve values[q] x = s
@@ -275,14 +270,14 @@ class PeriodicMatrixFunction:
         """
         self.require_conditioned(cond_tol, label)
         spectra = np.fft.fft(sequences, axis=1)
-        if self._diagonal is None:
+        if self._rows is None:
             # LAPACK's solutions come out transposed; return C order, as the other routes do
-            solved = np.linalg.solve(self._values, spectra.T[:, :, None])[:, :, 0].T
+            solved = np.linalg.solve(self.values, spectra.T[:, :, None])[:, :, 0].T
             return np.ascontiguousarray(np.fft.ifft(solved, axis=1))
-        if self._unit_columns().all():
+        if self._unit.all():
             solved = spectra
         else:
-            solved = self._reciprocal().T * spectra
+            solved = self._reciprocal * spectra
         return np.fft.ifft(solved, axis=1)
 
 

@@ -52,7 +52,7 @@ def reference_trial(cfg, index, seed):
     if cfg.mode == "multiband":
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenarios, "synthesize", per_channel_bank)
-            build = build_multiband(cfg, seed, tol)
+            build = build_multiband(cfg, seed)
         design, bank, k_max = build.design, build.coefficients, build.report["k_max"]
         sigma = _sigma(cfg, design.A)
     else:

@@ -46,7 +46,7 @@ def reference_build(cfg, seed, attempt):
     if pattern is None:
         pattern = np.random.default_rng(seed).choice(cfg.m, size=cfg.k, replace=False)
     return build_periodic_sparsity(replace(cfg, s_pattern=tuple(int(i) for i in pattern)),
-                                   trial_seed(seed, attempt), cfg.tolerances)
+                                   trial_seed(seed, attempt))
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC_CONFIGS))
@@ -114,8 +114,7 @@ def test_multiband_instance_is_the_build_of_cosets_drawn_from_the_trial_seed(nam
         cosets = cfg.cosets
         if cosets is None:
             cosets = np.random.default_rng(seed).choice(cfg.m, size=cfg.p, replace=False)
-        reference = build_multiband(replace(cfg, cosets=tuple(int(c) for c in cosets)),
-                                    seed, cfg.tolerances)
+        reference = build_multiband(replace(cfg, cosets=tuple(int(c) for c in cosets)), seed)
         design, bank, k_max, sigma = experiments._multiband_instances(cfg, [seed])[0]
         assert np.array_equal(design.A, reference.design.A)
         assert np.array_equal(design.W.diagonal(), reference.design.W.diagonal())

@@ -83,7 +83,7 @@ def test_structured_solve_matches_dense_solve_bit_for_bit(name):
     rng = np.random.default_rng(len(name))
     sequences = random_complex(rng, (w.rows, w.grid.n))
     solved = w.solve(sequences, COND_TOL, "W")
-    assert w._values is None  # solved from the diagonal alone
+    assert "values" not in vars(w)  # solved from the diagonal alone
     assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
 
 
@@ -128,7 +128,7 @@ def test_structured_filterbank_sample_matches_dense_twin_bit_for_bit(name):
     rng = np.random.default_rng(len(name) + 200)
     bank = CoefficientBank.from_sequences(random_complex(rng, (w.cols, w.grid.n)))
     sampled = filterbank_sample(bank, w)
-    assert w._values is None  # applied from the diagonal alone
+    assert "values" not in vars(w)  # applied from the diagonal alone
     assert np.array_equal(sampled, filterbank_sample(bank, dense_twin(w)))
 
 
@@ -184,13 +184,13 @@ def test_table_shaping_bank_equals_the_per_coset_exp_loop(n, m, T, cosets):
     grid = FrequencyGrid(n)
     w = multiband_shaping_bank(m, T, cosets, grid)
     assert np.array_equal(w.diagonal(), per_coset_exp_loop(m, T, cosets, grid))
-    assert w._values is None and not w.diagonal().flags.writeable
+    assert "values" not in vars(w) and not w.diagonal().flags.writeable
 
 
 @pytest.mark.parametrize("m, T, cosets", TABLE_CASES)
 def test_table_shaping_bank_solves_as_a_fresh_diagonal_and_its_dense_twin(m, T, cosets):
     w = multiband_shaping_bank(m, T, cosets, FrequencyGrid(256))
-    assert "_r" in w.__dict__  # the table's reciprocals came with the columns
+    assert "_reciprocal" in vars(w)  # the table's reciprocals came with the columns
     fresh = PeriodicMatrixFunction._from_diagonal(
         w.grid, per_coset_exp_loop(m, T, cosets, w.grid))
     rng = np.random.default_rng(m)
@@ -198,7 +198,7 @@ def test_table_shaping_bank_solves_as_a_fresh_diagonal_and_its_dense_twin(m, T, 
     solved = w.solve(sequences, COND_TOL, "W")
     assert np.array_equal(solved, fresh.solve(sequences, COND_TOL, "W"))
     assert np.array_equal(solved, dense_twin(w).solve(sequences, COND_TOL, "W"))
-    assert np.array_equal(w._reciprocal(), fresh._reciprocal())
+    assert np.array_equal(w._reciprocal, fresh._reciprocal)
 
 
 def random_cosets(rng):
@@ -213,8 +213,8 @@ def random_cosets(rng):
 
 @pytest.mark.parametrize("n", [1, 64, 2048])
 def test_table_rows_read_as_a_fresh_c_ordered_diagonal(n):
-    # a trial's W is p rows of the coset-major table, not a column gather of
-    # an (N, m+1) array: every reader gives the bits of the C-ordered bank
+    # a trial's W is p rows of the coset table, and a fresh diagonal holds
+    # C-ordered rows too: every reader gives the bits of the fresh bank
     rng = np.random.default_rng(n)
     grid = FrequencyGrid(n)
     with_m = 0
@@ -223,18 +223,47 @@ def test_table_rows_read_as_a_fresh_c_ordered_diagonal(n):
         with_m += m in cosets
         w = multiband_shaping_bank(m, T, cosets, grid)
         fresh = PeriodicMatrixFunction._from_diagonal(grid, per_coset_exp_loop(m, T, cosets, grid))
-        assert fresh.diagonal().flags.c_contiguous
+        assert fresh._rows.flags.c_contiguous
         assert np.array_equal(w.diagonal(), fresh.diagonal())
-        assert np.array_equal(w._reciprocal(), fresh._reciprocal())
+        assert np.array_equal(w._reciprocal, fresh._reciprocal)
         assert np.array_equal(w.condition_numbers(), fresh.condition_numbers())
         spectra = random_complex(rng, (len(cosets), n))
         assert np.array_equal(w.apply(spectra), fresh.apply(spectra))
         assert np.array_equal(w.solve(spectra, COND_TOL, "W"), fresh.solve(spectra, COND_TOL, "W"))
-        assert w.diagonal().T.flags.c_contiguous and w._reciprocal().T.flags.c_contiguous
+        assert w._rows.flags.c_contiguous and w._reciprocal.flags.c_contiguous
         held = [a for a in vars(_coset_shaping_table(m, T, grid)).values()
-                if isinstance(a, np.ndarray) and a.shape == (n, m + 1)]
-        assert len(held) == 2 and all(a.T.flags.c_contiguous for a in held)
+                if isinstance(a, np.ndarray) and a.shape == (m + 1, n)]
+        assert len(held) == 2 and all(a.flags.c_contiguous for a in held)
     assert with_m >= 5
+
+
+# (N, n) = (16, 5) throughout, so no (n, N) array can pass for an (N, n) one
+ONE_LAYOUT = {
+    "from_c_diagonal": lambda: PeriodicMatrixFunction._from_diagonal(
+        FrequencyGrid(16), random_complex(np.random.default_rng(11), (16, 5))),
+    "from_f_diagonal": lambda: PeriodicMatrixFunction._from_diagonal(
+        FrequencyGrid(16), np.asfortranarray(random_complex(np.random.default_rng(12), (16, 5)))),
+    "identity": lambda: PeriodicMatrixFunction.identity(FrequencyGrid(16), 5),
+    "random_diagonal_z": lambda: random_diagonal_z(5, FrequencyGrid(16),
+                                                   np.random.default_rng(13)),
+    "coset_table": lambda: _coset_shaping_table(4, 0.37, FrequencyGrid(16)),
+    "columns_bank": lambda: multiband_shaping_bank(8, 0.37, (8, 3, 5, 1, 6), FrequencyGrid(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LAYOUT))
+def test_a_diagonal_function_holds_its_rows_in_one_layout(name):
+    w = ONE_LAYOUT[name]()
+    spectra = random_complex(np.random.default_rng(14), (5, 16))
+    w.apply(spectra)
+    w.solve(spectra, COND_TOL, "W")
+    w.condition_numbers()
+    for rows in (w._rows, w._reciprocal):
+        assert rows.shape == (5, 16) and rows.flags.c_contiguous and not rows.flags.writeable
+    held = [a for a in vars(w).values() if isinstance(a, np.ndarray)]
+    assert not any(a.shape == (16, 5) for a in held)
+    assert sum(a.shape == (5, 16) for a in held) == 2
+    assert np.shares_memory(w.diagonal(), w._rows) and w.diagonal().shape == (16, 5)
 
 
 @pytest.mark.parametrize("bad, error", [(0.0, SingularOperatorError),
@@ -246,7 +275,7 @@ def test_bad_diagonal_fails_the_conditioning_check_before_any_lapack_call(bad, e
     sequences = np.ones((4, 32), dtype=np.complex128)
     with pytest.raises(error, match="grid point 5"):
         w.solve(sequences, COND_TOL, "W")
-    assert "_r" not in w.__dict__  # numpy's LinAlgError could not have been raised
+    assert "_reciprocal" not in vars(w)  # numpy's LinAlgError could not have been raised
 
 
 def test_shaping_bank_of_a_nan_period_fails_the_conditioning_check():
@@ -261,7 +290,7 @@ def test_shaping_bank_of_a_nan_period_fails_the_conditioning_check():
             grid, per_coset_exp_loop(8, np.nan, (0, 3, 5), grid))
     with pytest.raises(InvalidInputError, match="grid point 0"):
         w.solve(np.ones((3, 16)), COND_TOL, "W")
-    assert "_r" not in w.__dict__
+    assert "_reciprocal" not in vars(w)
 
 
 # The four benchmark workload shapes (benchmarks/workloads.py).
@@ -290,7 +319,7 @@ def test_trial_with_structured_w_equals_trial_with_dense_twin(shape, seed):
         return ctf.recover(y, d, k_max=k_max, solver=cfg.solver, tol=cfg.tolerances)
 
     fast = sample_and_recover(design)
-    assert design.W._values is None  # the trial never built the dense W
+    assert "values" not in vars(design.W)  # the trial never built the dense W
     dense = sample_and_recover(dataclasses.replace(design, W=dense_twin(design.W)))
     assert fast.support == dense.support == bank.support
     assert fast.coefficients.sequences.tobytes() == dense.coefficients.sequences.tobytes()
