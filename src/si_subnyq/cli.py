@@ -6,6 +6,8 @@ Subcommands:
     verify  [--json]
 
 Exit codes: 0 success, 1 invariant/recovery-suite failure, 2 config error.
+A trial whose recovery raises is a failed row, not a failed run: ``run`` and
+``sweep`` still exit 0 and say on stderr how many trials failed.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ def _cmd_run(args) -> int:
                               tol=cfg.tolerances)
     out_dir = _resolve_out_dir(cfg.out_dir, args.out_dir)
     summary = run_experiment(cfg, out_dir)
+    _report_failures([summary])
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'summary.json'}")
     print(f"success_rate={summary['success_rate']:.4f} "
           f"median_nmse={summary['median_nmse']:.3e} trials={summary['trials']}")
@@ -90,8 +93,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be a comma-separated integer list: {exc}") from exc
     out_dir = _resolve_out_dir(cfg.out_dir, args.out_dir)
     summaries = run_sweep(cfg, args.var, values, out_dir)
+    _report_failures(summaries)
     print(f"wrote {out_dir / 'sweep.csv'} ({len(summaries)} values of {args.var})")
     return EXIT_OK
+
+
+def _report_failures(summaries: list[dict]) -> None:
+    failed = sum(sum(s.get("failures", {}).values()) for s in summaries)
+    if failed:
+        print(f"{failed} of {sum(s['trials'] for s in summaries)} trials failed",
+              file=sys.stderr)
 
 
 def _cmd_verify_to(out_dir: Path | None, as_json: bool, tol: Tolerances) -> int:

@@ -76,11 +76,17 @@ def demodulate(y: MeasurementBank, design: MeasurementDesign,
     immutable, so the cache cannot go stale); after
     ``make_design`` the check is one comparison per bin.
     """
-    if y.p != design.p or y.length != design.grid.n:
+    return MeasurementBank._owned(_demodulated(y.sequences, design, tol))
+
+
+def _demodulated(sequences: np.ndarray, design: MeasurementDesign, tol: Tolerances) -> np.ndarray:
+    """``demodulate`` of (p, N) ``sequences`` or of each bank of an (n, p, N) stack."""
+    p, n = sequences.shape[-2:]
+    if p != design.p or n != design.grid.n:
         raise DimensionError(
-            f"measurements ({y.p} x {y.length}) incompatible with design "
+            f"measurements ({p} x {n}) incompatible with design "
             f"(p={design.p}, N={design.grid.n})")
-    return MeasurementBank._owned(design.W.solve(y.sequences, tol.cond_tol, "W"))
+    return design.W.solve(sequences, tol.cond_tol, "W")
 
 
 def compute_q(y: MeasurementBank) -> np.ndarray:
@@ -89,8 +95,13 @@ def compute_q(y: MeasurementBank) -> np.ndarray:
     By Parseval, the Gram of the grid spectra is N times this Q, with the
     same column span and hence the same recovered support.
     """
-    q = y.sequences @ y.sequences.conj().T
-    return (q + q.conj().T) / 2.0
+    return _gram(y.sequences)
+
+
+def _gram(y: np.ndarray) -> np.ndarray:
+    """``compute_q`` of a (p, N) array or of each bank of an (n, p, N) stack."""
+    q = y @ y.conj().swapaxes(-1, -2)
+    return (q + q.conj().swapaxes(-1, -2)) / 2.0
 
 
 def frame_from_q(q: np.ndarray,
@@ -106,43 +117,58 @@ def frame_from_q(q: np.ndarray,
     q = np.asarray(q, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise DimensionError(f"Q must be square and non-empty, got shape {q.shape}")
+    return _frames(q[None], tol)[0]
+
+
+def _frames(q: np.ndarray, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``frame_from_q`` of each Q of an (n, p, p) stack. Each check runs over
+    the stack in turn and raises for the first Q that fails it."""
     _require_finite(q, "Q")
-    q_h = q.conj().T
-    herm_dev = float(np.max(np.abs(q - q_h)))
-    scale = max(float(np.max(np.abs(q))), 1.0)
-    if herm_dev > tol.hermitian_tol * scale:
-        raise InvalidInputError(f"Q is not Hermitian (deviation {herm_dev:.3e})")
+    q_h = q.conj().swapaxes(-1, -2)
+    for dev, peak in zip(np.max(np.abs(q - q_h), axis=(1, 2)), np.max(np.abs(q), axis=(1, 2))):
+        if dev > tol.hermitian_tol * max(peak, 1.0):
+            raise InvalidInputError(f"Q is not Hermitian (deviation {dev:.3e})")
     eigvals, eigvecs = np.linalg.eigh((q + q_h) / 2.0)
-    trace = float(np.sum(eigvals))
-    if np.min(eigvals) < -tol.psd_tol * max(trace, 0.0) - tol.psd_tol:
-        raise InvalidInputError(
-            f"Q is indefinite: smallest eigenvalue {np.min(eigvals):.3e}")
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    keep = eigvals > tol.rank_rel_tol * max(float(eigvals[0]), 0.0)
-    v = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    return v, eigvals
+    for trace, low in zip(np.sum(eigvals, axis=1), np.min(eigvals, axis=1)):
+        if low < -tol.psd_tol * max(trace, 0.0) - tol.psd_tol:
+            raise InvalidInputError(f"Q is indefinite: smallest eigenvalue {low:.3e}")
+    order = np.argsort(eigvals, axis=1)[:, ::-1]
+    eigvals = np.take_along_axis(eigvals, order, axis=1)
+    eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=2)
+    # sorted descending, so each Q keeps a prefix of its eigenvalues
+    ranks = np.count_nonzero(eigvals > tol.rank_rel_tol * np.maximum(eigvals[:, :1], 0.0), axis=1)
+    return [(vecs[:, :r] * np.sqrt(vals[:r]), vals)
+            for vecs, vals, r in zip(eigvecs, eigvals, ranks.tolist())]
 
 
-def _pow2_scale(x: np.ndarray) -> float:
+def _run_frames(ys: list[MeasurementBank], design: MeasurementDesign, tol: Tolerances) -> list:
+    """``recover``'s (y_tilde, V, eigenvalues) of each bank of ``ys``, whose
+    designs share ``design.W``: its steps, each taken once on the stack."""
+    y_tilde = _demodulated(np.array([y.sequences for y in ys]), design, tol)
+    scales = np.array(_pow2_scale(y_tilde))[:, None, None]
+    q = _gram(y_tilde if np.all(scales == 1.0) else scales * y_tilde)
+    return [(MeasurementBank._owned(y), *frame) for y, frame in zip(y_tilde, _frames(q, tol))]
+
+
+def _pow2_scale(x: np.ndarray) -> float | list[float]:
     """1 when the peak of x lies in [2^-400, 2^400], where norms taken on x
     neither overflow nor lose its largest entries to underflow; else the
     power of two s with the peak of s x in [1/2, 1). Multiplying by a power
     of two is exact, so ||s y|| = s ||y|| bit for bit wherever ||y|| is
-    computed without over- or underflow.
+    computed without over- or underflow. An (n, p, N) stack gets a list.
 
     For complex x the peak is max(|re|, |im|), read from a float64 view (of
-    a copy only if x is not contiguous), and max |x| / sqrt(2) <= peak <=
+    a copy only if x is not C-contiguous), and max |x| / sqrt(2) <= peak <=
     max |x|. So an in-range peak puts max |x| in [2^-400, 2^400.5], which
     the window's distance from the float64 limits absorbs, and an
     out-of-range one still gives max |s x| < sqrt(2)."""
     if np.iscomplexobj(x):
-        x = x.ravel(order="K").view(np.float64)
-    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
-    if 2.0 ** -400 <= peak <= 2.0 ** 400:
-        return 1.0
-    return math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
+        x = np.ascontiguousarray(x).view(np.float64)
+    peaks = np.abs(x).max(axis=(-2, -1), initial=0.0, keepdims=True)
+    scales = [1.0 if 2.0 ** -400 <= peak <= 2.0 ** 400
+              else math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
+              for peak in peaks.ravel().tolist()]
+    return scales if x.ndim == 3 else scales[0]
 
 
 def _norm(x: np.ndarray, scale: float) -> float:
@@ -407,14 +433,19 @@ def _coefficients(y_tilde: MeasurementBank, design: MeasurementDesign,
 
 def recover(y: MeasurementBank, design: MeasurementDesign, k_max: int,
             solver: str = "exhaustive",
-            tol: Tolerances = DEFAULT_TOLERANCES) -> RecoveryResult:
+            tol: Tolerances = DEFAULT_TOLERANCES, *,
+            _framed: tuple | None = None) -> RecoveryResult:
     """Full pipeline with diagnostics: support, coefficients, Q spectrum.
     Q is formed from y_tilde times its exact ``_pow2_scale`` (1 in range), so
-    it cannot over- or underflow; ``q_eigenvalues`` are this scaled Q's."""
-    y_tilde = demodulate(y, design, tol)
-    scale = _pow2_scale(y_tilde.sequences)
-    q = compute_q(y_tilde if scale == 1.0 else MeasurementBank._owned(scale * y_tilde.sequences))
-    v, eigvals = frame_from_q(q, tol=tol)
+    it cannot over- or underflow; ``q_eigenvalues`` are this scaled Q's.
+    ``_framed``: the (y_tilde, V, eigenvalues) ``_run_frames`` formed of y."""
+    if _framed is None:
+        y_tilde = demodulate(y, design, tol)
+        scale = _pow2_scale(y_tilde.sequences)
+        q = compute_q(y_tilde if scale == 1.0
+                      else MeasurementBank._owned(scale * y_tilde.sequences))
+        _framed = (y_tilde, *frame_from_q(q, tol=tol))
+    y_tilde, v, eigvals = _framed
     support, residual = _solve(MMVProblem(design.A, v, k_max), solver, tol)
     coefficients = _coefficients(y_tilde, design, support, tol)
     diagnostics = {

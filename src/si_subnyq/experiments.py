@@ -7,13 +7,13 @@ trial seeds derive from it via ``numpy.random.SeedSequence(master,
 spawn_key=(trial,))`` and are recorded in each row, so any single trial can
 be reproduced in isolation. Trials go in runs (``_run``) of as many as
 ``_BANK_BLOCK`` holds, which draw their A (multiband: build their scenarios),
-build and sample together, then recover each trial alone; each generator is
-read in the order a lone trial reads it.
+build, sample and (sharing one W) frame together, then recover each trial
+alone; each generator is read in the order a lone trial reads it.
 
 Determinism note: all output bytes are reproducible for a fixed seed,
 platform and BLAS thread count except the measured ``wall_time_s`` column
 (a trial's own stages plus an equal share of each draw round it took part in
-and of its run's build and sampling) and the ``timing`` block of the summary,
+and of its run's stacked steps) and the ``timing`` block of the summary,
 which report real elapsed time.
 The norms in ``_nmse`` go through the BLAS, whose threads split a large
 bank's sum, so its last digits can follow the thread count.
@@ -21,16 +21,18 @@ bank's sum, so its last digits can follow the thread count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import ctf, scenarios
-from .errors import ConfigError
+from .errors import ConfigError, SiSubnyqError
 from .sampling_design import (
     KRUSKAL_MAX_COLUMNS,
     MATRIX_KINDS,
@@ -229,10 +231,11 @@ class TrialRecord:
     support_found: tuple[int, ...]
     exact: bool
     nmse: float
-    rank_q: int
+    rank_q: int | None
     sigma_a: int | None
     wall_time_s: float
     collision: bool = False
+    error: str | None = None  # the error class of a failed trial
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -325,31 +328,49 @@ _INSTANCES = {
 
 
 def _run(cfg: ExperimentConfig, first: int, seeds: list[int]) -> list[TrialRecord]:
-    """Draw a generic or periodic run's A (``_draw_chunk``), build and sample
-    the run together, then recover and score each trial alone, adding to its
-    wall time an equal share of its draw rounds and of the build and sampling."""
+    """Draw a generic or periodic run's A (``_draw_chunk``); build, sample and,
+    if its trials share one W, frame the run together (``ctf._run_frames``,
+    unless it raises); then recover and score each trial alone, adding to its
+    wall time an equal share of its draw rounds and of the stacked steps."""
     draws = None if cfg.mode == "multiband" else _draw_chunk(cfg, seeds)
     started = time.perf_counter()
     instances = _INSTANCES[cfg.mode](cfg, seeds, draws)
     designs, banks, *_ = zip(*instances)
     ys = compressive_sample(banks, designs)
+    frames = [None] * len(ys)
+    if len(ys) > 1 and len({id(design.W) for design in designs}) == 1:
+        with contextlib.suppress(SiSubnyqError):
+            frames = ctf._run_frames(ys, designs[0], cfg.tolerances)
     share = (time.perf_counter() - started) / len(seeds)
-    return [_trial(cfg, first + i, seed, instance, y, share + (draws[i][3] if draws else 0.0))
-            for i, (seed, instance, y) in enumerate(zip(seeds, instances, ys))]
+    return [_trial(cfg, first + i, seed, instance, y, frame,
+                   share + (draws[i][3] if draws else 0.0))
+            for i, (seed, instance, y, frame) in enumerate(zip(seeds, instances, ys, frames))]
 
 
 def _trial(cfg: ExperimentConfig, trial_index: int, seed: int, instance: tuple,
-           y: MeasurementBank, spent: float) -> TrialRecord:
-    """Recover the sampled instance once and score it; the wall time adds the
-    seconds ``spent`` before."""
+           y: MeasurementBank, frame: tuple | None, spent: float) -> TrialRecord:
+    """Recover the sampled instance once, from the run's ``frame`` of it when
+    there is one, and score it; the wall time adds the seconds ``spent``
+    before. A recovery that raises a library error other than a config
+    error gives a failed row: no support found, no rank_q, not exact, nmse
+    inf, and the error's class."""
     started = time.perf_counter()
     tol = cfg.tolerances
     design, bank, k_max, sigma = instance
-    result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol)
+    support_true = tuple(sorted(bank.support))
+    try:
+        result = ctf.recover(y, design, k_max=k_max, solver=cfg.solver, tol=tol, _framed=frame)
+    except ConfigError:
+        raise
+    except SiSubnyqError as exc:
+        return TrialRecord(
+            trial=trial_index, seed=seed, support_true=support_true, support_found=(),
+            exact=False, nmse=math.inf, rank_q=None, sigma_a=sigma,
+            wall_time_s=time.perf_counter() - started + spent, error=type(exc).__name__)
     nmse = _nmse(bank.sequences, result.coefficients.sequences, tol)
     return TrialRecord(
         trial=trial_index, seed=seed,
-        support_true=tuple(sorted(bank.support)),
+        support_true=support_true,
         support_found=tuple(sorted(result.support)),
         exact=bank.support == result.support and nmse <= tol.recovery_rel_tol,
         nmse=nmse,
@@ -392,7 +413,7 @@ def records_to_csv(records: list[TrialRecord]) -> str:
             _fmt_support(r.support_found),
             "true" if r.exact else "false",
             _fmt_float(r.nmse),
-            str(r.rank_q),
+            "" if r.rank_q is None else str(r.rank_q),
             "" if r.sigma_a is None else str(r.sigma_a),
             f"{r.wall_time_s:.6f}",
         ]))
@@ -406,7 +427,7 @@ def summarize(cfg: ExperimentConfig, records: list[TrialRecord],
          "support_found": list(r.support_found)}
         for r in records if r.collision
     ]
-    return {
+    summary = {
         "success_rate": float(np.mean([r.exact for r in records])),
         "median_nmse": float(np.median([r.nmse for r in records])),
         "trials": len(records),
@@ -414,6 +435,10 @@ def summarize(cfg: ExperimentConfig, records: list[TrialRecord],
         "config": asdict(cfg),
         "timing": {"total_wall_time_s": total_time},
     }
+    failures = Counter(r.error for r in records if r.error is not None)
+    if failures:
+        summary["failures"] = dict(sorted(failures.items()))
+    return summary
 
 
 def _write(path: Path, text: str) -> None:

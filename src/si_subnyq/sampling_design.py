@@ -87,8 +87,8 @@ class MeasurementBank:
     """p compressed measurement sequences of length N.
 
     The constructor keeps a read-only complex copy. ``_owned`` keeps the
-    array it is given: only ``compressive_sample`` and ``ctf.demodulate``
-    call it, each on the complex (p, N) array its inverse FFT has just made
+    array it is given: only ``compressive_sample`` and ``ctf``'s demodulation
+    and scaling call it, each on the complex (p, N) array it has just made
     (for a chunk, one slice of it), to spare a trial's megabyte banks a
     second copy.
     """

@@ -255,7 +255,8 @@ class PeriodicMatrixFunction:
 
     def solve(self, sequences: np.ndarray, cond_tol: float, label: str) -> np.ndarray:
         """After ``require_conditioned(cond_tol, label)``, solve values[q] x = s
-        per bin for s the DFT of the (rows, N) ``sequences``; return ifft(x).
+        per bin for s the DFT of the (rows, N) ``sequences``, or of each bank of
+        an (n, rows, N) stack, along the last axis; return ifft(x).
 
         Three routes give the dense solve's bits: an all-ones diagonal skips
         the solve (LAPACK returns the right-hand side of I x = b unchanged),
@@ -269,16 +270,16 @@ class PeriodicMatrixFunction:
         tests/test_structured_w.py checks it on the running build.
         """
         self.require_conditioned(cond_tol, label)
-        spectra = np.fft.fft(sequences, axis=1)
+        spectra = np.fft.fft(sequences, axis=-1)
         if self._rows is None:
             # LAPACK's solutions come out transposed; return C order, as the other routes do
-            solved = np.linalg.solve(self.values, spectra.T[:, :, None])[:, :, 0].T
-            return np.ascontiguousarray(np.fft.ifft(solved, axis=1))
+            solved = np.linalg.solve(self.values, spectra.swapaxes(-1, -2)[..., None])[..., 0]
+            return np.ascontiguousarray(np.fft.ifft(solved.swapaxes(-1, -2), axis=-1))
         if self._unit.all():
             solved = spectra
         else:
             solved = self._reciprocal * spectra
-        return np.fft.ifft(solved, axis=1)
+        return np.fft.ifft(solved, axis=-1)
 
 
 def _checked_support(seq: np.ndarray, support: frozenset[int] | None) -> frozenset[int]:

@@ -1,6 +1,6 @@
 """Slow references the fast routes of the library are checked against: the
 plain SVD scan for the Kruskal rank, a coefficient bank drawn channel by
-channel, and coefficients through ``np.linalg.pinv``."""
+channel, coefficients through ``np.linalg.pinv``, and the frame of one Q."""
 
 import itertools
 
@@ -60,3 +60,15 @@ def pinv_coefficients(y_tilde, design, support, rank_rel_tol):
         spectra = np.fft.fft(y_tilde.sequences, axis=1)
         sequences[support] = np.fft.ifft(np.linalg.pinv(a_s) @ spectra, axis=1)
     return sequences
+
+
+def eigh_frame(q, rank_rel_tol):
+    """(V, eigenvalues) of one Hermitian Q, as ``frame_from_q`` formed them
+    before frames were taken in stacks (its checks dropped): eigenvalues
+    sorted descending by ``argsort``, and the columns above the rank cut
+    picked by a mask."""
+    eigvals, eigvecs = np.linalg.eigh((q + q.conj().T) / 2.0)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    keep = eigvals > rank_rel_tol * max(float(eigvals[0]), 0.0)
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep]), eigvals
